@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .completion import (TrainConfig, copy_paste, generate, progressive_train,
-                         read_model, rescore, train_scoring_head, write_model)
+from .completion import (TrainConfig, copy_paste, progressive_train, read_model,
+                         rescore, train_scoring_head, write_model)
 from .errors import OccfillError, PreconditionError
 from .eval import (SUBSETS, Detection, EvalConfig, GroundTruth,
                    PROBE_MIN_SAMPLES, compactness_ratio, log_avg_miss_rate,
@@ -272,7 +272,7 @@ def complete_proposal(features, scale, bank, gen, occ_config):
     occluded = is_occluded(flagged, occ_config) and mask.count > 0
     completed = None
     if occluded:
-        completed = generate(gen, copy_paste(features, proto.center, mask))
+        completed = gen.forward(copy_paste(features, proto.center, mask))
     return ProposalReport(proto, cmap, flagged, mask, occluded, completed)
 
 
@@ -326,6 +326,8 @@ def evaluate(proposals, bank, gen, head, config):
     Proposals are treated as coming from synthetic frames holding
     `proposals_per_image` candidates each, so FPPI budgets stay meaningful
     even though every background proposal is a potential false positive.
+    A subset without ground truths gets NaN miss rates; the others are
+    still computed.
     """
     occ_config = config.occ_config()
     eval_config = config.eval_config()
@@ -360,11 +362,13 @@ def evaluate(proposals, bank, gen, head, config):
 
     rows = []
     for subset in SUBSETS:
-        mr_base = log_avg_miss_rate(baseline, truths, eval_config, subset,
-                                    images=images)
-        mr_comp = log_avg_miss_rate(completed_dets, truths, eval_config, subset,
-                                    images=images)
         members = sum(1 for t in truths if subset in subset_of(t.visibility))
+        mr_base = mr_comp = float("nan")
+        if members:
+            mr_base = log_avg_miss_rate(baseline, truths, eval_config, subset,
+                                        images=images)
+            mr_comp = log_avg_miss_rate(completed_dets, truths, eval_config,
+                                        subset, images=images)
         rows.append({"subset": subset, "mr_baseline": mr_base,
                      "mr_completed": mr_comp, "delta_mr": mr_base - mr_comp,
                      "gt_count": members})

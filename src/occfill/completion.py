@@ -143,6 +143,15 @@ class Discriminator:
         g_hidden, d_in = self.hidden.backward(d_mid)
         return [g_hidden[0], g_hidden[1], g_read[0], g_read[1]], d_in
 
+    def param_grads(self, upstream):
+        """Parameter gradients only; the input gradient is never formed."""
+        g_read, d_mid = self.readout.backward(upstream)
+        return [*self.hidden.param_grads(d_mid), *g_read]
+
+    def input_grad(self, upstream):
+        """Gradient wrt the input only; no parameter gradient is formed."""
+        return self.hidden.input_grad(self.readout.input_grad(upstream))
+
     def params(self):
         return self.hidden.params() + self.readout.params()
 
@@ -216,11 +225,6 @@ def copy_paste(f_occ, prototype, mask):
     return np.where(mask.grid[None, :, :], proto, occ)
 
 
-def generate(gen, pasted):
-    """Run the generator's residual refinement on already-pasted features."""
-    return gen.forward(pasted)
-
-
 def adversarial_losses(d_vis, d_gen):
     """Mean two-player objectives from raw probabilities.
 
@@ -240,6 +244,21 @@ def _flatten_batch(batch):
     return batch.reshape(batch.shape[0], -1).T
 
 
+def _ascent_pass(disc, positives, negatives):
+    """Gradient of mean log D(positives) + mean log(1 - D(negatives)).
+
+    Both (m, ...) sample batches go through the discriminator as one
+    2m-column batch: one forward, one parameter-only backward. Returns
+    (p_positives, p_negatives, parameter gradients).
+    """
+    m = positives.shape[0]
+    p = disc.forward(_flatten_batch(np.concatenate([positives, negatives])))
+    p_pos, p_neg = p[:, :m], p[:, m:]
+    upstream = np.concatenate([1.0 / (m * clamp_prob(p_pos)),
+                               -1.0 / (m * (1.0 - clamp_prob(p_neg)))], axis=1)
+    return p_pos, p_neg, disc.param_grads(upstream)
+
+
 def _disc_step(pools, gen, disc, m, rng, paired):
     """One discriminator ascent step; returns (objective, accuracy) pre-update."""
     n_occ = pools.occluded.shape[0]
@@ -248,18 +267,9 @@ def _disc_step(pools, gen, disc, m, rng, paired):
     idx_vis = idx_occ if paired else np.sort(rng.choice(n_vis, size=m, replace=False))
     vis = pools.visible[idx_vis]
     fake = gen.forward(pools.occluded[idx_occ])
-
-    p_vis = disc.forward(_flatten_batch(vis))
-    up_vis = 1.0 / (m * clamp_prob(p_vis))
-    g_vis, _ = disc.backward(up_vis)
-
-    p_fake = disc.forward(_flatten_batch(fake))
-    up_fake = -1.0 / (m * (1.0 - clamp_prob(p_fake)))
-    g_fake, _ = disc.backward(up_fake)
-
+    p_vis, p_fake, grads = _ascent_pass(disc, vis, fake)
     objective, _ = adversarial_losses(p_vis, p_fake)
     accuracy = 0.5 * (float(np.mean(p_vis > 0.5)) + float(np.mean(p_fake < 0.5)))
-    grads = [a + b for a, b in zip(g_vis, g_fake)]
     return objective, accuracy, grads
 
 
@@ -271,8 +281,7 @@ def _gen_step(pools, gen, disc, m, rng):
     _, objective = adversarial_losses(1.0, p_fake)
 
     up_prob = -1.0 / (m * (1.0 - clamp_prob(p_fake)))
-    _, d_flat = disc.backward(up_prob)
-    d_fake = d_flat.T.reshape(fake.shape)
+    d_fake = disc.input_grad(up_prob).T.reshape(fake.shape)
     grads, _ = gen.backward(d_fake)
     return objective, grads
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ShapeMismatchError
-from .ndnum import Rng, check_finite, clamp_prob, sgd_step
-from .completion import Discriminator, _flatten_batch
+from .ndnum import Rng, check_finite, sgd_step
+from .completion import Discriminator, _ascent_pass, _flatten_batch
 
 SUBSETS = ("R", "HO", "R+HO")
 MISS_FLOOR = 1e-4
@@ -195,11 +195,7 @@ def _probe_step(side_a, side_b, disc, m, rng):
     """One supervised ascent step telling side a (label 1) from side b."""
     idx_a = np.sort(rng.split("a").choice(side_a.shape[0], size=m, replace=False))
     idx_b = np.sort(rng.split("b").choice(side_b.shape[0], size=m, replace=False))
-    p_a = disc.forward(_flatten_batch(side_a[idx_a]))
-    g_a, _ = disc.backward(1.0 / (m * clamp_prob(p_a)))
-    p_b = disc.forward(_flatten_batch(side_b[idx_b]))
-    g_b, _ = disc.backward(-1.0 / (m * (1.0 - clamp_prob(p_b))))
-    return [x + y for x, y in zip(g_a, g_b)]
+    return _ascent_pass(disc, side_a[idx_a], side_b[idx_b])[2]
 
 
 def _split_by_content(a, b, rng):

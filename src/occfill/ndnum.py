@@ -78,8 +78,16 @@ class Rng:
         if _key is None:
             _key = hashlib.sha256(b"occfill:" + self.seed.to_bytes(16, "little")).digest()
         self._key = _key
-        philox_key = np.frombuffer(_key[:16], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=philox_key))
+        self._generator = None
+
+    @property
+    def _gen(self):
+        # Built on first draw: streams that are only ever split, such as the
+        # per-iteration parents of a training loop, skip the Philox set-up.
+        if self._generator is None:
+            philox_key = np.frombuffer(self._key[:16], dtype=np.uint64)
+            self._generator = np.random.Generator(np.random.Philox(key=philox_key))
+        return self._generator
 
     def split(self, label):
         """Child stream fully determined by (parent key, label)."""
@@ -169,8 +177,8 @@ class DenseLayer:
         check_finite(a, "dense output")
         return a[:, 0] if single else a
 
-    def backward(self, upstream):
-        """Gradients for the most recent forward; returns ((dW, db), dx)."""
+    def _pre_activation_grad(self, upstream):
+        """(cached input, gradient at the pre-activation, single-vector flag)."""
         if self._cache is None:
             raise PreconditionError("backward called before forward")
         x, z = self._cache
@@ -187,12 +195,24 @@ class DenseLayer:
             dz = up * s * (1.0 - s)
         else:
             dz = up
-        dw = dz @ x.T
-        db = dz.sum(axis=1)
+        return x, dz, single
+
+    def backward(self, upstream):
+        """Gradients for the most recent forward; returns ((dW, db), dx)."""
+        x, dz, single = self._pre_activation_grad(upstream)
         dx = self.weights.T @ dz
-        if single:
-            dx = dx[:, 0]
-        return (dw, db), dx
+        return (dz @ x.T, dz.sum(axis=1)), dx[:, 0] if single else dx
+
+    def param_grads(self, upstream):
+        """(dW, db) for the most recent forward, without the input gradient."""
+        x, dz, _ = self._pre_activation_grad(upstream)
+        return dz @ x.T, dz.sum(axis=1)
+
+    def input_grad(self, upstream):
+        """dx for the most recent forward, without the parameter gradients."""
+        _, dz, single = self._pre_activation_grad(upstream)
+        dx = self.weights.T @ dz
+        return dx[:, 0] if single else dx
 
     def params(self):
         return [self.weights, self.bias]
@@ -205,16 +225,6 @@ class DenseLayer:
             raise ShapeMismatchError("bias", b, self.bias)
         self.weights = np.asarray(w, dtype=np.float64)
         self.bias = np.asarray(b, dtype=np.float64)
-
-
-def dense_forward(layer, x):
-    """Apply `layer` to `x`: activation(weights @ x + bias)."""
-    return layer.forward(x)
-
-
-def dense_backward(layer, upstream):
-    """Backprop `upstream` through the cached forward pass of `layer`."""
-    return layer.backward(upstream)
 
 
 class Network:

@@ -243,6 +243,9 @@ def read_bank(path):
         raise FormatError(4, f"unsupported version {version}")
     if k < 1:
         raise FormatError(8, "bank must hold at least one prototype")
+    for offset, name, dim in ((12, "C", c), (16, "X", x), (20, "Y", y)):
+        if dim == 0:
+            raise FormatError(offset, f"feature dim {name} is zero")
     pos = 24
     record = 20 + c * x * y * 8
     protos = []

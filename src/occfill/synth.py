@@ -35,6 +35,14 @@ BACKGROUND = "background"
 SCALE_NORM = 181.0
 
 MIN_SCALE = 8.0
+# A scale draw is rejected above this many stated stds over its component's
+# mean.
+SCALE_CEILING_STDS = 1.5
+# Redraw budgets of the rejection loops, past which a draw fails instead of
+# spinning. At 9 channels, seeds 0-39 need at most 259,163 draws for one
+# template; the default scale mixture rejects about one draw in fifteen.
+MAX_TEMPLATE_DRAWS = 1_000_000
+MAX_SCALE_DRAWS = 100_000
 
 PART_NAMES = ("head", "torso", "left_arm", "right_arm", "left_leg", "right_leg")
 
@@ -78,9 +86,11 @@ class WorldConfig:
     seed: int = 0
 
     def validate(self):
-        if self.channels < len(PART_NAMES) + 1:
+        # Seven channels would fit the parts, but the redraw loop in
+        # _draw_templates never finds ten templates that far apart in R^7.
+        if self.channels < len(PART_NAMES) + 2:
             raise PreconditionError(
-                f"need at least {len(PART_NAMES) + 1} channels, got {self.channels}")
+                f"need at least {len(PART_NAMES) + 2} channels, got {self.channels}")
         if self.grid_x < 2 or self.grid_y < 2:
             raise PreconditionError("grid must be at least 2x2")
         if self.sigma_id < 0:
@@ -101,6 +111,12 @@ class WorldConfig:
         w = np.array(self.scale_weights, dtype=np.float64)
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
             raise PreconditionError("scale weights must be non-negative and sum to 1")
+        for k, (m, s, wk) in enumerate(zip(self.scale_means, self.scale_stds, w)):
+            ceiling = m + SCALE_CEILING_STDS * s
+            if wk > 0 and ceiling < MIN_SCALE:
+                raise PreconditionError(
+                    f"scale component {k} accepts no height: its ceiling "
+                    f"{ceiling} lies below the minimum {MIN_SCALE}")
         return self
 
 
@@ -220,8 +236,9 @@ def _draw_templates(config, rng):
 
     When the channel count is a power of two the rows of a sign-flipped,
     permuted Hadamard matrix give exactly orthogonal unit-magnitude rows.
-    Otherwise unit-norm Gaussian rows are drawn with a redraw loop. Either
-    way any template pair ends up with cosine similarity well under 0.9.
+    Otherwise unit-norm Gaussian rows are drawn with a redraw loop, which
+    gives up after MAX_TEMPLATE_DRAWS draws for one row. Either way any
+    template pair ends up with cosine similarity well under 0.9.
     """
     c = config.channels
     n_parts = len(PART_NAMES)
@@ -235,11 +252,14 @@ def _draw_templates(config, rng):
         spare = h[n_parts:]
     else:
         def draw(existing):
-            while True:
+            for _ in range(MAX_TEMPLATE_DRAWS):
                 v = rng.normal(c)
                 v = v / np.linalg.norm(v) * np.sqrt(c)
                 if all(abs(v @ e) / c <= 0.3 for e in existing):
                     return v
+            raise PreconditionError(
+                f"no template {len(existing)} within |cos| <= 0.3 of the others "
+                f"after {MAX_TEMPLATE_DRAWS} draws in {c} channels")
         pool = []
         for _ in range(n_parts + max(4, c - n_parts)):
             pool.append(draw(pool))
@@ -275,12 +295,13 @@ def sample_scale(world, rng):
     the previous component's mean. Draws more than 1.5 stated stds
     above a component's mean are rejected, so neighbouring crowds never
     overlap and no single giant dominates a squared-distance clustering.
+    After MAX_SCALE_DRAWS rejections in a row the draw fails.
     """
     cfg = world.config
     means = np.array(cfg.scale_means)
     stds = np.array(cfg.scale_stds)
     weights = np.array(cfg.scale_weights)
-    while True:
+    for _ in range(MAX_SCALE_DRAWS):
         comp = int(rng.choice(len(means), p=weights))
         if comp == 0:
             s = means[0] + stds[0] * rng.normal()
@@ -293,8 +314,9 @@ def sample_scale(world, rng):
                 var_log = np.log1p((stds[comp] / body) ** 2)
                 mu_log = np.log(body) - 0.5 * var_log
                 s = floor + np.exp(mu_log + np.sqrt(var_log) * rng.normal())
-        if MIN_SCALE <= s <= means[comp] + 1.5 * stds[comp]:
+        if MIN_SCALE <= s <= means[comp] + SCALE_CEILING_STDS * stds[comp]:
             return float(s)
+    raise PreconditionError(f"no pedestrian height accepted in {MAX_SCALE_DRAWS} draws")
 
 
 def _identity_field(world, rng, noise_mult=1.0):
@@ -529,8 +551,10 @@ def write_dataset(proposals, path, dims=None):
             if p.features.shape != dims:
                 raise ShapeMismatchError("dataset features", p.features, dims)
     elif dims is None:
-        dims = (0, 0, 0)
+        raise PreconditionError("dims (C, X, Y) are required for an empty dataset")
     c, x, y = (int(v) for v in dims)
+    if min(c, x, y) < 1:
+        raise PreconditionError(f"dataset dims must be positive, got {(c, x, y)}")
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIIII", DATASET_VERSION, len(proposals), c, x, y))
@@ -571,6 +595,9 @@ def read_dataset(path):
     version, count, c, x, y = r.unpack("<IIIII", "header")
     if version != DATASET_VERSION:
         raise FormatError(4, f"unsupported version {version}")
+    for offset, name, dim in ((12, "C", c), (16, "X", x), (20, "Y", y)):
+        if dim == 0:
+            raise FormatError(offset, f"feature dim {name} is zero")
     proposals = []
     for i in range(count):
         at = r.pos

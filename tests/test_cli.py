@@ -15,7 +15,7 @@ from occfill.cli import (
     parse_config_text,
     synthesize,
 )
-from occfill.completion import generate, read_model
+from occfill.completion import read_model
 from occfill.errors import PreconditionError
 from occfill.eval import mask_iou
 from occfill.ndnum import Rng
@@ -258,7 +258,7 @@ class TestTrain:
                 "--bank", str(small_run["bank"]), "--out", str(tmp_path)])
         gen, _, head, grid, _ = read_model(tmp_path / "model.fcgd")
         x = Rng(3).normal(shape=(8, 5, 5)) ** 2
-        assert np.array_equal(generate(gen, x), x)
+        assert np.array_equal(gen.forward(x), x)
         assert head.trained
         assert tuple(grid) == (5, 5)
         history = (tmp_path / "history.csv").read_text().splitlines()
@@ -282,6 +282,27 @@ class TestEval:
             assert float(row["delta_mr"]) == pytest.approx(base - comp)
             assert int(row["gt_count"]) > 0
             assert int(row["images"]) == 10
+
+    def test_empty_subset_reports_nan_and_keeps_the_others(self, small_run,
+                                                          tmp_path):
+        # one eval pedestrian, fully visible: R and R+HO hold it, HO is empty
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(SMALL.replace("data.eval_pedestrians = 60",
+                                     "data.eval_pedestrians = 1"))
+        run_ok(["synth-data", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        run_ok(["eval", "--config", str(cfg),
+                "--data", str(tmp_path / "s/eval.fcds"),
+                "--bank", str(small_run["bank"]),
+                "--model", str(small_run["model"]), "--out", str(tmp_path / "e")])
+        with open(tmp_path / "e/metrics.csv", newline="") as fh:
+            rows = {r["subset"]: r for r in csv.DictReader(fh)}
+        assert int(rows["HO"]["gt_count"]) == 0
+        for key in ("mr_baseline", "mr_completed", "delta_mr"):
+            assert np.isnan(float(rows["HO"][key]))
+        for subset in ("R", "R+HO"):
+            assert int(rows[subset]["gt_count"]) == 1
+            assert 0.0 <= float(rows[subset]["mr_baseline"]) <= 1.0
+            assert 0.0 <= float(rows[subset]["mr_completed"]) <= 1.0
 
     def test_unreachable_fixed_beta_is_a_no_op(self, small_run, tmp_path):
         # correlations are non-negative, so beta=0 never flags a cell and
@@ -426,6 +447,13 @@ class TestExitCodes:
         code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_seven_channels_fail_fast(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("world.channels = 7\n")
+        code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "at least 8 channels" in capsys.readouterr().err
 
     def test_missing_required_argument(self, capsys):
         assert main(["eval"]) == 2

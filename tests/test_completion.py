@@ -18,7 +18,6 @@ from occfill.completion import (
     adversarial_losses,
     copy_paste,
     default_stage_configs,
-    generate,
     mask_library,
     progressive_train,
     read_model,
@@ -135,10 +134,11 @@ class TestGenerator:
         gen.set_params(gen.params())
         assert np.array_equal(gen.forward(x), before)
 
-    def test_generate_delegates_to_forward(self):
-        gen = Generator.init(2, Rng(0))
-        x = Rng(1).normal(shape=(2, 3, 3))
-        assert np.array_equal(generate(gen, x), gen.forward(x))
+    def test_single_map_matches_batch_of_one(self):
+        rng = Rng(1)
+        gen = random_generator(2, rng)
+        x = rng.split("x").normal(shape=(2, 3, 3))
+        assert np.array_equal(gen.forward(x), gen.forward(x[None])[0])
 
 
 class TestDiscriminator:
@@ -396,6 +396,132 @@ class TestTrainingGradients:
                 lambda ps: gen_objective_oracle(ps, disc, pools), gen_params)
             assert max_rel_error(gen_grads, numeric) < 1e-4
             checked += 1
+
+
+def two_pass_disc_step(pools, gen, disc, m, rng, paired):
+    """The discriminator step as one forward and one full backward per side,
+    with the two gradient lists summed afterwards."""
+    n_occ = pools.occluded.shape[0]
+    n_vis = pools.visible.shape[0]
+    idx_occ = np.sort(rng.choice(n_occ, size=m, replace=False))
+    idx_vis = idx_occ if paired else np.sort(rng.choice(n_vis, size=m, replace=False))
+    fake = gen.forward(pools.occluded[idx_occ])
+    p_vis = disc.forward(pools.visible[idx_vis].reshape(m, -1).T)
+    g_vis, _ = disc.backward(1.0 / (m * np.clip(p_vis, 1e-7, 1.0 - 1e-7)))
+    p_fake = disc.forward(fake.reshape(m, -1).T)
+    g_fake, _ = disc.backward(-1.0 / (m * (1.0 - np.clip(p_fake, 1e-7, 1.0 - 1e-7))))
+    objective, _ = adversarial_losses(p_vis, p_fake)
+    accuracy = 0.5 * (float(np.mean(p_vis > 0.5)) + float(np.mean(p_fake < 0.5)))
+    return objective, accuracy, [a + b for a, b in zip(g_vis, g_fake)]
+
+
+def full_backward_gen_step(pools, gen, disc, m, rng):
+    """The generator step with the discriminator's full backward, whose
+    parameter gradients are discarded."""
+    idx = np.sort(rng.choice(pools.occluded.shape[0], size=m, replace=False))
+    fake = gen.forward(pools.occluded[idx])
+    p_fake = disc.forward(fake.reshape(m, -1).T)
+    _, objective = adversarial_losses(1.0, p_fake)
+    _, d_flat = disc.backward(-1.0 / (m * (1.0 - np.clip(p_fake, 1e-7, 1.0 - 1e-7))))
+    grads, _ = gen.backward(d_flat.T.reshape(fake.shape))
+    return objective, grads
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    """Each array within `rel` of the other, relative to its largest entry."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        scale = max(float(np.max(np.abs(w))), 1e-300)
+        assert float(np.max(np.abs(g - w))) <= rel * scale
+
+
+def lean_step_setups():
+    """Gradient-check shapes, the pipeline's 16x7x7 maps at batch 32, and
+    the same maps under a saturated discriminator that puts every
+    probability at exactly 1, where only the clamp keeps gradients finite."""
+    for seed in range(1, 40):
+        setup = build_gradcheck_config(seed)
+        if setup is not None:
+            yield seed, setup
+    for seed, readout_bias in ((77, None), (78, 100.0)):
+        rng = Rng(seed)
+        gen = random_generator(16, rng.split("gen"))
+        disc = random_discriminator(16 * 49, 64, rng.split("disc"))
+        if readout_bias is not None:
+            disc.readout.bias = np.array([readout_bias])
+        pools = FeaturePools(rng.split("occ").normal(shape=(90, 16, 7, 7)),
+                             rng.split("vis").normal(shape=(90, 16, 7, 7)))
+        yield seed, (gen, disc, pools, 32)
+
+
+class TestLeanSteps:
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_batched_disc_step_matches_two_passes(self, paired):
+        for seed, (gen, disc, pools, m) in lean_step_setups():
+            obj, acc, grads = completion._disc_step(
+                pools, gen, disc, m, Rng(seed).split("d"), paired)
+            want_obj, want_acc, want = two_pass_disc_step(
+                pools, gen, disc, m, Rng(seed).split("d"), paired)
+            assert obj == pytest.approx(want_obj, rel=1e-12, abs=0.0)
+            assert acc == want_acc
+            assert_grads_close(grads, want)
+
+    def test_gen_step_is_bit_identical_to_full_backward(self):
+        for seed, (gen, disc, pools, m) in lean_step_setups():
+            obj, grads = completion._gen_step(pools, gen, disc, m,
+                                              Rng(seed).split("g"))
+            want_obj, want = full_backward_gen_step(pools, gen, disc, m,
+                                                    Rng(seed).split("g"))
+            assert obj == want_obj
+            assert all(np.array_equal(g, w) for g, w in zip(grads, want))
+
+    def test_split_gradients_equal_full_backward(self):
+        rng = Rng(78)
+        disc = random_discriminator(20, 6, rng.split("disc"))
+        flat = rng.split("x").normal(shape=(20, 5))
+        up = rng.split("up").normal(shape=(1, 5))
+        disc.forward(flat)
+        grads, d_in = disc.backward(up)
+        assert all(np.array_equal(g, w) for g, w in zip(disc.param_grads(up), grads))
+        assert np.array_equal(disc.input_grad(up), d_in)
+
+    @pytest.mark.parametrize("side", ["visible", "occluded"])
+    def test_nan_in_one_side_raises(self, side):
+        gen, disc, pools, m = next(s for _, s in lean_step_setups())
+        poisoned = getattr(pools, side).copy()
+        poisoned[:] = np.nan
+        bad = FeaturePools(**{"occluded": pools.occluded, "visible": pools.visible,
+                              side: poisoned})
+        with pytest.raises(PreconditionError):
+            completion._disc_step(bad, gen, disc, m, Rng(1), paired=False)
+        if side == "occluded":
+            with pytest.raises(PreconditionError):
+                completion._gen_step(bad, gen, disc, m, Rng(2))
+
+    def test_nan_raises_in_the_iteration_that_meets_it(self, monkeypatch):
+        rng = Rng(79)
+        pools = FeaturePools(rng.split("occ").normal(shape=(12, 2, 3, 3)),
+                             rng.split("vis").normal(shape=(12, 2, 3, 3)))
+        gen = random_generator(2, rng.split("g"))
+        disc = random_discriminator(18, 6, rng.split("d"))
+        updates = []
+        real = completion.sgd_step
+
+        def poison_after_third_update(params, grads, rate, direction):
+            updates.append(direction)
+            if len(updates) == 3:
+                pools.visible[:] = np.nan
+            return real(params, grads, rate, direction)
+
+        monkeypatch.setattr(completion, "sgd_step", poison_after_third_update)
+        cfg = TrainConfig(stage="synthetic", iterations=10, batch_size=4)
+        with pytest.raises(PreconditionError):
+            train_adversarial(pools, gen, disc, cfg, rng.split("t"))
+        # The NaN lands during iteration 2's discriminator update. Its
+        # generator step reads only the occluded pool and still updates;
+        # iteration 3's discriminator pass meets the NaN and raises first.
+        assert updates == ["ascend", "descend", "ascend", "descend"]
 
 
 class TestTrainAdversarial:

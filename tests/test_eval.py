@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occfill.completion import Discriminator
 from occfill.errors import PreconditionError, ShapeMismatchError
 from occfill.eval import (
+    _probe_step,
     Detection,
     EvalConfig,
     GroundTruth,
@@ -310,6 +312,46 @@ class TestProbeAccuracy:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             probe_accuracy(np.zeros((50, 2, 3, 3)), np.zeros((50, 2, 3, 4)), 0)
+
+
+def two_pass_probe_step(side_a, side_b, disc, m, rng):
+    """The probe step as one forward and one full backward per side."""
+    idx_a = np.sort(rng.split("a").choice(side_a.shape[0], size=m, replace=False))
+    idx_b = np.sort(rng.split("b").choice(side_b.shape[0], size=m, replace=False))
+    p_a = disc.forward(side_a[idx_a].reshape(m, -1).T)
+    g_a, _ = disc.backward(1.0 / (m * np.clip(p_a, 1e-7, 1.0 - 1e-7)))
+    p_b = disc.forward(side_b[idx_b].reshape(m, -1).T)
+    g_b, _ = disc.backward(-1.0 / (m * (1.0 - np.clip(p_b, 1e-7, 1.0 - 1e-7))))
+    return [x + y for x, y in zip(g_a, g_b)]
+
+
+def probe_setup(seed, n=50, shape=(16, 7, 7)):
+    rng = Rng(seed)
+    a = rng.split("a").normal(shape=(n,) + shape)
+    b = rng.split("b").normal(shape=(n,) + shape) + 0.3
+    disc = Discriminator.init(int(np.prod(shape)), rng.split("disc"))
+    disc.readout.weights = rng.split("w").normal(shape=disc.readout.weights.shape)
+    return a, b, disc
+
+
+class TestProbeStep:
+    @pytest.mark.parametrize("seed,m", [(70, 32), (71, 5), (72, 50)])
+    def test_batched_step_matches_two_passes(self, seed, m):
+        a, b, disc = probe_setup(seed)
+        got = _probe_step(a, b, disc, m, Rng(seed).split("step"))
+        want = two_pass_probe_step(a, b, disc, m, Rng(seed).split("step"))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_in_one_side_raises(self, side):
+        sides = list(probe_setup(73, n=8, shape=(2, 3, 3)))
+        sides[side] = sides[side].copy()
+        sides[side][3, 1, 2, 0] = np.nan
+        a, b, disc = sides
+        with pytest.raises(PreconditionError):
+            _probe_step(a, b, disc, 8, Rng(0))
 
 
 class TestMaskIoU:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ def test_tensor_rejects_nan_and_bad_shapes():
 def test_dense_forward_hand_example():
     # weights [[1, 2]], bias [1], identity: 1*3 + 2*4 + 1 = 12
     layer = ndnum.DenseLayer([[1.0, 2.0]], [1.0], "identity")
-    out = ndnum.dense_forward(layer, [3.0, 4.0])
+    out = layer.forward([3.0, 4.0])
     assert out.shape == (1,)
     assert out[0] == pytest.approx(12.0, abs=1e-12)
 
@@ -71,6 +73,28 @@ def test_dense_backward_single_weight_linear_grad_is_input():
     assert dw[0, 0] == pytest.approx(3.5, abs=1e-15)
     assert db[0] == pytest.approx(1.0, abs=1e-15)
     assert dx[0] == pytest.approx(2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("activation", ndnum.ACTIVATIONS)
+@pytest.mark.parametrize("batch", [None, 4])
+def test_split_gradients_equal_the_parts_of_backward(activation, batch):
+    rng = ndnum.Rng(13)
+    layer = ndnum.DenseLayer.init(5, 3, rng.split("layer"), activation, scale=0.8)
+    shape = 5 if batch is None else (5, batch)
+    layer.forward(rng.split("x").normal(shape))
+    up = rng.split("up").normal(3 if batch is None else (3, batch))
+    (dw, db), dx = layer.backward(up)
+    pw, pb = layer.param_grads(up)
+    assert np.array_equal(pw, dw) and np.array_equal(pb, db)
+    assert np.array_equal(layer.input_grad(up), dx)
+
+
+def test_split_gradients_need_a_forward():
+    layer = ndnum.DenseLayer(np.ones((2, 2)), np.zeros(2))
+    with pytest.raises(PreconditionError):
+        layer.param_grads(np.ones(2))
+    with pytest.raises(PreconditionError):
+        layer.input_grad(np.ones(2))
 
 
 def test_dense_backward_matches_central_differences():
@@ -202,6 +226,36 @@ def test_rng_distinct_labels_differ():
     a = root.split("a").normal(32)
     b = root.split("b").normal(32)
     assert not np.array_equal(a, b)
+
+
+def oracle_stream(seed, *labels):
+    """Philox generator keyed by the SHA-256 chain of the seed and labels."""
+    key = hashlib.sha256(b"occfill:" + seed.to_bytes(16, "little")).digest()
+    for label in labels:
+        key = hashlib.sha256(key + b"/" + label.encode("utf-8")).digest()
+    philox = np.random.Philox(key=np.frombuffer(key[:16], dtype=np.uint64))
+    return np.random.Generator(philox)
+
+
+def test_rng_streams_draw_what_the_key_chain_gives():
+    root = ndnum.Rng(42)
+    assert np.array_equal(root.normal(6), oracle_stream(42).normal(size=6))
+    # a parent that is only ever split, as per-iteration streams are
+    step = root.split("step-7")
+    child = step.split("a")
+    assert np.array_equal(child.choice(300, size=32, replace=False),
+                          oracle_stream(42, "step-7", "a").choice(
+                              300, size=32, replace=False))
+    # a parent drawn from before and after a split keeps its own sequence
+    parent = root.split("iter-3")
+    want = oracle_stream(42, "iter-3")
+    assert np.array_equal(parent.random(4), want.random(size=4))
+    grandchild = parent.split("disc-0").split("x")
+    assert np.array_equal(parent.integers(0, 1000, 5), want.integers(0, 1000, size=5))
+    want = oracle_stream(42, "iter-3", "disc-0", "x")
+    assert np.array_equal(grandchild.permutation(20), want.permutation(20))
+    assert np.array_equal(grandchild.uniform(-1.0, 2.0, 3),
+                          want.uniform(-1.0, 2.0, size=3))
 
 
 def test_clamp_prob_bounds():

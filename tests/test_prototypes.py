@@ -1,6 +1,7 @@
 """Prototype bank construction, lookup, and serialization."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -276,6 +277,15 @@ def test_bank_zero_clusters(tmp_path):
     data = _bank_bytes(tmp_path)
     data[8:12] = (0).to_bytes(4, "little")
     _expect_bank_error(tmp_path, data, 8)
+
+
+@pytest.mark.parametrize("dims,offset", [((0, 7, 7), 12), ((16, 0, 7), 16),
+                                         ((16, 7, 0), 20)])
+def test_bank_zero_dim_header(tmp_path, dims, offset):
+    # one prototype whose zero-sized centre takes no bytes
+    data = (prototypes.BANK_MAGIC + struct.pack("<IIIII", 1, 1, *dims)
+            + struct.pack("<ddI", 64.0, 9.0, 3))
+    _expect_bank_error(tmp_path, data, offset)
 
 
 def test_bank_zero_member_count(tmp_path):

@@ -1,5 +1,8 @@
 """Synthetic world generation and dataset serialization."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +73,38 @@ def test_non_power_of_two_channels_supported():
 def test_too_few_channels_rejected():
     with pytest.raises(PreconditionError):
         synth.WorldConfig(channels=4).validate()
+
+
+def test_seven_channels_rejected_up_front():
+    # ten templates pairwise within |cos| <= 0.3 in R^7 were never drawn
+    with pytest.raises(PreconditionError, match="at least 8 channels"):
+        synth.gen_world(synth.WorldConfig(channels=7))
+
+
+def test_template_redraw_loop_is_bounded(monkeypatch):
+    monkeypatch.setattr(synth, "MAX_TEMPLATE_DRAWS", 5)
+    with pytest.raises(PreconditionError, match="after 5 draws in 9 channels"):
+        synth.gen_world(synth.WorldConfig(channels=9, seed=7))
+
+
+def test_unreachable_scale_component_rejected():
+    cfg = synth.WorldConfig(scale_means=(4.0,), scale_stds=(0.0,),
+                            scale_weights=(1.0,))
+    with pytest.raises(PreconditionError, match="component 0"):
+        cfg.validate()
+    # a component that is never picked cannot stall the draw
+    synth.WorldConfig(scale_means=(4.0, 105.0), scale_stds=(0.0, 19.33),
+                      scale_weights=(0.0, 1.0)).validate()
+
+
+def test_scale_rejection_loop_is_bounded(monkeypatch):
+    # a world built around validation, with a component that is never accepted
+    cfg = synth.WorldConfig(scale_means=(4.0,), scale_stds=(0.0,),
+                            scale_weights=(1.0,))
+    world = dataclasses.replace(WORLD, config=cfg)
+    monkeypatch.setattr(synth, "MAX_SCALE_DRAWS", 50)
+    with pytest.raises(PreconditionError, match="50 draws"):
+        synth.sample_scale(world, Rng(0))
 
 
 def test_config_validation():
@@ -356,6 +391,20 @@ def test_roundtrip_empty(tmp_path):
     path = tmp_path / "empty.bin"
     synth.write_dataset([], path, dims=(16, 7, 7))
     assert synth.read_dataset(path) == []
+
+
+def test_write_empty_needs_positive_dims(tmp_path):
+    with pytest.raises(PreconditionError):
+        synth.write_dataset([], tmp_path / "empty.bin")
+    with pytest.raises(PreconditionError):
+        synth.write_dataset([], tmp_path / "empty.bin", dims=(16, 0, 7))
+
+
+@pytest.mark.parametrize("dims,offset", [((0, 7, 7), 12), ((16, 0, 7), 16),
+                                         ((16, 7, 0), 20)])
+def test_zero_dim_header_rejected(tmp_path, dims, offset):
+    header = synth.DATASET_MAGIC + struct.pack("<IIIII", 1, 0, *dims)
+    _expect_format_error(tmp_path, header, offset)
 
 
 def test_write_rejects_mixed_shapes(tmp_path):
