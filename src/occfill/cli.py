@@ -44,7 +44,6 @@ EXIT_IO = 3
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    threads: int = 1
     channels: int = 16
     grid_x: int = 7
     grid_y: int = 7
@@ -96,8 +95,6 @@ class RunConfig:
     def validate(self):
         if not (0 <= self.seed < 2 ** 64):
             raise PreconditionError("seed must fit an unsigned 64-bit integer")
-        if self.threads < 1:
-            raise PreconditionError("threads must be >= 1")
         counts = (self.train_visible, self.train_occluded, self.train_background,
                   self.eval_pedestrians, self.eval_background)
         if any(n < 0 for n in counts):
@@ -121,7 +118,6 @@ class RunConfig:
 
 CONFIG_KEYS = {
     "seed": ("seed", int),
-    "threads": ("threads", int),
     "world.channels": ("channels", int),
     "world.grid_x": ("grid_x", int),
     "world.grid_y": ("grid_y", int),
@@ -437,13 +433,7 @@ def _load_config(args):
     config = config_from_mapping(mapping)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.threads is not None:
-        config = replace(config, threads=args.threads)
-    config.validate()
-    if config.threads > 1:
-        LOG.info("threads=%d requested; stages run single-threaded "
-                 "to stay deterministic", config.threads)
-    return config
+    return config.validate()
 
 
 def _prepare_out(args, config):
@@ -546,11 +536,11 @@ def cmd_inspect(args):
 # Entry point.
 
 def _setup_logging():
-    wanted = os.environ.get("FEATCOMP_LOG", "error").strip().lower()
+    wanted = os.environ.get("OCCFILL_LOG", "error").strip().lower()
     levels = {"error": logging.ERROR, "info": logging.INFO,
               "debug": logging.DEBUG}
     if wanted not in levels:
-        sys.stderr.write(f"warning: unknown FEATCOMP_LOG value {wanted!r}; "
+        sys.stderr.write(f"warning: unknown OCCFILL_LOG value {wanted!r}; "
                          "using error\n")
     logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -570,8 +560,6 @@ def build_parser():
                         help="override the run seed (unsigned 64-bit)")
         sp.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (created if missing)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker cap; stages currently run single-threaded")
 
     sp = sub.add_parser("synth-data",
                         help="generate train/eval datasets plus a manifest")

@@ -38,6 +38,9 @@ MODEL_MAGIC = b"FCGD"
 MODEL_VERSION = 1
 DISC_HIDDEN = 64
 MIN_MASK_LIBRARY = 50
+# Steps whose minibatch indices are drawn in one go; bounds the index
+# memory of a training loop or probe, whatever its iteration count.
+PLAN_CHUNK = 256
 
 
 class Generator:
@@ -259,12 +262,47 @@ def _ascent_pass(disc, positives, negatives):
     return p_pos, p_neg, disc.param_grads(upstream)
 
 
-def _disc_step(pools, gen, disc, m, rng, paired):
+def minibatch(rng, n, m):
+    """m distinct indices below n, drawn uniformly from ``rng`` and sorted."""
+    return np.sort(rng.choice(n, size=m, replace=False))
+
+
+def planned(plan, count):
+    """Rows of ``plan(first, n)`` for ``count`` steps, PLAN_CHUNK at a time.
+
+    ``plan`` returns arrays whose first axis runs over the steps
+    first .. first + n - 1. Each chunk is drawn in one tight loop before
+    any of its steps run, and memory stays bounded for any ``count``.
+    """
+    for first in range(0, count, PLAN_CHUNK):
+        yield from zip(*plan(first, min(PLAN_CHUNK, count - first)))
+
+
+def plan_minibatches(rng, first, count, disc_steps, n_occ, n_vis, m, paired):
+    """Minibatch indices of training iterations first .. first + count - 1.
+
+    Returns (disc_occ, disc_vis, gen): the discriminator steps' indices,
+    each (count, disc_steps, m), and the generator step's, (count, m).
+    Iteration t draws from stream ``iter-{t}``: discriminator step k takes
+    its occluded and then, unless ``paired``, its visible indices from
+    ``disc-{k}``, and the generator step takes its indices from ``gen``.
+    """
+    disc_occ = np.empty((count, disc_steps, m), dtype=np.int64)
+    disc_vis = disc_occ if paired else np.empty_like(disc_occ)
+    gen = np.empty((count, m), dtype=np.int64)
+    for i in range(count):
+        it_rng = rng.split(f"iter-{first + i}")
+        for k in range(disc_steps):
+            step_rng = it_rng.split(f"disc-{k}")
+            disc_occ[i, k] = minibatch(step_rng, n_occ, m)
+            if not paired:
+                disc_vis[i, k] = minibatch(step_rng, n_vis, m)
+        gen[i] = minibatch(it_rng.split("gen"), n_occ, m)
+    return disc_occ, disc_vis, gen
+
+
+def _disc_step(pools, gen, disc, idx_occ, idx_vis):
     """One discriminator ascent step; returns (objective, accuracy) pre-update."""
-    n_occ = pools.occluded.shape[0]
-    n_vis = pools.visible.shape[0]
-    idx_occ = np.sort(rng.choice(n_occ, size=m, replace=False))
-    idx_vis = idx_occ if paired else np.sort(rng.choice(n_vis, size=m, replace=False))
     vis = pools.visible[idx_vis]
     fake = gen.forward(pools.occluded[idx_occ])
     p_vis, p_fake, grads = _ascent_pass(disc, vis, fake)
@@ -273,9 +311,9 @@ def _disc_step(pools, gen, disc, m, rng, paired):
     return objective, accuracy, grads
 
 
-def _gen_step(pools, gen, disc, m, rng):
+def _gen_step(pools, gen, disc, idx):
     """One generator descent step; returns the pre-update objective."""
-    idx = np.sort(rng.choice(pools.occluded.shape[0], size=m, replace=False))
+    m = len(idx)
     fake = gen.forward(pools.occluded[idx])
     p_fake = disc.forward(_flatten_batch(fake))
     _, objective = adversarial_losses(1.0, p_fake)
@@ -293,7 +331,8 @@ def train_adversarial(pools, gen, disc, config, rng, paired=False, start_iterati
     fresh minibatch drawn uniformly without replacement from each pool,
     followed by one generator update on its own fresh minibatch. With
     ``paired`` the two pools must align index-to-index and each minibatch
-    uses the same indices on both sides. History rows carry
+    uses the same indices on both sides. The minibatches are drawn ahead
+    of their iterations (see `plan_minibatches`). History rows carry
     (iteration, disc_objective, gen_objective, probe_accuracy), with the
     objectives and the discriminator's minibatch accuracy measured just
     before the corresponding update. Both networks are updated in place
@@ -302,24 +341,28 @@ def train_adversarial(pools, gen, disc, config, rng, paired=False, start_iterati
     pools.validate()
     config.validate()
     m = config.batch_size
-    if m > pools.occluded.shape[0] or m > pools.visible.shape[0]:
+    n_occ, n_vis = pools.occluded.shape[0], pools.visible.shape[0]
+    if m > n_occ or m > n_vis:
         raise PreconditionError(
             f"batch_size {m} exceeds a pool size "
-            f"({pools.occluded.shape[0]} occluded, {pools.visible.shape[0]} visible)")
-    if paired and pools.occluded.shape[0] != pools.visible.shape[0]:
+            f"({n_occ} occluded, {n_vis} visible)")
+    if paired and n_occ != n_vis:
         raise PreconditionError("paired training needs pools of equal length")
 
+    def plan(first, count):
+        return plan_minibatches(rng, start_iteration + first, count,
+                                config.disc_steps, n_occ, n_vis, m, paired)
+
     history = []
-    for t in range(config.iterations):
-        it_rng = rng.split(f"iter-{start_iteration + t}")
+    steps = planned(plan, config.iterations)
+    for t, (disc_occ, disc_vis, gen_idx) in enumerate(steps, start_iteration + 1):
         disc_obj = accuracy = 0.0
-        for k in range(config.disc_steps):
-            disc_obj, accuracy, grads = _disc_step(
-                pools, gen, disc, m, it_rng.split(f"disc-{k}"), paired)
+        for idx_occ, idx_vis in zip(disc_occ, disc_vis):
+            disc_obj, accuracy, grads = _disc_step(pools, gen, disc, idx_occ, idx_vis)
             disc.set_params(sgd_step(disc.params(), grads, config.learn_rate, "ascend"))
-        gen_obj, grads = _gen_step(pools, gen, disc, m, it_rng.split("gen"))
+        gen_obj, grads = _gen_step(pools, gen, disc, gen_idx)
         gen.set_params(sgd_step(gen.params(), grads, config.learn_rate, "descend"))
-        history.append((start_iteration + t + 1, disc_obj, gen_obj, accuracy))
+        history.append((t, disc_obj, gen_obj, accuracy))
     return gen, disc, history
 
 

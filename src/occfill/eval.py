@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import PreconditionError, ShapeMismatchError
 from .ndnum import Rng, check_finite, sgd_step
-from .completion import Discriminator, _ascent_pass, _flatten_batch
+from .completion import (Discriminator, _ascent_pass, _flatten_batch, minibatch,
+                         planned)
 
 SUBSETS = ("R", "HO", "R+HO")
 MISS_FLOOR = 1e-4
@@ -33,7 +34,6 @@ PROBE_TRAIN_FRACTION = 0.7
 @dataclass(frozen=True)
 class EvalConfig:
     fppi_points: tuple = FPPI_POINTS
-    iou_match_threshold: float = 0.5
 
     def validate(self):
         pts = np.asarray(self.fppi_points, dtype=np.float64)
@@ -41,8 +41,6 @@ class EvalConfig:
             raise PreconditionError("fppi points must be strictly increasing")
         if pts[0] != 1e-2 or pts[-1] != 1.0:
             raise PreconditionError("fppi range must span [1e-2, 1]")
-        if not (0.0 < self.iou_match_threshold <= 1.0):
-            raise PreconditionError("iou_match_threshold must be in (0, 1]")
         return self
 
 
@@ -191,10 +189,23 @@ def compactness_ratio(raw_occluded, completed_occluded, visible):
     return scatter(completed) / denom
 
 
-def _probe_step(side_a, side_b, disc, m, rng):
+def plan_probe(rng, first, count, n_a, n_b, m):
+    """Minibatch indices of probe steps first .. first + count - 1.
+
+    Returns (idx_a, idx_b), each (count, m). Step t draws side a's indices
+    from stream ``step-{t}/a`` and side b's from ``step-{t}/b``.
+    """
+    idx_a = np.empty((count, m), dtype=np.int64)
+    idx_b = np.empty((count, m), dtype=np.int64)
+    for i in range(count):
+        step_rng = rng.split(f"step-{first + i}")
+        idx_a[i] = minibatch(step_rng.split("a"), n_a, m)
+        idx_b[i] = minibatch(step_rng.split("b"), n_b, m)
+    return idx_a, idx_b
+
+
+def _probe_step(side_a, side_b, disc, idx_a, idx_b):
     """One supervised ascent step telling side a (label 1) from side b."""
-    idx_a = np.sort(rng.split("a").choice(side_a.shape[0], size=m, replace=False))
-    idx_b = np.sort(rng.split("b").choice(side_b.shape[0], size=m, replace=False))
     return _ascent_pass(disc, side_a[idx_a], side_b[idx_b])[2]
 
 
@@ -248,8 +259,12 @@ def probe_accuracy(features_a, features_b, seed, iterations=2000,
 
     disc = Discriminator.init(int(np.prod(a.shape[1:])), rng.split("disc"))
     m = min(32, train_a.shape[0], train_b.shape[0])
-    for t in range(iterations):
-        grads = _probe_step(train_a, train_b, disc, m, rng.split(f"step-{t}"))
+
+    def plan(first, count):
+        return plan_probe(rng, first, count, train_a.shape[0], train_b.shape[0], m)
+
+    for idx_a, idx_b in planned(plan, iterations):
+        grads = _probe_step(train_a, train_b, disc, idx_a, idx_b)
         disc.set_params(sgd_step(disc.params(), grads, learn_rate, "ascend"))
 
     p_a = disc.forward(_flatten_batch(test_a))

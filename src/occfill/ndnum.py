@@ -38,7 +38,7 @@ def tensor(data, shape=None):
 
 
 def check_finite(arr, context):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise PreconditionError(f"{context}: non-finite value encountered")
     return arr
 
@@ -121,9 +121,10 @@ class DenseLayer:
     """Fully connected layer with a cached forward pass for backprop.
 
     Weights have shape (out_dim, in_dim). `forward` accepts a single vector
-    (in_dim,) or a column batch (in_dim, n) and caches input and
-    pre-activation; `backward` replays the cache to produce parameter and
-    input gradients.
+    (in_dim,) or a column batch (in_dim, n) and caches input,
+    pre-activation and activation; `backward` replays the cache to produce
+    parameter and input gradients. Cached and returned arrays are never
+    written to afterwards.
     """
 
     def __init__(self, weights, bias, activation="identity"):
@@ -166,14 +167,15 @@ class DenseLayer:
             x = x[:, None]
         if x.ndim != 2 or x.shape[0] != self.in_dim:
             raise ShapeMismatchError("dense input", x, (self.in_dim, -1))
-        z = self.weights @ x + self.bias[:, None]
+        z = self.weights @ x
+        z += self.bias[:, None]
         if self.activation == "relu":
             a = relu(z)
         elif self.activation == "sigmoid":
             a = sigmoid(z)
         else:
             a = z
-        self._cache = (x, z)
+        self._cache = (x, z, a)
         check_finite(a, "dense output")
         return a[:, 0] if single else a
 
@@ -181,7 +183,7 @@ class DenseLayer:
         """(cached input, gradient at the pre-activation, single-vector flag)."""
         if self._cache is None:
             raise PreconditionError("backward called before forward")
-        x, z = self._cache
+        x, z, a = self._cache
         up = np.asarray(upstream, dtype=np.float64)
         single = up.ndim == 1
         if single:
@@ -191,8 +193,7 @@ class DenseLayer:
         if self.activation == "relu":
             dz = up * (z > 0)
         elif self.activation == "sigmoid":
-            s = sigmoid(z)
-            dz = up * s * (1.0 - s)
+            dz = up * a * (1.0 - a)
         else:
             dz = up
         return x, dz, single
@@ -267,8 +268,9 @@ def sgd_step(params, grads, rate, direction):
 
     direction "ascend" moves along the gradient, "descend" against it. The
     update is computed as p + t and p - t with the identical product
-    t = rate * g, so an ascend followed by a descend with the same inputs
-    retraces the same floating-point operations.
+    t = g * rate, so an ascend followed by a descend with the same inputs
+    retraces the same floating-point operations. The sum is written into
+    t, so each parameter costs one new array; p and g are left untouched.
     """
     if direction not in ("ascend", "descend"):
         raise PreconditionError(f"direction must be ascend or descend, got {direction!r}")
@@ -282,10 +284,13 @@ def sgd_step(params, grads, rate, direction):
         g = np.asarray(g, dtype=np.float64)
         if p.shape != g.shape:
             raise ShapeMismatchError("sgd grad", g, p)
-        t = rate * g
-        stepped = p + t if direction == "ascend" else p - t
-        check_finite(stepped, "sgd step")
-        out.append(stepped)
+        t = np.multiply(g, rate, out=np.empty_like(p))
+        if direction == "ascend":
+            np.add(p, t, out=t)
+        else:
+            np.subtract(p, t, out=t)
+        check_finite(t, "sgd step")
+        out.append(t)
     return out
 
 

@@ -34,11 +34,9 @@ def _freeze(arr):
 
 @dataclass
 class CorrelationMap:
-    """Per-cell correlation grid plus the ids of the maps it compares."""
+    """Per-cell correlation grid of two feature maps."""
 
     grid: np.ndarray
-    source_a: int = -1
-    source_b: int = -1
 
     def __post_init__(self):
         self.grid = _freeze(self.grid)
@@ -81,16 +79,16 @@ def _correlate(a, b):
     return (a * b) / (1.0 + np.abs(a - b))
 
 
-def channel_correlation(f_a, f_b, channel, source_a=-1, source_b=-1):
+def channel_correlation(f_a, f_b, channel):
     """Correlate one channel of two feature maps cell by cell."""
     a, b = _pair(f_a, f_b)
     if not (0 <= channel < a.shape[0]):
         raise PreconditionError(
             f"channel {channel} out of range for {a.shape[0]} channels")
-    return CorrelationMap(_correlate(a[channel], b[channel]), source_a, source_b)
+    return CorrelationMap(_correlate(a[channel], b[channel]))
 
 
-def correlation_map(f_a, f_b, aggregate="mean", source_a=-1, source_b=-1):
+def correlation_map(f_a, f_b, aggregate="mean"):
     """Correlate two feature maps and aggregate across channels per cell."""
     a, b = _pair(f_a, f_b)
     per_channel = _correlate(a, b)
@@ -100,7 +98,7 @@ def correlation_map(f_a, f_b, aggregate="mean", source_a=-1, source_b=-1):
         grid = per_channel.max(axis=0)
     else:
         raise PreconditionError(f"unknown aggregate {aggregate!r}")
-    return CorrelationMap(grid, source_a, source_b)
+    return CorrelationMap(grid)
 
 
 def occluded_cells(cmap):

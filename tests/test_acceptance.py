@@ -169,13 +169,13 @@ def test_criterion_03_training_gradients_match_finite_differences():
             continue
         gen, disc, pools, m = setup
         _, _, disc_grads = completion._disc_step(
-            pools, gen, disc, m, Rng(seed).split("d"), paired=False)
+            pools, gen, disc, *gradcheck.disc_batch(pools, m, Rng(seed).split("d")))
         numeric = gradcheck.finite_diff(
             lambda ps: gradcheck.disc_objective_oracle(ps, gen, pools),
             [p.copy() for p in disc.params()])
         worst = max(worst, gradcheck.max_rel_error(disc_grads, numeric))
         _, gen_grads = completion._gen_step(
-            pools, gen, disc, m, Rng(seed).split("g"))
+            pools, gen, disc, gradcheck.gen_batch(pools, m, Rng(seed).split("g")))
         numeric = gradcheck.finite_diff(
             lambda ps: gradcheck.gen_objective_oracle(ps, disc, pools),
             [p.copy() for p in gen.params()])

@@ -140,7 +140,7 @@ class TestRunConfigValidate:
     @pytest.mark.parametrize("kwargs,match", [
         ({"seed": -1}, "seed"),
         ({"seed": 2 ** 64}, "seed"),
-        ({"threads": 0}, "threads"),
+        ({"proto_restarts": 0}, "proto.restarts"),
         ({"train_visible": -1}, "non-negative"),
         ({"proposals_per_image": 0}, "proposals_per_image"),
         ({"proto_k": 0}, "proto.k"),
@@ -335,8 +335,8 @@ class TestInspect:
         assert len(pgm) == len(b"P5\n5 5\n255\n") + 25
         mask = (tmp_path / "mask.pgm").read_bytes()
         assert set(mask[len(b"P5\n5 5\n255\n"):]) <= {0, 255}
-        grid = [[float(v) for v in row]
-                for row in csv.reader((tmp_path / "corr_map.csv").open())]
+        with (tmp_path / "corr_map.csv").open() as fh:
+            grid = [[float(v) for v in row] for row in csv.reader(fh)]
         assert len(grid) == 5 and all(len(row) == 5 for row in grid)
         channels = sorted(tmp_path.glob("channel_*.csv"))
         assert len(channels) == 8
@@ -468,6 +468,6 @@ class TestExitCodes:
         assert "synth-data" in capsys.readouterr().out
 
     def test_unknown_log_level_warns_and_continues(self, monkeypatch, capsys):
-        monkeypatch.setenv("FEATCOMP_LOG", "banana")
+        monkeypatch.setenv("OCCFILL_LOG", "banana")
         assert main(["--help"]) == 0
-        assert "unknown FEATCOMP_LOG" in capsys.readouterr().err
+        assert "unknown OCCFILL_LOG" in capsys.readouterr().err

@@ -383,14 +383,14 @@ class TestTrainingGradients:
             gen, disc, pools, m = setup
 
             _, _, disc_grads = completion._disc_step(
-                pools, gen, disc, m, Rng(seed).split("d"), paired=False)
+                pools, gen, disc, *disc_batch(pools, m, Rng(seed).split("d")))
             disc_params = [p.copy() for p in disc.params()]
             numeric = finite_diff(
                 lambda ps: disc_objective_oracle(ps, gen, pools), disc_params)
             assert max_rel_error(disc_grads, numeric) < 1e-4
 
             _, gen_grads = completion._gen_step(
-                pools, gen, disc, m, Rng(seed).split("g"))
+                pools, gen, disc, gen_batch(pools, m, Rng(seed).split("g")))
             gen_params = [p.copy() for p in gen.params()]
             numeric = finite_diff(
                 lambda ps: gen_objective_oracle(ps, disc, pools), gen_params)
@@ -398,13 +398,23 @@ class TestTrainingGradients:
             checked += 1
 
 
-def two_pass_disc_step(pools, gen, disc, m, rng, paired):
+def disc_batch(pools, m, rng, paired=False):
+    """A discriminator step's (occluded, visible) indices from one stream,
+    in the order the training loop draws them."""
+    idx_occ = completion.minibatch(rng, pools.occluded.shape[0], m)
+    idx_vis = idx_occ if paired else completion.minibatch(rng, pools.visible.shape[0], m)
+    return idx_occ, idx_vis
+
+
+def gen_batch(pools, m, rng):
+    """A generator step's occluded indices from one stream."""
+    return completion.minibatch(rng, pools.occluded.shape[0], m)
+
+
+def two_pass_disc_step(pools, gen, disc, idx_occ, idx_vis):
     """The discriminator step as one forward and one full backward per side,
     with the two gradient lists summed afterwards."""
-    n_occ = pools.occluded.shape[0]
-    n_vis = pools.visible.shape[0]
-    idx_occ = np.sort(rng.choice(n_occ, size=m, replace=False))
-    idx_vis = idx_occ if paired else np.sort(rng.choice(n_vis, size=m, replace=False))
+    m = len(idx_occ)
     fake = gen.forward(pools.occluded[idx_occ])
     p_vis = disc.forward(pools.visible[idx_vis].reshape(m, -1).T)
     g_vis, _ = disc.backward(1.0 / (m * np.clip(p_vis, 1e-7, 1.0 - 1e-7)))
@@ -415,10 +425,10 @@ def two_pass_disc_step(pools, gen, disc, m, rng, paired):
     return objective, accuracy, [a + b for a, b in zip(g_vis, g_fake)]
 
 
-def full_backward_gen_step(pools, gen, disc, m, rng):
+def full_backward_gen_step(pools, gen, disc, idx):
     """The generator step with the discriminator's full backward, whose
     parameter gradients are discarded."""
-    idx = np.sort(rng.choice(pools.occluded.shape[0], size=m, replace=False))
+    m = len(idx)
     fake = gen.forward(pools.occluded[idx])
     p_fake = disc.forward(fake.reshape(m, -1).T)
     _, objective = adversarial_losses(1.0, p_fake)
@@ -460,19 +470,19 @@ class TestLeanSteps:
     def test_batched_disc_step_matches_two_passes(self, paired):
         for seed, (gen, disc, pools, m) in lean_step_setups():
             obj, acc, grads = completion._disc_step(
-                pools, gen, disc, m, Rng(seed).split("d"), paired)
+                pools, gen, disc, *disc_batch(pools, m, Rng(seed).split("d"), paired))
             want_obj, want_acc, want = two_pass_disc_step(
-                pools, gen, disc, m, Rng(seed).split("d"), paired)
+                pools, gen, disc, *disc_batch(pools, m, Rng(seed).split("d"), paired))
             assert obj == pytest.approx(want_obj, rel=1e-12, abs=0.0)
             assert acc == want_acc
             assert_grads_close(grads, want)
 
     def test_gen_step_is_bit_identical_to_full_backward(self):
         for seed, (gen, disc, pools, m) in lean_step_setups():
-            obj, grads = completion._gen_step(pools, gen, disc, m,
-                                              Rng(seed).split("g"))
-            want_obj, want = full_backward_gen_step(pools, gen, disc, m,
-                                                    Rng(seed).split("g"))
+            obj, grads = completion._gen_step(
+                pools, gen, disc, gen_batch(pools, m, Rng(seed).split("g")))
+            want_obj, want = full_backward_gen_step(
+                pools, gen, disc, gen_batch(pools, m, Rng(seed).split("g")))
             assert obj == want_obj
             assert all(np.array_equal(g, w) for g, w in zip(grads, want))
 
@@ -494,10 +504,10 @@ class TestLeanSteps:
         bad = FeaturePools(**{"occluded": pools.occluded, "visible": pools.visible,
                               side: poisoned})
         with pytest.raises(PreconditionError):
-            completion._disc_step(bad, gen, disc, m, Rng(1), paired=False)
+            completion._disc_step(bad, gen, disc, *disc_batch(bad, m, Rng(1)))
         if side == "occluded":
             with pytest.raises(PreconditionError):
-                completion._gen_step(bad, gen, disc, m, Rng(2))
+                completion._gen_step(bad, gen, disc, gen_batch(bad, m, Rng(2)))
 
     def test_nan_raises_in_the_iteration_that_meets_it(self, monkeypatch):
         rng = Rng(79)
@@ -522,6 +532,100 @@ class TestLeanSteps:
         # generator step reads only the occluded pool and still updates;
         # iteration 3's discriminator pass meets the NaN and raises first.
         assert updates == ["ascend", "descend", "ascend", "descend"]
+
+
+def reference_training_draws(rng, iterations, disc_steps, n_occ, n_vis, m,
+                             paired, start_iteration=0):
+    """The training loop's draws as it made them before minibatches were
+    planned ahead: iteration by iteration, between the updates. Returns
+    ([(idx_occ, idx_vis) per discriminator step], [idx per generator step])."""
+    disc, gen = [], []
+    for t in range(iterations):
+        it_rng = rng.split(f"iter-{start_iteration + t}")
+        for k in range(disc_steps):
+            step_rng = it_rng.split(f"disc-{k}")
+            idx_occ = np.sort(step_rng.choice(n_occ, size=m, replace=False))
+            idx_vis = (idx_occ if paired
+                       else np.sort(step_rng.choice(n_vis, size=m, replace=False)))
+            disc.append((idx_occ, idx_vis))
+        gen.append(np.sort(it_rng.split("gen").choice(n_occ, size=m, replace=False)))
+    return disc, gen
+
+
+def assert_same_indices(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+PLAN_CASES = [(False, 1), (True, 1), (False, 2), (True, 2)]
+
+
+class TestPlannedMinibatches:
+    @pytest.mark.parametrize("paired,disc_steps", PLAN_CASES)
+    def test_plan_equals_reference_draws(self, paired, disc_steps):
+        n_vis = 15 if paired else 21
+        disc_occ, disc_vis, gen = completion.plan_minibatches(
+            Rng(3).split("t"), 9, 6, disc_steps, 15, n_vis, 5, paired)
+        assert disc_occ.shape == disc_vis.shape == (6, disc_steps, 5)
+        assert gen.shape == (6, 5)
+        want_disc, want_gen = reference_training_draws(
+            Rng(3).split("t"), 6, disc_steps, 15, n_vis, 5, paired,
+            start_iteration=9)
+        assert_same_indices(list(disc_occ.reshape(-1, 5)), [o for o, _ in want_disc])
+        assert_same_indices(list(disc_vis.reshape(-1, 5)), [v for _, v in want_disc])
+        assert_same_indices(list(gen), want_gen)
+
+    @pytest.mark.parametrize("paired,disc_steps", PLAN_CASES)
+    def test_training_steps_get_the_reference_draws_across_chunks(
+            self, paired, disc_steps, monkeypatch):
+        # More iterations than one chunk holds, from an offset start, so the
+        # second chunk must pick up at the right iteration label.
+        iterations = completion.PLAN_CHUNK + 3
+        rng = Rng(19)
+        pools = FeaturePools(rng.split("occ").normal(shape=(10, 2, 2, 2)),
+                             rng.split("vis").normal(shape=(10 if paired else 13, 2, 2, 2)))
+        gen = random_generator(2, rng.split("g"))
+        disc = random_discriminator(8, 4, rng.split("d"))
+        seen_disc, seen_gen = [], []
+        real_disc, real_gen = completion._disc_step, completion._gen_step
+
+        def disc_spy(pools, gen, disc, idx_occ, idx_vis):
+            seen_disc.append((idx_occ.copy(), idx_vis.copy()))
+            return real_disc(pools, gen, disc, idx_occ, idx_vis)
+
+        def gen_spy(pools, gen, disc, idx):
+            seen_gen.append(idx.copy())
+            return real_gen(pools, gen, disc, idx)
+
+        monkeypatch.setattr(completion, "_disc_step", disc_spy)
+        monkeypatch.setattr(completion, "_gen_step", gen_spy)
+        cfg = TrainConfig(stage="synthetic", iterations=iterations,
+                          disc_steps=disc_steps, batch_size=3)
+        _, _, history = train_adversarial(pools, gen, disc, cfg, rng.split("t"),
+                                          paired=paired, start_iteration=40)
+        assert [row[0] for row in history] == list(range(41, 41 + iterations))
+        want_disc, want_gen = reference_training_draws(
+            rng.split("t"), iterations, disc_steps, 10, pools.visible.shape[0], 3,
+            paired, start_iteration=40)
+        assert_same_indices([o for o, _ in seen_disc], [o for o, _ in want_disc])
+        assert_same_indices([v for _, v in seen_disc], [v for _, v in want_disc])
+        assert_same_indices(seen_gen, want_gen)
+
+    def test_planned_yields_every_row_in_order(self):
+        calls = []
+
+        def plan(first, count):
+            calls.append((first, count))
+            return np.arange(first, first + count), -np.arange(first, first + count)
+
+        count = 2 * completion.PLAN_CHUNK + 1
+        rows = list(completion.planned(plan, count))
+        assert rows == [(t, -t) for t in range(count)]
+        assert calls == [(0, completion.PLAN_CHUNK),
+                         (completion.PLAN_CHUNK, completion.PLAN_CHUNK),
+                         (2 * completion.PLAN_CHUNK, 1)]
+        assert list(completion.planned(plan, 0)) == []
 
 
 class TestTrainAdversarial:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occfill.completion import Discriminator
+import occfill.eval as eval_module
+from occfill.completion import PLAN_CHUNK, Discriminator, minibatch
 from occfill.errors import PreconditionError, ShapeMismatchError
 from occfill.eval import (
     _probe_step,
+    plan_probe,
     Detection,
     EvalConfig,
     GroundTruth,
@@ -235,10 +237,6 @@ class TestEvalConfig:
         with pytest.raises(PreconditionError):
             EvalConfig(fppi_points=(1e-2, 0.5)).validate()
 
-    def test_rejects_bad_iou_threshold(self):
-        with pytest.raises(PreconditionError):
-            EvalConfig(iou_match_threshold=0.0).validate()
-
 
 class TestCompactnessRatio:
     def test_identity_is_exactly_one(self):
@@ -314,10 +312,15 @@ class TestProbeAccuracy:
             probe_accuracy(np.zeros((50, 2, 3, 3)), np.zeros((50, 2, 3, 4)), 0)
 
 
-def two_pass_probe_step(side_a, side_b, disc, m, rng):
+def probe_batch(side_a, side_b, m, rng):
+    """A probe step's indices into each side, from the step's stream."""
+    return (minibatch(rng.split("a"), side_a.shape[0], m),
+            minibatch(rng.split("b"), side_b.shape[0], m))
+
+
+def two_pass_probe_step(side_a, side_b, disc, idx_a, idx_b):
     """The probe step as one forward and one full backward per side."""
-    idx_a = np.sort(rng.split("a").choice(side_a.shape[0], size=m, replace=False))
-    idx_b = np.sort(rng.split("b").choice(side_b.shape[0], size=m, replace=False))
+    m = len(idx_a)
     p_a = disc.forward(side_a[idx_a].reshape(m, -1).T)
     g_a, _ = disc.backward(1.0 / (m * np.clip(p_a, 1e-7, 1.0 - 1e-7)))
     p_b = disc.forward(side_b[idx_b].reshape(m, -1).T)
@@ -338,8 +341,9 @@ class TestProbeStep:
     @pytest.mark.parametrize("seed,m", [(70, 32), (71, 5), (72, 50)])
     def test_batched_step_matches_two_passes(self, seed, m):
         a, b, disc = probe_setup(seed)
-        got = _probe_step(a, b, disc, m, Rng(seed).split("step"))
-        want = two_pass_probe_step(a, b, disc, m, Rng(seed).split("step"))
+        got = _probe_step(a, b, disc, *probe_batch(a, b, m, Rng(seed).split("step")))
+        want = two_pass_probe_step(a, b, disc,
+                                   *probe_batch(a, b, m, Rng(seed).split("step")))
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
@@ -351,7 +355,52 @@ class TestProbeStep:
         sides[side][3, 1, 2, 0] = np.nan
         a, b, disc = sides
         with pytest.raises(PreconditionError):
-            _probe_step(a, b, disc, 8, Rng(0))
+            _probe_step(a, b, disc, *probe_batch(a, b, 8, Rng(0)))
+
+
+def reference_probe_draws(rng, iterations, n_a, n_b, m):
+    """The probe's draws as it made them before minibatches were planned
+    ahead: step by step, between the updates."""
+    draws = []
+    for t in range(iterations):
+        step_rng = rng.split(f"step-{t}")
+        draws.append((np.sort(step_rng.split("a").choice(n_a, size=m, replace=False)),
+                      np.sort(step_rng.split("b").choice(n_b, size=m, replace=False))))
+    return draws
+
+
+def assert_same_draws(got, want):
+    assert len(got) == len(want)
+    for (ga, gb), (wa, wb) in zip(got, want):
+        assert np.array_equal(ga, wa) and np.array_equal(gb, wb)
+
+
+class TestProbePlan:
+    def test_plan_equals_reference_draws(self):
+        idx_a, idx_b = plan_probe(Rng(4), 7, 5, 30, 25, 6)
+        assert idx_a.shape == idx_b.shape == (5, 6)
+        want = reference_probe_draws(Rng(4), 12, 30, 25, 6)[7:]
+        assert_same_draws(list(zip(idx_a, idx_b)), want)
+
+    def test_probe_steps_get_the_reference_draws_across_chunks(self, monkeypatch):
+        rng = Rng(80)
+        a = rng.split("a").normal(shape=(50, 2, 2, 2))
+        b = rng.split("b").normal(shape=(45, 2, 2, 2)) + 0.5
+        seen = []
+
+        def spy(side_a, side_b, disc, idx_a, idx_b):
+            seen.append((idx_a.copy(), idx_b.copy()))
+            return _probe_step(side_a, side_b, disc, idx_a, idx_b)
+
+        monkeypatch.setattr(eval_module, "_probe_step", spy)
+        iterations = PLAN_CHUNK + 3
+        probe_accuracy(a, b, seed=81, iterations=iterations)
+        train_a, _, train_b, _ = eval_module._split_by_content(
+            a, b, Rng(81).split("fold"))
+        m = min(32, train_a.shape[0], train_b.shape[0])
+        want = reference_probe_draws(Rng(81), iterations, train_a.shape[0],
+                                     train_b.shape[0], m)
+        assert_same_draws(seen, want)
 
 
 class TestMaskIoU:

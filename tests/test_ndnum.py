@@ -180,6 +180,21 @@ def test_sgd_step_zero_grads_identity():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("direction", ["ascend", "descend"])
+def test_sgd_step_is_exact_and_leaves_inputs_untouched(direction):
+    rng = ndnum.Rng(5)
+    params = [rng.split("w").normal((6, 4)), rng.split("b").normal(6)]
+    grads = [rng.split("dw").normal((6, 4)), rng.split("db").normal(6)]
+    kept = [a.copy() for a in params + grads]
+    rate = 2e-3
+    out = ndnum.sgd_step(params, grads, rate, direction)
+    for new, p, g in zip(out, params, grads):
+        want = p + rate * g if direction == "ascend" else p - rate * g
+        assert np.array_equal(new, want)
+        assert not np.shares_memory(new, p) and not np.shares_memory(new, g)
+    assert all(np.array_equal(a, k) for a, k in zip(params + grads, kept))
+
+
 def test_sgd_step_validates_inputs():
     with pytest.raises(PreconditionError):
         ndnum.sgd_step([np.zeros(2)], [np.zeros(3)], 0.1, "descend")

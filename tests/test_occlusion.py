@@ -71,10 +71,6 @@ class TestChannelCorrelation:
         with pytest.raises(ShapeMismatchError):
             channel_correlation(np.ones((2, 2, 2)), np.ones((2, 3, 2)), 0)
 
-    def test_sources_recorded(self):
-        out = channel_correlation(cell(1.0), cell(1.0), 0, source_a=7, source_b=3)
-        assert (out.source_a, out.source_b) == (7, 3)
-
     @given(st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8),
            st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8))
     @settings(max_examples=40)
