@@ -23,10 +23,12 @@ from .eval import (SUBSETS, Detection, EvalConfig, GroundTruth,
                    PROBE_MIN_SAMPLES, compactness_ratio, log_avg_miss_rate,
                    mask_iou, probe_accuracy, subset_of)
 from .ndnum import Rng
-from .occlusion import (OcclusionConfig, channel_correlation, correlation_map,
-                        completion_mask, is_occluded, occluded_cells)
+from .occlusion import Analysis, OcclusionConfig, analyze, channel_correlation
+# Only analyze calls correlation_map. The name stays bound here because
+# bench/test_tracer.py counts its calls by patching it in this module.
+from .occlusion import correlation_map  # noqa: F401
 from .prototypes import (FULLY_VISIBLE, FeaturePool, build_pool, kmeans,
-                         nearest_prototype, read_bank, write_bank)
+                         read_bank, write_bank)
 from .synth import (MASK_PATTERNS, PEDESTRIAN, WorldConfig, gen_background,
                     gen_occluded, gen_pedestrian, gen_world, read_dataset,
                     sample_mask, sample_scale, write_dataset)
@@ -243,33 +245,20 @@ def synthesize(config):
 
 
 @dataclass
-class ProposalReport:
+class ProposalReport(Analysis):
     """Everything the occlusion and completion stages say about one sample."""
 
-    prototype: object
-    cmap: object
-    flagged: object
-    mask: object
-    occluded: bool
-    completed: np.ndarray | None
+    completed: np.ndarray | None = None
 
 
 def complete_proposal(features, scale, bank, gen, occ_config):
-    """Flag, mask and (when warranted) complete one proposal's features.
-
-    A proposal only counts as occluded when the alpha rule fires and the
-    completion mask is non-empty: with nothing to overwrite there are no
-    completed features to rescore on, so the sample passes through.
-    """
-    proto = nearest_prototype(bank, float(scale))
-    cmap = correlation_map(features, proto.center)
-    flagged = occluded_cells(cmap)
-    mask = completion_mask(cmap, occ_config)
-    occluded = is_occluded(flagged, occ_config) and mask.count > 0
+    """Analyse one proposal and, when it is occluded, complete its features."""
+    found = analyze(features, scale, bank, occ_config)
     completed = None
-    if occluded:
-        completed = gen.forward(copy_paste(features, proto.center, mask))
-    return ProposalReport(proto, cmap, flagged, mask, occluded, completed)
+    if found.occluded:
+        completed = gen.forward(copy_paste(features, found.prototype.center,
+                                           found.mask))
+    return ProposalReport(**vars(found), completed=completed)
 
 
 def _ped_pools(proposals):
@@ -512,22 +501,19 @@ def cmd_inspect(args):
     if not matches:
         raise PreconditionError(f"no proposal with id {args.id}")
     proposal = matches[0]
-    proto = nearest_prototype(bank, proposal.scale)
-    cmap = correlation_map(proposal.features, proto.center)
-    flagged = occluded_cells(cmap)
-    mask = completion_mask(cmap, config.occ_config())
-    _write_pgm(out / "corr_map.pgm", _gray_scale(cmap.grid))
-    _write_pgm(out / "mask.pgm", np.where(mask.grid, 255, 0))
-    _write_grid_csv(out / "corr_map.csv", cmap.grid)
+    found = analyze(proposal.features, proposal.scale, bank, config.occ_config())
+    proto, flagged = found.prototype, found.flagged
+    _write_pgm(out / "corr_map.pgm", _gray_scale(found.cmap.grid))
+    _write_pgm(out / "mask.pgm", np.where(found.mask.grid, 255, 0))
+    _write_grid_csv(out / "corr_map.csv", found.cmap.grid)
     for channel in range(proposal.features.shape[0]):
         grid = channel_correlation(proposal.features, proto.center, channel).grid
         _write_grid_csv(out / f"channel_{channel:02d}.csv", grid)
-    verdict = is_occluded(flagged, config.occ_config())
     print(f"proposal {proposal.id}: label={proposal.label} "
           f"scale={proposal.scale:.2f} visibility={proposal.visibility:.2f}")
     print(f"nearest prototype scale {proto.scale_mean:.2f}; "
           f"flagged {flagged.count}/{flagged.grid.size} cells "
-          f"({flagged.fraction():.2f}); occluded={verdict}")
+          f"({flagged.fraction():.2f}); occluded={found.occluded}")
     print(f"heatmaps written to {out}")
     return EXIT_OK
 

@@ -29,9 +29,12 @@ import numpy as np
 
 from .errors import FormatError, PreconditionError, ShapeMismatchError
 from .ndnum import DenseLayer, check_finite, clamp_prob, sgd_step, sigmoid
-from .occlusion import OcclusionConfig, completion_mask, correlation_map
+from .occlusion import OcclusionConfig, analyze
+# Only analyze calls correlation_map. The name stays bound here because
+# bench/test_tracer.py counts its calls by patching it in this module.
+from .occlusion import correlation_map  # noqa: F401
 from .prototypes import FeaturePool, nearest_prototype
-from .synth import MASK_PATTERNS, sample_mask
+from .synth import MASK_PATTERNS, BinaryReader, sample_mask
 
 STAGES = ("synthetic", "real")
 MODEL_MAGIC = b"FCGD"
@@ -183,12 +186,6 @@ class TrainConfig:
         if not (self.learn_rate > 0 and np.isfinite(self.learn_rate)):
             raise PreconditionError("learn_rate must be positive and finite")
         return self
-
-
-def default_stage_configs():
-    """The two-stage schedule: synthetic occlusions first, real ones after."""
-    return (TrainConfig(stage="synthetic", learn_rate=2e-3),
-            TrainConfig(stage="real", learn_rate=2e-4))
 
 
 @dataclass
@@ -374,9 +371,7 @@ def mask_library(occluded_pool, bank, occ_config=OcclusionConfig()):
     """
     masks = []
     for feats, scale in zip(occluded_pool.features, occluded_pool.scales):
-        proto = nearest_prototype(bank, float(scale))
-        cmap = correlation_map(feats, proto.center)
-        mask = completion_mask(cmap, occ_config)
+        mask = analyze(feats, scale, bank, occ_config).mask
         if mask.count > 0:
             masks.append(mask)
     return masks
@@ -386,10 +381,8 @@ def _paste_pool(pool, bank, occ_config):
     """Completion-masked copy-paste for every sample in a feature pool."""
     pasted = np.empty_like(pool.features)
     for i, (feats, scale) in enumerate(zip(pool.features, pool.scales)):
-        proto = nearest_prototype(bank, float(scale))
-        cmap = correlation_map(feats, proto.center)
-        mask = completion_mask(cmap, occ_config)
-        pasted[i] = copy_paste(feats, proto.center, mask)
+        found = analyze(feats, scale, bank, occ_config)
+        pasted[i] = copy_paste(feats, found.prototype.center, found.mask)
     return pasted
 
 
@@ -561,39 +554,14 @@ def write_model(path, gen, disc, head, configs, grid):
     return len(data)
 
 
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count, what):
-        if self.pos + count > len(self.data):
-            raise FormatError(self.pos, f"truncated {what}")
-        chunk = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
-
-    def floats(self, shape, what):
-        count = int(np.prod(shape)) * 8
-        start = self.pos
-        arr = np.frombuffer(self.take(count, what), dtype="<f8").reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(start, f"non-finite value in {what}")
-        return arr.copy()
-
-
 def read_model(path):
     """Load (generator, discriminator, head, grid, configs) from a model file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data)
-    if r.take(4, "magic") != MODEL_MAGIC:
-        raise FormatError(0, "bad magic, not a model file")
-    version = struct.unpack("<I", r.take(4, "version"))[0]
+    r = BinaryReader(path, MODEL_MAGIC)
+    version = r.unpack("<I", "version")[0]
     if version != MODEL_VERSION:
         raise FormatError(4, f"unsupported version {version}")
     head_pos = r.pos
-    c, gx, gy, width = struct.unpack("<IIII", r.take(16, "dims"))
+    c, gx, gy, width = r.unpack("<IIII", "dims")
     if c < 1 or gx < 1 or gy < 1 or width < 1:
         raise FormatError(head_pos, "model dims must be positive")
     flat_dim = c * gx * gy
@@ -611,17 +579,16 @@ def read_model(path):
     head = ScoringHead(
         DenseLayer(r.floats((1, flat_dim), "head weights"),
                    r.floats((1,), "head bias"), "sigmoid"))
-    head.trained = bool(struct.unpack("<B", r.take(1, "head flag"))[0])
+    head.trained = bool(r.unpack("<B", "head flag")[0])
 
     count_pos = r.pos
-    n_cfg = struct.unpack("<I", r.take(4, "config count"))[0]
+    n_cfg = r.unpack("<I", "config count")[0]
     if n_cfg > 16:
         raise FormatError(count_pos, f"implausible config count {n_cfg}")
     configs = []
     for i in range(n_cfg):
         rec_pos = r.pos
-        iters, steps, batch, rate, stage = struct.unpack(
-            "<IIIdB", r.take(21, f"train config {i}"))
+        iters, steps, batch, rate, stage = r.unpack("<IIIdB", f"train config {i}")
         if stage >= len(STAGES):
             raise FormatError(rec_pos, f"unknown stage code {stage}")
         cfg = TrainConfig(stage=STAGES[stage], iterations=iters,
@@ -631,6 +598,5 @@ def read_model(path):
         except PreconditionError as err:
             raise FormatError(rec_pos, f"invalid train config: {err}") from err
         configs.append(cfg)
-    if r.pos != len(data):
-        raise FormatError(r.pos, "trailing bytes after model payload")
+    r.finish()
     return gen, disc, head, (gx, gy), tuple(configs)

@@ -1,5 +1,5 @@
 """Numeric core: labelled random streams, dense layers with hand-written
-reverse-mode gradients, SGD stepping, and a finite-difference gradient checker.
+reverse-mode gradients, and SGD stepping.
 
 Everything is float64 numpy. Values crossing a public boundary are checked
 finite, so NaN or inf surfaces as an error at the operation that produced it
@@ -21,20 +21,6 @@ from .errors import PreconditionError, ShapeMismatchError
 PROB_EPS = 1e-7
 
 ACTIVATIONS = ("identity", "relu", "sigmoid")
-
-
-def tensor(data, shape=None):
-    """Build a float64 array, optionally reshaping row-major, and verify it is finite."""
-    arr = np.asarray(data, dtype=np.float64)
-    if shape is not None:
-        shape = tuple(int(s) for s in shape)
-        if any(s <= 0 for s in shape):
-            raise PreconditionError(f"tensor dims must be positive, got {shape}")
-        if arr.size != int(np.prod(shape)):
-            raise ShapeMismatchError("tensor data length", arr.size, np.prod(shape))
-        arr = arr.reshape(shape)
-    check_finite(arr, "tensor")
-    return arr
 
 
 def check_finite(arr, context):
@@ -228,41 +214,6 @@ class DenseLayer:
         self.bias = np.asarray(b, dtype=np.float64)
 
 
-class Network:
-    """A plain stack of dense layers, enough for gradient checking and probes."""
-
-    def __init__(self, layers):
-        if not layers:
-            raise PreconditionError("network needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ShapeMismatchError("layer chain", (nxt.in_dim,), (prev.out_dim,))
-        self.layers = list(layers)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    def backward(self, upstream):
-        """Returns (per-layer (dW, db) list, gradient wrt network input)."""
-        grads = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
-            grads[i], upstream = self.layers[i].backward(upstream)
-        return grads, upstream
-
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
-    def set_params(self, flat):
-        it = iter(flat)
-        for layer in self.layers:
-            layer.set_params([next(it), next(it)])
-
-
 def sgd_step(params, grads, rate, direction):
     """One SGD update on a parameter list.
 
@@ -292,41 +243,3 @@ def sgd_step(params, grads, rate, direction):
         check_finite(t, "sgd step")
         out.append(t)
     return out
-
-
-def finite_diff_check(network, x, epsilon):
-    """Max relative error between analytic and central-difference gradients.
-
-    The scalar loss is the sum of the network outputs. Every parameter entry
-    is perturbed by +/- epsilon; the relative error of a pair (a, n) is
-    |a - n| / max(|a|, |n|, 1e-12) and the maximum over all entries is
-    returned.
-    """
-    if not (0.0 < epsilon <= 1e-2):
-        raise PreconditionError(f"epsilon must lie in (0, 1e-2], got {epsilon}")
-    x = np.asarray(x, dtype=np.float64)
-
-    out = network.forward(x)
-    layer_grads, _ = network.backward(np.ones_like(out))
-    analytic = []
-    for dw, db in layer_grads:
-        analytic.extend([dw, db])
-
-    worst = 0.0
-    params = network.params()
-    for arr, grad in zip(params, analytic):
-        flat = arr.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            hi = network.forward(x).sum()
-            flat[i] = orig - epsilon
-            lo = network.forward(x).sum()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * epsilon)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-12)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
-    # restore caches to a consistent state for any later backward call
-    network.forward(x)
-    return worst

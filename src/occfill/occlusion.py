@@ -12,6 +12,9 @@ value falls strictly below the grid's own mean, which adapts to however
 strong the overall response is. A proposal counts as occluded when the
 flagged fraction exceeds ``alpha``. The same below-mean rule doubles as
 the default completion mask; a fixed cutoff is kept for ablations.
+
+`analyze` runs the whole step for one proposal, against the prototype
+nearest in scale, and gives the one verdict every caller acts on.
 """
 
 from dataclasses import dataclass
@@ -19,17 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ShapeMismatchError
-from .ndnum import Rng, check_finite
-from .synth import SCALE_NORM, OcclusionMask, gen_occluded, gen_pedestrian
+from .ndnum import check_finite
+from .prototypes import nearest_prototype
+from .synth import OcclusionMask, _freeze
 
-AGGREGATES = ("mean", "max")
 BETA_MODES = ("dynamic-mean", "fixed")
-
-
-def _freeze(arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass
@@ -88,17 +85,10 @@ def channel_correlation(f_a, f_b, channel):
     return CorrelationMap(_correlate(a[channel], b[channel]))
 
 
-def correlation_map(f_a, f_b, aggregate="mean"):
-    """Correlate two feature maps and aggregate across channels per cell."""
+def correlation_map(f_a, f_b):
+    """Correlate two feature maps and average across channels per cell."""
     a, b = _pair(f_a, f_b)
-    per_channel = _correlate(a, b)
-    if aggregate == "mean":
-        grid = per_channel.mean(axis=0)
-    elif aggregate == "max":
-        grid = per_channel.max(axis=0)
-    else:
-        raise PreconditionError(f"unknown aggregate {aggregate!r}")
-    return CorrelationMap(grid)
+    return CorrelationMap(_correlate(a, b).mean(axis=0))
 
 
 def occluded_cells(cmap):
@@ -124,44 +114,28 @@ def completion_mask(cmap, config=OcclusionConfig()):
     return OcclusionMask(cmap.grid < config.beta)
 
 
-def xor_toy_check(seed=0, trials=20):
-    """Sanity-check the correlation rule on a noise-free world.
+@dataclass
+class Analysis:
+    """What the occlusion step finds for one proposal."""
 
-    With identity noise switched off, a pedestrian's cells carry the pure
-    part signature scaled by its normalized height, so correlating an
-    occluded copy against the original yields exactly that height squared
-    wherever the cell survived and strictly less wherever the occluder
-    overwrote it. The check verifies the detected visible set equals the
-    mask complement for the empty mask, the full mask, and ``trials``
-    random masks.
+    prototype: object
+    cmap: CorrelationMap
+    flagged: OcclusionMask
+    mask: OcclusionMask
+    occluded: bool
+
+
+def analyze(features, scale, bank, config):
+    """Match, correlate, flag and mask one proposal, and give its verdict.
+
+    The reference is the prototype nearest in scale. A proposal only counts
+    as occluded when the alpha rule fires and the completion mask is
+    non-empty: with nothing to overwrite there is nothing to complete, so
+    the sample passes through.
     """
-    from .synth import WorldConfig, gen_world
-
-    world = gen_world(WorldConfig(sigma_id=0.0, seed=seed))
-    rng = Rng(seed).split("xor-toy")
-    gx, gy = world.config.grid_x, world.config.grid_y
-    scale = world.config.scale_means[1]
-    base = gen_pedestrian(world, scale, rng.split("base"))
-    target = (scale / SCALE_NORM) ** 2
-
-    def visible_cells(mask, tag):
-        sample = gen_occluded(world, base, mask, "object", rng.split(tag))
-        cmap = correlation_map(base.features, sample.features)
-        return np.abs(cmap.grid - target) <= 1e-9 * target
-
-    empty = OcclusionMask(np.zeros((gx, gy), dtype=bool))
-    if not visible_cells(empty, "empty").all():
-        return False
-    full = OcclusionMask(np.ones((gx, gy), dtype=bool))
-    if visible_cells(full, "full").any():
-        return False
-    for t in range(trials):
-        r = rng.split(f"mask-{t}")
-        count = int(r.integers(1, gx * gy))
-        cells = r.choice(gx * gy, size=count, replace=False)
-        grid = np.zeros(gx * gy, dtype=bool)
-        grid[cells] = True
-        mask = OcclusionMask(grid.reshape(gx, gy))
-        if not np.array_equal(visible_cells(mask, f"fill-{t}"), ~mask.grid):
-            return False
-    return True
+    proto = nearest_prototype(bank, float(scale))
+    cmap = correlation_map(features, proto.center)
+    flagged = occluded_cells(cmap)
+    mask = completion_mask(cmap, config)
+    occluded = is_occluded(flagged, config) and mask.count > 0
+    return Analysis(proto, cmap, flagged, mask, occluded)

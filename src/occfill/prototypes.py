@@ -5,8 +5,7 @@ Lloyd's algorithm with K-means++ seeding and a few restarts on the
 flattened feature vectors, and keep each cluster center together with the
 scale statistics of its members. Lookup at completion time goes by
 proposal scale, which is far cheaper than a feature-space search and is
-what the scale statistics are stored for; a feature-space lookup exists
-for comparison.
+what the scale statistics are stored for.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import FormatError, PreconditionError, ShapeMismatchError
 from .ndnum import Rng, check_finite
-from .synth import PEDESTRIAN
+from .synth import PEDESTRIAN, BinaryReader
 
 FULLY_VISIBLE = 0.99
 
@@ -196,19 +195,6 @@ def nearest_prototype(bank, scale):
     return bank.prototypes[best]
 
 
-def nearest_prototype_by_features(bank, features):
-    """Full feature-space lookup, kept for comparison with the scale route."""
-    if not bank.prototypes:
-        raise PreconditionError("bank is empty")
-    flat = np.asarray(features, dtype=np.float64).reshape(-1)
-    best, best_d = 0, np.inf
-    for i, p in enumerate(bank.prototypes):
-        d = float(np.sum((flat - p.center.reshape(-1)) ** 2))
-        if d < best_d:
-            best, best_d = i, d
-    return bank.prototypes[best]
-
-
 # ---------------------------------------------------------------------------
 # Bank file: magic "FCPB" | version u32 | K u32 | C u32 | X u32 | Y u32
 # then per prototype: scale_mean f64 | scale_std f64 | member_count u32 |
@@ -232,13 +218,8 @@ def write_bank(bank, path):
 
 
 def read_bank(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != BANK_MAGIC:
-        raise FormatError(0, f"bad magic {data[:4]!r}")
-    if len(data) < 24:
-        raise FormatError(4, "truncated header")
-    version, k, c, x, y = struct.unpack("<IIIII", data[4:24])
+    r = BinaryReader(path, BANK_MAGIC)
+    version, k, c, x, y = r.unpack("<IIIII", "header")
     if version != BANK_VERSION:
         raise FormatError(4, f"unsupported version {version}")
     if k < 1:
@@ -246,25 +227,16 @@ def read_bank(path):
     for offset, name, dim in ((12, "C", c), (16, "X", x), (20, "Y", y)):
         if dim == 0:
             raise FormatError(offset, f"feature dim {name} is zero")
-    pos = 24
-    record = 20 + c * x * y * 8
     protos = []
     for i in range(k):
-        if pos + record > len(data):
-            raise FormatError(pos, f"truncated prototype {i}")
-        mean, std, count = struct.unpack("<ddI", data[pos:pos + 20])
+        at = r.pos
+        r.need(20 + c * x * y * 8, f"prototype {i}")
+        mean, std, count = r.unpack("<ddI", f"prototype {i}")
         if count < 1:
-            raise FormatError(pos + 16, f"prototype {i} has no members")
-        center = np.frombuffer(data[pos + 20:pos + record],
-                               dtype="<f8").reshape(c, x, y)
-        if not np.isfinite(center).all():
-            raise FormatError(pos + 20, f"non-finite center in prototype {i}")
-        center = center.copy()
-        center.setflags(write=False)
+            raise FormatError(at + 16, f"prototype {i} has no members")
+        center = r.floats((c, x, y), f"center of prototype {i}")
         protos.append(Prototype(center, mean, std, count))
-        pos += record
-    if pos != len(data):
-        raise FormatError(pos, f"{len(data) - pos} trailing bytes")
+    r.finish()
     if any(b.scale_mean < a.scale_mean for a, b in zip(protos, protos[1:])):
         raise FormatError(24, "prototypes out of scale order")
     return PrototypeBank(tuple(protos)).validate()

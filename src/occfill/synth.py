@@ -19,6 +19,7 @@ part-like content, aligned only by accident at a handful of cells.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -567,31 +568,55 @@ def write_dataset(proposals, path, dims=None):
             fh.write(p.features.astype("<f8").tobytes())
 
 
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
+class BinaryReader:
+    """Little-endian cursor over the bytes of a .fcds, .fcpb or .fcgd file.
 
-    def take(self, n, what):
-        if self.pos + n > len(self.data):
-            raise FormatError(self.pos, f"truncated file while reading {what}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+    Every FormatError it raises carries the offset of the field at fault; a
+    short read is reported where the missing field starts.
+    """
+
+    def __init__(self, path, magic):
+        """Read the whole file and check that it starts with `magic`."""
+        with open(path, "rb") as fh:
+            self.data = fh.read()
+        self.pos = 0
+        found = self.take(len(magic), "magic")
+        if found != magic:
+            raise FormatError(0, f"bad magic {found!r}")
+
+    def need(self, count, what):
+        """Fail at the current offset unless `count` more bytes remain."""
+        if self.pos + count > len(self.data):
+            raise FormatError(self.pos, f"truncated {what}")
+
+    def take(self, count, what):
+        self.need(count, what)
+        chunk = self.data[self.pos:self.pos + count]
+        self.pos += count
+        return chunk
 
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def floats(self, shape, what):
+        """A read-only float64 array of `shape`; every value must be finite."""
+        start = self.pos
+        arr = np.frombuffer(self.take(8 * math.prod(shape), what),
+                            dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(start, f"non-finite value in {what}")
+        return arr
+
+    def finish(self):
+        """Fail unless every byte has been read."""
+        if self.pos != len(self.data):
+            raise FormatError(self.pos, f"{len(self.data) - self.pos} trailing bytes")
 
 
 def read_dataset(path):
     """Parse a dataset file back into proposals; malformed input raises
     FormatError carrying the byte offset of the problem."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data)
-    magic = r.take(4, "magic")
-    if magic != DATASET_MAGIC:
-        raise FormatError(0, f"bad magic {magic!r}")
+    r = BinaryReader(path, DATASET_MAGIC)
     version, count, c, x, y = r.unpack("<IIIII", "header")
     if version != DATASET_VERSION:
         raise FormatError(4, f"unsupported version {version}")
@@ -614,17 +639,12 @@ def read_dataset(path):
             if bad.size:
                 raise FormatError(at + 34 + int(bad[0]), f"bad mask byte {raw[bad[0]]}")
             mask = OcclusionMask(raw.reshape(x, y).astype(bool))
-        fat = r.pos
-        feats = np.frombuffer(r.take(c * x * y * 8, f"proposal {i} features"),
-                              dtype="<f8").reshape(c, x, y)
-        if not np.isfinite(feats).all():
-            raise FormatError(fat, f"non-finite feature in proposal {i}")
+        feats = r.floats((c, x, y), f"proposal {i} features")
         try:
             proposals.append(Proposal(pid, _LABEL_NAME[label_code], scale,
-                                      _freeze(feats), score,
+                                      feats, score,
                                       visibility=visibility, true_mask=mask).validate())
         except PreconditionError as exc:
             raise FormatError(at, f"invalid proposal {i}: {exc}") from exc
-    if r.pos != len(data):
-        raise FormatError(r.pos, f"{len(data) - r.pos} trailing bytes")
+    r.finish()
     return proposals

@@ -349,6 +349,23 @@ class TestInspect:
         assert code == 2
         assert "no proposal with id 999999" in capsys.readouterr().err
 
+    def test_verdict_is_the_pipelines_when_the_mask_is_empty(self, default_run,
+                                                             tmp_path, capsys):
+        # beta = -1000 empties every completion mask, so the pipeline passes
+        # the proposal through even though the alpha rule fires on it
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 42\nocc.beta_mode = fixed\nocc.beta = -1000.0\n")
+        capsys.readouterr()
+        run_ok(["inspect", "--config", str(cfg),
+                "--data", str(default_run["eval"]),
+                "--bank", str(default_run["bank"]),
+                "--id", "1", "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        flagged, total = out.split("flagged ")[1].split(" ")[0].split("/")
+        assert int(flagged) / int(total) > RunConfig().alpha
+        assert (tmp_path / "out/mask.pgm").read_bytes().endswith(bytes(49))
+        assert "occluded=False" in out
+
 
 class TestDefaultShowcase:
     def test_four_clusters_recover_scale_mixture(self, default_run, tmp_path,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import occfill.completion as completion
+from occfill.cli import RunConfig
 from occfill.completion import (
     Discriminator,
     FeaturePools,
@@ -17,7 +18,6 @@ from occfill.completion import (
     TrainConfig,
     adversarial_losses,
     copy_paste,
-    default_stage_configs,
     mask_library,
     progressive_train,
     read_model,
@@ -742,7 +742,7 @@ class TestTrainAdversarial:
             TrainConfig(learn_rate=0.0).validate()
 
     def test_default_stage_configs(self):
-        synth_cfg, real_cfg = default_stage_configs()
+        synth_cfg, real_cfg = RunConfig().stage_configs()
         assert synth_cfg.stage == "synthetic" and synth_cfg.learn_rate == 2e-3
         assert real_cfg.stage == "real" and real_cfg.learn_rate == 2e-4
         assert synth_cfg.iterations == real_cfg.iterations == 2000

@@ -5,19 +5,21 @@ from hypothesis import strategies as st
 
 from occfill.errors import PreconditionError, ShapeMismatchError
 from occfill.ndnum import Rng
+from occfill.completion import _paste_pool, copy_paste, mask_library
 from occfill.occlusion import (
     CorrelationMap,
     OcclusionConfig,
+    analyze,
     channel_correlation,
     completion_mask,
     correlation_map,
     is_occluded,
     occluded_cells,
-    xor_toy_check,
 )
-from occfill.prototypes import build_pool, kmeans, nearest_prototype
+from occfill.prototypes import FeaturePool, build_pool, kmeans, nearest_prototype
 from occfill.synth import (
     MASK_PATTERNS,
+    SCALE_NORM,
     OcclusionMask,
     WorldConfig,
     gen_background,
@@ -41,6 +43,47 @@ def mask_with(count, total=49):
     grid = np.zeros(total, dtype=bool)
     grid[:count] = True
     return OcclusionMask(grid.reshape(1, total))
+
+
+def xor_toy_check(seed=0, trials=20):
+    """Sanity-check the correlation rule on a noise-free world.
+
+    With identity noise switched off, a pedestrian's cells carry the pure
+    part signature scaled by its normalized height, so correlating an
+    occluded copy against the original yields exactly that height squared
+    wherever the cell survived and strictly less wherever the occluder
+    overwrote it. The check verifies the detected visible set equals the
+    mask complement for the empty mask, the full mask, and ``trials``
+    random masks.
+    """
+    world = gen_world(WorldConfig(sigma_id=0.0, seed=seed))
+    rng = Rng(seed).split("xor-toy")
+    gx, gy = world.config.grid_x, world.config.grid_y
+    scale = world.config.scale_means[1]
+    base = gen_pedestrian(world, scale, rng.split("base"))
+    target = (scale / SCALE_NORM) ** 2
+
+    def visible_cells(mask, tag):
+        sample = gen_occluded(world, base, mask, "object", rng.split(tag))
+        cmap = correlation_map(base.features, sample.features)
+        return np.abs(cmap.grid - target) <= 1e-9 * target
+
+    empty = OcclusionMask(np.zeros((gx, gy), dtype=bool))
+    if not visible_cells(empty, "empty").all():
+        return False
+    full = OcclusionMask(np.ones((gx, gy), dtype=bool))
+    if visible_cells(full, "full").any():
+        return False
+    for t in range(trials):
+        r = rng.split(f"mask-{t}")
+        count = int(r.integers(1, gx * gy))
+        cells = r.choice(gx * gy, size=count, replace=False)
+        grid = np.zeros(gx * gy, dtype=bool)
+        grid[cells] = True
+        mask = OcclusionMask(grid.reshape(gx, gy))
+        if not np.array_equal(visible_cells(mask, f"fill-{t}"), ~mask.grid):
+            return False
+    return True
 
 
 class TestChannelCorrelation:
@@ -115,15 +158,6 @@ class TestCorrelationMap:
         b = np.stack([cell(1.0)[0], cell(np.sqrt(3.0))[0]])
         out = correlation_map(a, b)
         assert abs(out.grid[0, 0] - 2.0) <= 1e-12
-
-    def test_max_aggregation(self):
-        a = np.stack([cell(1.0)[0], cell(2.0)[0]])
-        out = correlation_map(a, a, aggregate="max")
-        assert abs(out.grid[0, 0] - 4.0) <= 1e-12
-
-    def test_unknown_aggregate(self):
-        with pytest.raises(PreconditionError):
-            correlation_map(cell(1.0), cell(1.0), aggregate="median")
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -248,3 +282,92 @@ class TestSyntheticRecovery:
             bg_mean = correlation_map(bg.features, proto.center).mean
             wins += ped_mean > bg_mean
         assert wins >= 0.99 * trials
+
+
+def reference_chain(features, scale, bank, config):
+    """The four-call chain each caller used to spell out, kept as the oracle:
+    (prototype, correlation map, flagged cells, completion mask, verdict)."""
+    proto = nearest_prototype(bank, float(scale))
+    cmap = correlation_map(features, proto.center)
+    flagged = occluded_cells(cmap)
+    mask = completion_mask(cmap, config)
+    return proto, cmap, flagged, mask, is_occluded(flagged, config) and mask.count > 0
+
+
+@pytest.fixture(scope="module")
+def analysis_set():
+    """A seeded bank plus visible, occluded and background proposals."""
+    world = gen_world(WorldConfig(seed=21))
+    rng = Rng(210)
+    visible = [gen_pedestrian(world, sample_scale(world, rng.split(f"s{i}")),
+                              rng.split(f"v{i}"), pid=i) for i in range(80)]
+    bank = kmeans(build_pool(visible), k=3, seed=4)
+    occluded = []
+    for i in range(40):
+        r = rng.split(f"o{i}")
+        base = gen_pedestrian(world, sample_scale(world, r), r, pid=100 + i)
+        mask = sample_mask(world, MASK_PATTERNS[i % len(MASK_PATTERNS)], r)
+        kind = "object" if i % 2 else "pedestrian"
+        occluded.append(gen_occluded(world, base, mask, kind, r))
+    background = [gen_background(world, rng.split(f"b{i}"), pid=200 + i)
+                  for i in range(30)]
+    proposals = visible[:20] + occluded + background
+    grids = [correlation_map(p.features, nearest_prototype(bank, p.scale).center).grid
+             for p in proposals]
+    # A fixed cutoff at the median cell value leaves some masks empty and
+    # fills others; -1000 empties every mask.
+    configs = {"dynamic-mean": OcclusionConfig(),
+               "fixed-median": OcclusionConfig(beta_mode="fixed",
+                                               beta=float(np.median(grids))),
+               "fixed-unreachable": OcclusionConfig(beta_mode="fixed", beta=-1000.0)}
+    pool = FeaturePool(np.stack([p.features for p in occluded]),
+                       np.array([p.scale for p in occluded]))
+    return bank, proposals, pool, configs
+
+
+CONFIG_NAMES = ("dynamic-mean", "fixed-median", "fixed-unreachable")
+
+
+class TestAnalyze:
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_matches_the_reference_chain(self, analysis_set, name):
+        bank, proposals, _, configs = analysis_set
+        config = configs[name]
+        verdicts = []
+        for p in proposals:
+            proto, cmap, flagged, mask, occluded = reference_chain(
+                p.features, p.scale, bank, config)
+            found = analyze(p.features, p.scale, bank, config)
+            assert found.prototype is proto
+            assert np.array_equal(found.cmap.grid, cmap.grid)
+            assert np.array_equal(found.flagged.grid, flagged.grid)
+            assert np.array_equal(found.mask.grid, mask.grid)
+            assert found.occluded is occluded
+            verdicts.append(occluded)
+        if name == "fixed-unreachable":
+            assert not any(verdicts)
+        else:
+            assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_empty_mask_overrides_the_alpha_rule(self, analysis_set):
+        bank, proposals, _, configs = analysis_set
+        config = configs["fixed-unreachable"]
+        flagged = [analyze(p.features, p.scale, bank, config) for p in proposals]
+        assert any(is_occluded(f.flagged, config) for f in flagged)
+        assert not any(f.occluded or f.mask.count for f in flagged)
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_mask_library_and_paste_match_the_chain(self, analysis_set, name):
+        bank, _, pool, configs = analysis_set
+        config = configs[name]
+        masks, pasted = [], []
+        for feats, scale in zip(pool.features, pool.scales):
+            proto, _, _, mask, _ = reference_chain(feats, scale, bank, config)
+            if mask.count > 0:
+                masks.append(mask.grid)
+            pasted.append(copy_paste(feats, proto.center, mask))
+        library = mask_library(pool, bank, config)
+        assert len(library) == len(masks)
+        assert all(np.array_equal(got.grid, want)
+                   for got, want in zip(library, masks))
+        assert np.array_equal(_paste_pool(pool, bank, config), np.stack(pasted))

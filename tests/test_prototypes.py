@@ -198,13 +198,6 @@ def test_lookup_rejects_bad_scale():
         prototypes.nearest_prototype(bank, 0.0)
 
 
-def test_feature_lookup_finds_matching_center():
-    pool = scalar_pool([0.0, 1.0, 10.0, 11.0])
-    bank = prototypes.kmeans(pool, k=2, seed=0)
-    hit = prototypes.nearest_prototype_by_features(bank, np.full((1, 1, 1), 10.3))
-    assert float(hit.center.reshape(())) == 10.5
-
-
 def test_bank_validation():
     with pytest.raises(PreconditionError):
         prototypes.PrototypeBank(()).validate()
