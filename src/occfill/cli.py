@@ -201,7 +201,7 @@ def synthesize(config):
         out = []
         for i in range(n):
             pr = rng.split(f"p{i}")
-            base = gen_pedestrian(world, sample_scale(world, pr), pr,
+            base = gen_pedestrian(world, sample_scale(pr), pr,
                                   pid=start_id + i)
             if occlude == "always" or (occlude == "half" and i % 2 == 1):
                 pattern = MASK_PATTERNS[int(pr.integers(0, len(MASK_PATTERNS)))]

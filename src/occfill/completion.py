@@ -17,9 +17,10 @@ synthetic occlusions (masks applied to visible samples, compared against
 the same sample's original), then on genuinely occluded samples compared
 against randomly paired visible ones.
 
-A separately trained logistic scoring head, fit on visible pedestrian
-versus background features and frozen before adversarial training,
-rescores occluded proposals from their completed features.
+A logistic scoring head rescores flagged proposals from their completed
+features. It is fit after adversarial training, on completed features: the
+flagged occluded pedestrians against the flagged backgrounds, each completed
+by the trained generator.
 """
 
 import struct
@@ -330,7 +331,7 @@ def train_adversarial(pools, gen, disc, config, rng, paired=False, start_iterati
     ``paired`` the two pools must align index-to-index and each minibatch
     uses the same indices on both sides. The minibatches are drawn ahead
     of their iterations (see `plan_minibatches`). History rows carry
-    (iteration, disc_objective, gen_objective, probe_accuracy), with the
+    (iteration, disc_objective, gen_objective, disc_accuracy), with the
     objectives and the discriminator's minibatch accuracy measured just
     before the corresponding update. Both networks are updated in place
     and returned.
@@ -487,7 +488,7 @@ class ScoringHead:
 
 
 def train_scoring_head(positives, negatives, rng, iterations=500, learn_rate=0.5):
-    """Fit the logistic head on visible-domain features with cross-entropy."""
+    """Fit the logistic head with cross-entropy: positives against negatives."""
     pos = np.asarray(positives, dtype=np.float64)
     neg = np.asarray(negatives, dtype=np.float64)
     if pos.ndim != 4 or neg.ndim != 4 or pos.shape[1:] != neg.shape[1:]:

@@ -130,11 +130,9 @@ class DenseLayer:
         self._cache = None
 
     @classmethod
-    def init(cls, in_dim, out_dim, rng, activation="identity", scale=None):
-        """Random small-weight initialization; scale defaults to 1/sqrt(in_dim)."""
-        if scale is None:
-            scale = 1.0 / np.sqrt(in_dim)
-        w = rng.normal((out_dim, in_dim)) * scale
+    def init(cls, in_dim, out_dim, rng, activation="identity"):
+        """Random small-weight initialization with scale 1/sqrt(in_dim)."""
+        w = rng.normal((out_dim, in_dim)) * (1.0 / np.sqrt(in_dim))
         b = np.zeros(out_dim)
         return cls(w, b, activation)
 

@@ -174,14 +174,6 @@ def kmeans(pool, k=5, seed=0, max_iters=100, restarts=5):
     return PrototypeBank(tuple(protos)).validate(pool_size=pool.size)
 
 
-def wcss(pool, bank):
-    """Within-cluster sum of squares of the pool under the bank's centers."""
-    flat = pool.features.reshape(pool.size, -1)
-    centers = np.stack([p.center.reshape(-1) for p in bank.prototypes])
-    labels, _ = _assign(flat, centers)
-    return float(np.sum((flat - centers[labels]) ** 2))
-
-
 def nearest_prototype(bank, scale):
     """The prototype whose scale mean is closest; ties go to the smaller."""
     if not bank.prototypes:

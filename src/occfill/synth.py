@@ -3,7 +3,7 @@
 A proposal is a C-channel feature map on an X by Y grid of pooled cells.
 Every cell belongs to one body part (head, torso, arms, legs) and carries
 that part's template vector, scaled by the pedestrian's size and perturbed
-by identity noise. Part templates are mutually orthogonal sign vectors, so
+by identity noise. Part templates are orthogonal rows of norm sqrt(C), so
 the product of two features at an aligned cell is large and positive while
 misaligned or occluded cells average out to a visibly lower value. That
 separation is what the downstream correlation test relies on, and it is
@@ -11,7 +11,7 @@ exact when noise is switched off.
 
 Occluded samples are built by stamping a mask over a fully visible sample
 and replacing the masked cells with occluder content, either a distinct
-orthogonal template (an object) or cells borrowed from a second, shifted
+orthogonal row (an object) or cells borrowed from a second, shifted
 pedestrian. Background proposals scatter the same part templates across
 randomly permuted cells with inflated noise and bimodal cell magnitudes:
 part-like content, aligned only by accident at a handful of cells.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +36,38 @@ BACKGROUND = "background"
 SCALE_NORM = 181.0
 
 MIN_SCALE = 8.0
+# Pedestrian heights in pixels: a four-component mixture of crowds.
+SCALE_MEANS = (64.0, 105.0, 181.0, 340.0)
+SCALE_STDS = (9.44, 19.33, 36.62, 131.33)
+SCALE_WEIGHTS = (0.40, 0.35, 0.20, 0.05)
 # A scale draw is rejected above this many stated stds over its component's
 # mean.
 SCALE_CEILING_STDS = 1.5
-# Redraw budgets of the rejection loops, past which a draw fails instead of
-# spinning. At 9 channels, seeds 0-39 need at most 259,163 draws for one
-# template; the default scale mixture rejects about one draw in fifteen.
-MAX_TEMPLATE_DRAWS = 1_000_000
+# Redraw budget of the scale rejection loop, past which a draw fails instead
+# of spinning; the mixture above rejects about one draw in fifteen.
 MAX_SCALE_DRAWS = 100_000
 
 PART_NAMES = ("head", "torso", "left_arm", "right_arm", "left_leg", "right_leg")
 
 MASK_PATTERNS = ("left-half", "right-half", "bottom", "rect", "person-shape")
+# Every drawn mask covers between these fractions of the grid.
+MASK_MIN_FRACTION = 0.2
+MASK_MAX_FRACTION = 0.8
+
+# Per-cell attenuation: every pedestrian sample has at least one cell, plus a
+# Binomial(cells-1, CELL_DROPOUT) extra, multiplied by DROPOUT_SCALE, standing
+# in for weak pooling at part boundaries. Active only when sigma_id > 0, so a
+# zero-noise world is fully deterministic.
+CELL_DROPOUT = 0.015
+DROPOUT_SCALE = 0.25
+
+# Background clutter cells carry no coherent object scale. A minority of
+# cells respond strongly (hard edges), the rest weakly, and the few
+# accidentally part-aligned cells sit in between; each range is (lo, hi).
+BG_AMP_WEAK = (0.45, 0.7)
+BG_AMP_STRONG = (1.05, 1.35)
+BG_AMP_ALIGNED = (0.8, 1.0)
+BG_STRONG_FRAC = 0.3
 
 # Baseline detector score model: a noisy logistic response that degrades
 # with occlusion for pedestrians and stays low, with an overlapping upper
@@ -67,57 +87,17 @@ class WorldConfig:
     grid_x: int = 7
     grid_y: int = 7
     sigma_id: float = 0.05
-    # Per-cell attenuation: every pedestrian sample has at least one cell,
-    # plus a Binomial(cells-1, cell_dropout) extra, multiplied by
-    # dropout_scale, standing in for weak pooling at part boundaries.
-    # Active only when sigma_id > 0, so a zero-noise world is fully
-    # deterministic.
-    cell_dropout: float = 0.015
-    dropout_scale: float = 0.25
-    # Background clutter cells carry no coherent object scale. A minority of
-    # cells respond strongly (hard edges), the rest weakly, and the few
-    # accidentally part-aligned cells sit in between.
-    bg_amp_weak: tuple = (0.45, 0.7)
-    bg_amp_strong: tuple = (1.05, 1.35)
-    bg_amp_aligned: tuple = (0.8, 1.0)
-    bg_strong_frac: float = 0.3
-    scale_means: tuple = (64.0, 105.0, 181.0, 340.0)
-    scale_stds: tuple = (9.44, 19.33, 36.62, 131.33)
-    scale_weights: tuple = (0.40, 0.35, 0.20, 0.05)
     seed: int = 0
 
     def validate(self):
-        # Seven channels would fit the parts, but the redraw loop in
-        # _draw_templates never finds ten templates that far apart in R^7.
-        if self.channels < len(PART_NAMES) + 2:
+        # One channel per part template plus at least one occluder template.
+        if self.channels < len(PART_NAMES) + 1:
             raise PreconditionError(
-                f"need at least {len(PART_NAMES) + 2} channels, got {self.channels}")
+                f"need at least {len(PART_NAMES) + 1} channels, got {self.channels}")
         if self.grid_x < 2 or self.grid_y < 2:
             raise PreconditionError("grid must be at least 2x2")
         if self.sigma_id < 0:
             raise PreconditionError("sigma_id must be non-negative")
-        if not (0.0 <= self.cell_dropout < 1.0):
-            raise PreconditionError("cell_dropout must lie in [0, 1)")
-        for name in ("bg_amp_weak", "bg_amp_strong", "bg_amp_aligned"):
-            lo, hi = getattr(self, name)
-            if not (0.0 < lo <= hi):
-                raise PreconditionError(f"{name} must satisfy 0 < lo <= hi")
-        if not (0.0 <= self.bg_strong_frac <= 1.0):
-            raise PreconditionError("bg_strong_frac must lie in [0, 1]")
-        k = len(self.scale_means)
-        if len(self.scale_stds) != k or len(self.scale_weights) != k:
-            raise PreconditionError("scale mixture fields must have equal length")
-        if any(m <= 0 for m in self.scale_means) or any(s < 0 for s in self.scale_stds):
-            raise PreconditionError("scale means must be positive, stds non-negative")
-        w = np.array(self.scale_weights, dtype=np.float64)
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise PreconditionError("scale weights must be non-negative and sum to 1")
-        for k, (m, s, wk) in enumerate(zip(self.scale_means, self.scale_stds, w)):
-            ceiling = m + SCALE_CEILING_STDS * s
-            if wk > 0 and ceiling < MIN_SCALE:
-                raise PreconditionError(
-                    f"scale component {k} accepts no height: its ceiling "
-                    f"{ceiling} lies below the minimum {MIN_SCALE}")
         return self
 
 
@@ -150,8 +130,8 @@ def default_part_grid(grid_x, grid_y):
 class World:
     config: WorldConfig
     part_grid: np.ndarray       # (X, Y) int, part id per cell
-    templates: np.ndarray       # (n_parts, C), mutually orthogonal sign rows
-    spare_templates: np.ndarray  # (n_spare, C), occluder pool, orthogonal to parts
+    templates: np.ndarray       # (n_parts, C), orthogonal rows of norm sqrt(C)
+    spare_templates: np.ndarray  # (C - n_parts, C), occluder pool, orthogonal to parts
 
     @property
     def n_parts(self):
@@ -233,50 +213,27 @@ def _hadamard(n):
 
 
 def _draw_templates(config, rng):
-    """Orthogonal sign templates for parts plus a spare pool for occluders.
+    """Orthogonal templates for the parts plus a spare pool for occluders.
 
-    When the channel count is a power of two the rows of a sign-flipped,
-    permuted Hadamard matrix give exactly orthogonal unit-magnitude rows.
-    Otherwise unit-norm Gaussian rows are drawn with a redraw loop, which
-    gives up after MAX_TEMPLATE_DRAWS draws for one row. Either way any
-    template pair ends up with cosine similarity well under 0.9.
+    The basis is c orthogonal rows of norm sqrt(c): the Hadamard matrix, all
+    of whose entries are +-1, when the channel count c is a power of two, and
+    otherwise sqrt(c) times the Q of a QR of a Gaussian matrix drawn from a
+    child stream. Its columns are sign-flipped and permuted and its rows
+    permuted; the first len(PART_NAMES) rows are the part templates, the
+    other c - len(PART_NAMES) the spares.
     """
     c = config.channels
-    n_parts = len(PART_NAMES)
     if c & (c - 1) == 0:
-        h = _hadamard(c)
-        signs = np.where(rng.random(c) < 0.5, -1.0, 1.0)
-        cols = rng.permutation(c)
-        rows = rng.permutation(c)
-        h = (h * signs)[:, cols][rows]
-        parts = h[:n_parts]
-        spare = h[n_parts:]
+        basis = _hadamard(c)
     else:
-        def draw(existing):
-            for _ in range(MAX_TEMPLATE_DRAWS):
-                v = rng.normal(c)
-                v = v / np.linalg.norm(v) * np.sqrt(c)
-                if all(abs(v @ e) / c <= 0.3 for e in existing):
-                    return v
-            raise PreconditionError(
-                f"no template {len(existing)} within |cos| <= 0.3 of the others "
-                f"after {MAX_TEMPLATE_DRAWS} draws in {c} channels")
-        pool = []
-        for _ in range(n_parts + max(4, c - n_parts)):
-            pool.append(draw(pool))
-        parts = np.array(pool[:n_parts])
-        spare = np.array(pool[n_parts:])
-    _assert_non_collinear(parts)
-    return _freeze(parts), _freeze(spare)
-
-
-def _assert_non_collinear(templates, limit=0.9):
-    t = np.asarray(templates)
-    norms = np.linalg.norm(t, axis=1)
-    cos = (t @ t.T) / np.outer(norms, norms)
-    np.fill_diagonal(cos, 0.0)
-    if np.abs(cos).max() > limit:
-        raise PreconditionError("template pair too collinear")
+        q, _ = np.linalg.qr(rng.split("basis").normal((c, c)))
+        basis = np.sqrt(c) * q
+    signs = np.where(rng.random(c) < 0.5, -1.0, 1.0)
+    cols = rng.permutation(c)
+    rows = rng.permutation(c)
+    basis = (basis * signs)[:, cols][rows]
+    n_parts = len(PART_NAMES)
+    return _freeze(basis[:n_parts]), _freeze(basis[n_parts:])
 
 
 def gen_world(config):
@@ -288,8 +245,8 @@ def gen_world(config):
     return World(config, part_grid, templates, spare)
 
 
-def sample_scale(world, rng):
-    """Draw a pedestrian height in pixels from the world's mixture.
+def sample_scale(rng):
+    """Draw a pedestrian height in pixels from the SCALE_* mixture.
 
     The first component is normal; later components are right-skewed
     (shifted lognormal) with support floored just above the midpoint to
@@ -298,10 +255,9 @@ def sample_scale(world, rng):
     overlap and no single giant dominates a squared-distance clustering.
     After MAX_SCALE_DRAWS rejections in a row the draw fails.
     """
-    cfg = world.config
-    means = np.array(cfg.scale_means)
-    stds = np.array(cfg.scale_stds)
-    weights = np.array(cfg.scale_weights)
+    means = np.array(SCALE_MEANS)
+    stds = np.array(SCALE_STDS)
+    weights = np.array(SCALE_WEIGHTS)
     for _ in range(MAX_SCALE_DRAWS):
         comp = int(rng.choice(len(means), p=weights))
         if comp == 0:
@@ -320,20 +276,20 @@ def sample_scale(world, rng):
     raise PreconditionError(f"no pedestrian height accepted in {MAX_SCALE_DRAWS} draws")
 
 
-def _identity_field(world, rng, noise_mult=1.0):
+def _identity_field(world, rng):
     """Template content plus identity noise for every cell, noise unscaled."""
     c, x, y = world.dims
     field = world.templates[world.part_grid]          # (X, Y, C)
     field = np.moveaxis(field, -1, 0).astype(np.float64)  # (C, X, Y)
-    sigma = world.config.sigma_id * noise_mult
-    if world.config.sigma_id > 0:
+    sigma = world.config.sigma_id
+    if sigma > 0:
         field = field + rng.normal((c, x, y)) * sigma
         # At least one attenuated cell per sample; the rest Binomial.
         n = x * y
-        extra = int(np.sum(rng.random(n - 1) < world.config.cell_dropout))
+        extra = int(np.sum(rng.random(n - 1) < CELL_DROPOUT))
         cells = rng.choice(n, size=1 + extra, replace=False)
         w = np.ones(n)
-        w[cells] = world.config.dropout_scale
+        w[cells] = DROPOUT_SCALE
         field = field * w.reshape(x, y)[None, :, :]
     return field
 
@@ -357,16 +313,14 @@ def gen_pedestrian(world, scale, rng, pid=0):
     return Proposal(pid, PEDESTRIAN, float(scale), _freeze(feats), score).validate()
 
 
-def sample_mask(world, pattern, rng, min_fraction=0.2, max_fraction=0.8):
+def sample_mask(world, pattern, rng):
     """Draw an occlusion mask of the requested pattern.
 
     All patterns are rejection-sampled until the masked fraction lies within
-    [min_fraction, max_fraction].
+    [MASK_MIN_FRACTION, MASK_MAX_FRACTION].
     """
     if pattern not in MASK_PATTERNS:
         raise PreconditionError(f"unknown mask pattern {pattern!r}")
-    if not (0.0 < min_fraction <= max_fraction < 1.0):
-        raise PreconditionError("mask fraction bounds must satisfy 0 < lo <= hi < 1")
     gx, gy = world.config.grid_x, world.config.grid_y
     for _ in range(1000):
         grid = np.zeros((gx, gy), dtype=bool)
@@ -378,8 +332,8 @@ def sample_mask(world, pattern, rng, min_fraction=0.2, max_fraction=0.8):
             cols = gx // 2 + int(rng.integers(0, 2)) if gx % 2 else gx // 2
             grid[gx - cols:, :] = True
         elif pattern == "bottom":
-            lo = max(1, int(np.ceil(min_fraction * gy)))
-            hi = max(lo, int(np.floor(max_fraction * gy)))
+            lo = max(1, int(np.ceil(MASK_MIN_FRACTION * gy)))
+            hi = max(lo, int(np.floor(MASK_MAX_FRACTION * gy)))
             rows = int(rng.integers(lo, hi + 1))
             grid[:, gy - rows:] = True
         elif pattern == "rect":
@@ -400,10 +354,10 @@ def sample_mask(world, pattern, rng, min_fraction=0.2, max_fraction=0.8):
             keep = (xs >= 0) & (xs < gx) & (ys >= 0) & (ys < gy)
             grid[xs[keep], ys[keep]] = True
         frac = grid.sum() / grid.size
-        if min_fraction <= frac <= max_fraction:
+        if MASK_MIN_FRACTION <= frac <= MASK_MAX_FRACTION:
             return OcclusionMask(grid, shift)
-    raise PreconditionError(
-        f"could not draw a {pattern} mask within [{min_fraction}, {max_fraction}]")
+    raise PreconditionError(f"could not draw a {pattern} mask within "
+                            f"[{MASK_MIN_FRACTION}, {MASK_MAX_FRACTION}]")
 
 
 def draw_occluder_template(world, rng):
@@ -439,8 +393,8 @@ def gen_occluded(world, base, mask, occluder, rng):
             block = np.repeat(template[:, None], m.sum(), axis=1)
             if world.config.sigma_id > 0:
                 block = block + rng.normal(block.shape) * world.config.sigma_id
-                drop = rng.random(m.sum()) < world.config.cell_dropout
-                block = block * np.where(drop, world.config.dropout_scale, 1.0)[None, :]
+                drop = rng.random(m.sum()) < CELL_DROPOUT
+                block = block * np.where(drop, DROPOUT_SCALE, 1.0)[None, :]
             feats[:, m] = s * block
         else:
             other_scale = base.scale * float(rng.uniform(0.8, 1.25))
@@ -506,7 +460,7 @@ def gen_background(world, rng, pid=0):
     minority of cells respond strongly (hard edges), the rest weakly, the
     accidental alignments in between; clutter has no coherent object scale.
     """
-    cfg = world.config
+    sigma_id = world.config.sigma_id
     c, gx, gy = world.dims
     n = gx * gy
     n_aligned = int(rng.integers(3, 5))
@@ -514,15 +468,15 @@ def gen_background(world, rng, pid=0):
     parts = world.part_grid.reshape(-1)
     src_parts = parts[src]
     field = world.templates[src_parts].T.reshape(c, gx, gy).astype(np.float64)
-    if cfg.sigma_id > 0:
-        field = field + rng.normal((c, gx, gy)) * (3.0 * cfg.sigma_id)
-    amp = np.where(rng.random(n) < cfg.bg_strong_frac,
-                   rng.uniform(*cfg.bg_amp_strong, shape=n),
-                   rng.uniform(*cfg.bg_amp_weak, shape=n))
+    if sigma_id > 0:
+        field = field + rng.normal((c, gx, gy)) * (3.0 * sigma_id)
+    amp = np.where(rng.random(n) < BG_STRONG_FRAC,
+                   rng.uniform(*BG_AMP_STRONG, shape=n),
+                   rng.uniform(*BG_AMP_WEAK, shape=n))
     aligned = src_parts == parts
-    amp[aligned] = rng.uniform(*cfg.bg_amp_aligned, shape=int(aligned.sum()))
+    amp[aligned] = rng.uniform(*BG_AMP_ALIGNED, shape=int(aligned.sum()))
     field = field * amp.reshape(gx, gy)[None, :, :]
-    scale = sample_scale(world, rng)
+    scale = sample_scale(rng)
     feats = (scale / SCALE_NORM) * field
     score = detector_score(BACKGROUND, None, rng)
     return Proposal(pid, BACKGROUND, scale, _freeze(feats), score).validate()

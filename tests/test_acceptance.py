@@ -38,7 +38,7 @@ from occfill.occlusion import (
     is_occluded,
     occluded_cells,
 )
-from occfill.prototypes import FeaturePool, build_pool, kmeans, nearest_prototype, wcss
+from occfill.prototypes import FeaturePool, build_pool, kmeans, nearest_prototype
 from occfill.synth import (
     MASK_PATTERNS,
     PEDESTRIAN,
@@ -86,7 +86,7 @@ def flagging_bench():
     """Default world at seed 42 with a bank clustered from 800 visible samples."""
     world = gen_world(WorldConfig(seed=42))
     rng = Rng(42)
-    members = [gen_pedestrian(world, sample_scale(world, rng.split(f"v{i}")),
+    members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(800)]
     bank = kmeans(build_pool(members), k=5, seed=42, restarts=5)
     return world, bank
@@ -150,7 +150,7 @@ def test_criterion_02_kmeans_matches_exhaustive_partitioning():
         feats = rng.split(f"f{trial}").normal((n, 1, 1, 2))
         pool = FeaturePool(feats, rng.split(f"s{trial}").uniform(50, 200, shape=n))
         bank = kmeans(pool, k=k, seed=trial, restarts=20)
-        got = wcss(pool, bank)
+        got = km_oracle.wcss(pool, bank)
         want = km_oracle.brute_force_objective(feats.reshape(n, -1), k)
         mismatches += got != want
     report(2, "clustering objective equals exhaustive optimum",
@@ -188,14 +188,14 @@ def test_criterion_03_training_gradients_match_finite_differences():
 def _localization_ious(sigma, kinds, bank_k, count=500):
     world = gen_world(WorldConfig(sigma_id=sigma, seed=42))
     rng = Rng(42)
-    members = [gen_pedestrian(world, sample_scale(world, rng.split(f"v{i}")),
+    members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(300)]
     bank = kmeans(build_pool(members), k=bank_k, seed=42, restarts=5)
     occ_cfg = OcclusionConfig()
     ious = []
     for i in range(count):
         pr = rng.split(f"o{i}")
-        base = gen_pedestrian(world, sample_scale(world, pr), pr, pid=1000 + i)
+        base = gen_pedestrian(world, sample_scale(pr), pr, pid=1000 + i)
         pattern = MASK_PATTERNS[int(pr.integers(0, len(MASK_PATTERNS)))]
         mask = sample_mask(world, pattern, pr)
         kind = kinds[int(pr.random() < 0.5)] if len(kinds) == 2 else kinds[0]
@@ -223,14 +223,14 @@ def test_criterion_05_occlusion_classification(flagging_bench):
     samples = []
     for i in range(500):
         pr = rng.split(f"e{i}")
-        samples.append((gen_pedestrian(world, sample_scale(world, pr), pr,
+        samples.append((gen_pedestrian(world, sample_scale(pr), pr,
                                        pid=5000 + i), False))
     drawn = 0
     while sum(occ for _, occ in samples) < 500:
         pr = rng.split(f"o{drawn}")
         drawn += 1
         assert drawn < 5000, "occluded sampling failed to reach 500 samples"
-        base = gen_pedestrian(world, sample_scale(world, pr), pr, pid=6000 + drawn)
+        base = gen_pedestrian(world, sample_scale(pr), pr, pid=6000 + drawn)
         pattern = MASK_PATTERNS[int(pr.integers(0, len(MASK_PATTERNS)))]
         mask = sample_mask(world, pattern, pr)
         kind = "object" if pr.random() < 0.5 else "pedestrian"

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 
 import numpy as np
@@ -15,7 +18,7 @@ from occfill.cli import (
     parse_config_text,
     synthesize,
 )
-from occfill.completion import read_model
+from occfill.completion import STAGES, read_model
 from occfill.errors import PreconditionError
 from occfill.eval import mask_iou
 from occfill.ndnum import Rng
@@ -152,6 +155,36 @@ class TestRunConfigValidate:
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(PreconditionError, match=match):
             RunConfig(**kwargs).validate()
+
+    def test_every_stage_config_field_follows_a_run_config_field(self):
+        # A stage config field that no RunConfig field moves is validated
+        # but can never be set from a config file or a flag.
+        def stage_configs(config):
+            first, second = config.stage_configs()
+            return {"world": config.world_config(), "occ": config.occ_config(),
+                    "train1": first, "train2": second,
+                    "eval": config.eval_config()}
+
+        def nudged(value):
+            if isinstance(value, str):
+                return value + "-x"
+            return value + (1 if isinstance(value, int) else 0.5)
+
+        base = stage_configs(RunConfig())
+        moved = set()
+        for run_field in dataclasses.fields(RunConfig):
+            value = nudged(getattr(RunConfig(), run_field.name))
+            changed = stage_configs(RunConfig(**{run_field.name: value}))
+            for name, sub in base.items():
+                for f in dataclasses.fields(sub):
+                    if getattr(changed[name], f.name) != getattr(sub, f.name):
+                        moved.add((name, f.name))
+        # the stage name is fixed by position, not by a config value
+        assert (base["train1"].stage, base["train2"].stage) == STAGES
+        unset = [f"{name}.{f.name}" for name, sub in base.items()
+                 for f in dataclasses.fields(sub)
+                 if (name, f.name) not in moved and f.name != "stage"]
+        assert unset == []
 
 
 class TestSynthData:
@@ -465,12 +498,56 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_seven_channels_fail_fast(self, tmp_path, capsys):
+    def test_six_channels_fail_fast(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("world.channels = 7\n")
+        cfg.write_text("world.channels = 6\n")
         code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert "at least 8 channels" in capsys.readouterr().err
+        assert "at least 7 channels" in capsys.readouterr().err
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.sampled_from((0, 2 ** 64 - 1)),
+           channels=st.sampled_from((7, 9)),
+           grid=st.sampled_from(((2, 2), (2, 3), (3, 2))),
+           counts=st.tuples(*[st.sampled_from((0, 1))] * 5),
+           iterations=st.tuples(*[st.sampled_from((0, 1))] * 3))
+    def test_boundary_configs_finish_or_fail_fast(self, tmp_path_factory, seed,
+                                                  channels, grid, counts,
+                                                  iterations):
+        # Configs at the validator's edge values run the whole pipeline in
+        # process: each stage exits 0, or one exits 2 with an error line.
+        base = tmp_path_factory.mktemp("edge")
+        cfg = base / "cfg.txt"
+        keys = ("train_visible", "train_occluded", "train_background",
+                "eval_pedestrians", "eval_background")
+        cfg.write_text(
+            f"seed = {seed}\nworld.channels = {channels}\n"
+            f"world.grid_x = {grid[0]}\nworld.grid_y = {grid[1]}\n"
+            + "".join(f"data.{k} = {n}\n" for k, n in zip(keys, counts))
+            + "data.proposals_per_image = 1\nproto.k = 1\nproto.restarts = 1\n"
+            f"train1.iterations = {iterations[0]}\ntrain1.batch_size = 1\n"
+            f"train2.iterations = {iterations[1]}\ntrain2.batch_size = 1\n"
+            f"head.iterations = {iterations[2]}\neval.fppi_count = 2\n")
+        common = ["--config", str(cfg)]
+        data, bank = str(base / "s/train.fcds"), str(base / "b/bank.fcpb")
+        stages = [
+            ["synth-data", *common, "--out", str(base / "s")],
+            ["build-prototypes", *common, "--data", data, "--out", str(base / "b")],
+            ["train", *common, "--data", data, "--bank", bank,
+             "--out", str(base / "t")],
+            ["eval", *common, "--data", str(base / "s/eval.fcds"), "--bank", bank,
+             "--model", str(base / "t/model.fcgd"), "--out", str(base / "e")],
+        ]
+        for argv in stages:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code != 0:
+                assert code == 2, (argv[0], err.getvalue())
+                assert err.getvalue().startswith("error: "), err.getvalue()
+                return
+        assert (base / "e/metrics.csv").is_file()
 
     def test_missing_required_argument(self, capsys):
         assert main(["eval"]) == 2

@@ -130,11 +130,17 @@ def test_dense_backward_single_weight_linear_grad_is_input():
     assert dx[0] == pytest.approx(2.0, abs=1e-15)
 
 
+def scaled_layer(in_dim, out_dim, rng, activation, scale):
+    """A layer drawn like `DenseLayer.init`, with weights at `scale`."""
+    w = rng.normal((out_dim, in_dim)) * scale
+    return ndnum.DenseLayer(w, np.zeros(out_dim), activation)
+
+
 @pytest.mark.parametrize("activation", ndnum.ACTIVATIONS)
 @pytest.mark.parametrize("batch", [None, 4])
 def test_split_gradients_equal_the_parts_of_backward(activation, batch):
     rng = ndnum.Rng(13)
-    layer = ndnum.DenseLayer.init(5, 3, rng.split("layer"), activation, scale=0.8)
+    layer = scaled_layer(5, 3, rng.split("layer"), activation, scale=0.8)
     shape = 5 if batch is None else (5, batch)
     layer.forward(rng.split("x").normal(shape))
     up = rng.split("up").normal(3 if batch is None else (3, batch))
@@ -154,7 +160,7 @@ def test_split_gradients_need_a_forward():
 
 def test_dense_backward_matches_central_differences():
     rng = ndnum.Rng(11)
-    layer = ndnum.DenseLayer.init(5, 4, rng, "sigmoid", scale=0.7)
+    layer = scaled_layer(5, 4, rng, "sigmoid", scale=0.7)
     net = Network([layer])
     err = finite_diff_check(net, rng.normal(5), 1e-6)
     assert err < 1e-5
@@ -187,10 +193,10 @@ def test_network_gradient_check_100_random_configs():
         dims = [int(d) for d in r.integers(1, 17, 3)]
         acts = ["relu", "sigmoid", "identity"]
         layers = [
-            ndnum.DenseLayer.init(dims[0], dims[1], r.split("l1"),
-                                  acts[int(r.integers(0, 3))], scale=0.6),
-            ndnum.DenseLayer.init(dims[1], dims[2], r.split("l2"),
-                                  acts[int(r.integers(0, 3))], scale=0.6),
+            scaled_layer(dims[0], dims[1], r.split("l1"),
+                         acts[int(r.integers(0, 3))], scale=0.6),
+            scaled_layer(dims[1], dims[2], r.split("l2"),
+                         acts[int(r.integers(0, 3))], scale=0.6),
         ]
         net = Network(layers)
         x = r.normal(dims[0])

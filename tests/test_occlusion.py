@@ -19,6 +19,7 @@ from occfill.occlusion import (
 from occfill.prototypes import FeaturePool, build_pool, kmeans, nearest_prototype
 from occfill.synth import (
     MASK_PATTERNS,
+    SCALE_MEANS,
     SCALE_NORM,
     OcclusionMask,
     WorldConfig,
@@ -59,7 +60,7 @@ def xor_toy_check(seed=0, trials=20):
     world = gen_world(WorldConfig(sigma_id=0.0, seed=seed))
     rng = Rng(seed).split("xor-toy")
     gx, gy = world.config.grid_x, world.config.grid_y
-    scale = world.config.scale_means[1]
+    scale = SCALE_MEANS[1]
     base = gen_pedestrian(world, scale, rng.split("base"))
     target = (scale / SCALE_NORM) ** 2
 
@@ -246,14 +247,14 @@ class TestSyntheticRecovery:
         world = gen_world(WorldConfig(sigma_id=0.0, seed=5))
         rng = Rng(55)
         pool = build_pool([
-            gen_pedestrian(world, sample_scale(world, rng.split(f"s{i}")),
+            gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
                            rng.split(f"p{i}"), pid=i)
             for i in range(60)
         ])
         bank = kmeans(pool, k=3, seed=1)
         for i in range(30):
             r = rng.split(f"occ{i}")
-            base = gen_pedestrian(world, sample_scale(world, r), r, pid=100 + i)
+            base = gen_pedestrian(world, sample_scale(r), r, pid=100 + i)
             pattern = MASK_PATTERNS[i % len(MASK_PATTERNS)]
             mask = sample_mask(world, pattern, r)
             sample = gen_occluded(world, base, mask, "object", r)
@@ -266,7 +267,7 @@ class TestSyntheticRecovery:
         world = gen_world(WorldConfig(seed=11))
         rng = Rng(77)
         pool = build_pool([
-            gen_pedestrian(world, sample_scale(world, rng.split(f"s{i}")),
+            gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
                            rng.split(f"p{i}"), pid=i)
             for i in range(300)
         ])
@@ -275,7 +276,7 @@ class TestSyntheticRecovery:
         trials = 1000
         for i in range(trials):
             r = rng.split(f"t{i}")
-            ped = gen_pedestrian(world, sample_scale(world, r), r, pid=1000 + i)
+            ped = gen_pedestrian(world, sample_scale(r), r, pid=1000 + i)
             bg = gen_background(world, r, pid=5000 + i)
             proto = nearest_prototype(bank, ped.scale)
             ped_mean = correlation_map(ped.features, proto.center).mean
@@ -299,13 +300,13 @@ def analysis_set():
     """A seeded bank plus visible, occluded and background proposals."""
     world = gen_world(WorldConfig(seed=21))
     rng = Rng(210)
-    visible = [gen_pedestrian(world, sample_scale(world, rng.split(f"s{i}")),
+    visible = [gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(80)]
     bank = kmeans(build_pool(visible), k=3, seed=4)
     occluded = []
     for i in range(40):
         r = rng.split(f"o{i}")
-        base = gen_pedestrian(world, sample_scale(world, r), r, pid=100 + i)
+        base = gen_pedestrian(world, sample_scale(r), r, pid=100 + i)
         mask = sample_mask(world, MASK_PATTERNS[i % len(MASK_PATTERNS)], r)
         kind = "object" if i % 2 else "pedestrian"
         occluded.append(gen_occluded(world, base, mask, kind, r))

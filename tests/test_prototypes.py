@@ -20,6 +20,14 @@ def scalar_pool(values, scales=None):
     return prototypes.FeaturePool(feats, np.asarray(scales, dtype=np.float64))
 
 
+def wcss(pool, bank):
+    """Within-cluster sum of squares of the pool under the bank's centers."""
+    flat = pool.features.reshape(pool.size, -1)
+    centers = np.stack([p.center.reshape(-1) for p in bank.prototypes])
+    labels = ((flat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    return float(np.sum((flat - centers[labels]) ** 2))
+
+
 def brute_force_objective(flat, k):
     """Global WCSS optimum by enumerating every labeling."""
     n = flat.shape[0]
@@ -83,7 +91,7 @@ def test_two_well_separated_pairs():
     centers = sorted(float(p.center.reshape(())) for p in bank.prototypes)
     assert centers == [0.5, 10.5]
     pool = scalar_pool([0.0, 1.0, 10.0, 11.0])
-    assert prototypes.wcss(pool, bank) == 1.0
+    assert wcss(pool, bank) == 1.0
 
 
 def test_k_equals_pool_size_gives_zero_objective():
@@ -91,7 +99,7 @@ def test_k_equals_pool_size_gives_zero_objective():
     bank = prototypes.kmeans(pool, k=3, seed=1)
     centers = sorted(float(p.center.reshape(())) for p in bank.prototypes)
     assert centers == [3.0, 7.0, 9.0]
-    assert prototypes.wcss(pool, bank) == 0.0
+    assert wcss(pool, bank) == 0.0
     assert all(p.member_count == 1 for p in bank.prototypes)
 
 
@@ -143,7 +151,7 @@ def test_more_iterations_never_hurt():
     pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=30))
     short = prototypes.kmeans(pool, k=3, seed=4, max_iters=1, restarts=1)
     long = prototypes.kmeans(pool, k=3, seed=4, max_iters=200, restarts=1)
-    assert prototypes.wcss(pool, long) <= prototypes.wcss(pool, short) + 1e-12
+    assert wcss(pool, long) <= wcss(pool, short) + 1e-12
 
 
 def test_matches_brute_force_on_small_pools():
@@ -154,7 +162,7 @@ def test_matches_brute_force_on_small_pools():
         feats = rng.normal((n, 1, 1, 2))
         pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=n))
         bank = prototypes.kmeans(pool, k=k, seed=trial, restarts=20)
-        got = prototypes.wcss(pool, bank)
+        got = wcss(pool, bank)
         want = brute_force_objective(feats.reshape(n, -1), k)
         assert got == want
 
