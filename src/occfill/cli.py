@@ -62,12 +62,8 @@ class RunConfig:
     beta_mode: str = "dynamic-mean"
     beta: float = 0.0
     stage1_iterations: int = 2000
-    stage1_disc_steps: int = 1
-    stage1_batch_size: int = 32
     stage1_learn_rate: float = 2e-3
     stage2_iterations: int = 2000
-    stage2_disc_steps: int = 1
-    stage2_batch_size: int = 32
     stage2_learn_rate: float = 2e-4
     head_iterations: int = 500
     head_learn_rate: float = 0.5
@@ -83,12 +79,8 @@ class RunConfig:
                                beta=self.beta)
 
     def stage_configs(self):
-        return (TrainConfig("synthetic", self.stage1_iterations,
-                            self.stage1_disc_steps, self.stage1_batch_size,
-                            self.stage1_learn_rate),
-                TrainConfig("real", self.stage2_iterations,
-                            self.stage2_disc_steps, self.stage2_batch_size,
-                            self.stage2_learn_rate))
+        return (TrainConfig(self.stage1_iterations, self.stage1_learn_rate),
+                TrainConfig(self.stage2_iterations, self.stage2_learn_rate))
 
     def eval_config(self):
         return EvalConfig(fppi_points=tuple(
@@ -136,12 +128,8 @@ CONFIG_KEYS = {
     "occ.beta_mode": ("beta_mode", str),
     "occ.beta": ("beta", float),
     "train1.iterations": ("stage1_iterations", int),
-    "train1.disc_steps": ("stage1_disc_steps", int),
-    "train1.batch_size": ("stage1_batch_size", int),
     "train1.learn_rate": ("stage1_learn_rate", float),
     "train2.iterations": ("stage2_iterations", int),
-    "train2.disc_steps": ("stage2_disc_steps", int),
-    "train2.batch_size": ("stage2_batch_size", int),
     "train2.learn_rate": ("stage2_learn_rate", float),
     "head.iterations": ("head_iterations", int),
     "head.learn_rate": ("head_learn_rate", float),
@@ -269,7 +257,7 @@ def _ped_pools(proposals):
         raise PreconditionError("training dataset holds no occluded pedestrians")
     features = np.stack([p.features for p in occluded])
     scales = np.array([p.scale for p in occluded], dtype=np.float64)
-    return visible, FeaturePool(features, scales), occluded
+    return visible, FeaturePool(features, scales)
 
 
 def train_model(proposals, bank, config):
@@ -278,13 +266,13 @@ def train_model(proposals, bank, config):
     The head is fit on completed features, the distribution it scores at
     eval time: completed occluded pedestrians against completed backgrounds.
     """
-    visible, occ_pool, _ = _ped_pools(proposals)
+    visible, occ_pool = _ped_pools(proposals)
     occ_config = config.occ_config()
     world = gen_world(config.world_config())
     rng = Rng(config.seed)
     gen, disc, history = progressive_train(
         visible, occ_pool, bank, occ_config, config.stage_configs(),
-        rng.split("train"), mask_world=world)
+        rng.split("train"), world)
     LOG.info("adversarial training done (%d iterations)", len(history))
 
     positives, negatives = [], []

@@ -37,10 +37,11 @@ from .occlusion import correlation_map  # noqa: F401
 from .prototypes import FeaturePool, nearest_prototype
 from .synth import MASK_PATTERNS, BinaryReader, sample_mask
 
-STAGES = ("synthetic", "real")
 MODEL_MAGIC = b"FCGD"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 DISC_HIDDEN = 64
+# Samples per side of every minibatch, or the smaller pool when one holds fewer.
+BATCH_SIZE = 32
 MIN_MASK_LIBRARY = 50
 # Steps whose minibatch indices are drawn in one go; bounds the index
 # memory of a training loop or probe, whatever its iteration count.
@@ -59,7 +60,6 @@ class Generator:
             raise PreconditionError("generator needs relu then identity layers")
         self.mix = mix
         self.out = out
-        self._shape = None
 
     @classmethod
     def init(cls, channels, rng):
@@ -96,18 +96,13 @@ class Generator:
         """Refine one (c, x, y) map or a batch (n, c, x, y)."""
         cols, shape = self._columns(features)
         residual = self.out.forward(self.mix.forward(cols))
-        self._shape = shape
         return self._restore(cols + residual, shape)
 
     def backward(self, upstream):
-        """Parameter gradients for the latest forward; returns (grads, d_input)."""
-        if self._shape is None:
-            raise PreconditionError("backward called before forward")
+        """Parameter gradients for the latest forward; no input gradient is formed."""
         up_cols, _ = self._columns(upstream)
         g_out, d_mid = self.out.backward(up_cols)
-        g_mix, d_in = self.mix.backward(d_mid)
-        grads = [g_mix[0], g_mix[1], g_out[0], g_out[1]]
-        return grads, self._restore(up_cols + d_in, self._shape)
+        return [*self.mix.param_grads(d_mid), *g_out]
 
     def params(self):
         return self.mix.params() + self.out.params()
@@ -169,21 +164,12 @@ class Discriminator:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    stage: str = "synthetic"
     iterations: int = 2000
-    disc_steps: int = 1
-    batch_size: int = 32
     learn_rate: float = 2e-3
 
     def validate(self):
-        if self.stage not in STAGES:
-            raise PreconditionError(f"unknown stage {self.stage!r}")
         if self.iterations < 0:
             raise PreconditionError("iterations must be non-negative")
-        if self.disc_steps < 1:
-            raise PreconditionError("disc_steps must be at least 1")
-        if self.batch_size < 1:
-            raise PreconditionError("batch_size must be at least 1")
         if not (self.learn_rate > 0 and np.isfinite(self.learn_rate)):
             raise PreconditionError("learn_rate must be positive and finite")
         return self
@@ -276,25 +262,24 @@ def planned(plan, count):
         yield from zip(*plan(first, min(PLAN_CHUNK, count - first)))
 
 
-def plan_minibatches(rng, first, count, disc_steps, n_occ, n_vis, m, paired):
+def plan_minibatches(rng, first, count, n_occ, n_vis, m, paired):
     """Minibatch indices of training iterations first .. first + count - 1.
 
-    Returns (disc_occ, disc_vis, gen): the discriminator steps' indices,
-    each (count, disc_steps, m), and the generator step's, (count, m).
-    Iteration t draws from stream ``iter-{t}``: discriminator step k takes
-    its occluded and then, unless ``paired``, its visible indices from
-    ``disc-{k}``, and the generator step takes its indices from ``gen``.
+    Returns (disc_occ, disc_vis, gen), each (count, m): the discriminator
+    step's occluded and visible indices and the generator step's. Iteration
+    t draws from stream ``iter-{t}``: the discriminator step takes its
+    occluded and then, unless ``paired``, its visible indices from
+    ``disc-0``, and the generator step takes its indices from ``gen``.
     """
-    disc_occ = np.empty((count, disc_steps, m), dtype=np.int64)
+    disc_occ = np.empty((count, m), dtype=np.int64)
     disc_vis = disc_occ if paired else np.empty_like(disc_occ)
     gen = np.empty((count, m), dtype=np.int64)
     for i in range(count):
         it_rng = rng.split(f"iter-{first + i}")
-        for k in range(disc_steps):
-            step_rng = it_rng.split(f"disc-{k}")
-            disc_occ[i, k] = minibatch(step_rng, n_occ, m)
-            if not paired:
-                disc_vis[i, k] = minibatch(step_rng, n_vis, m)
+        step_rng = it_rng.split("disc-0")
+        disc_occ[i] = minibatch(step_rng, n_occ, m)
+        if not paired:
+            disc_vis[i] = minibatch(step_rng, n_vis, m)
         gen[i] = minibatch(it_rng.split("gen"), n_occ, m)
     return disc_occ, disc_vis, gen
 
@@ -318,16 +303,16 @@ def _gen_step(pools, gen, disc, idx):
 
     up_prob = -1.0 / (m * (1.0 - clamp_prob(p_fake)))
     d_fake = disc.input_grad(up_prob).T.reshape(fake.shape)
-    grads, _ = gen.backward(d_fake)
-    return objective, grads
+    return objective, gen.backward(d_fake)
 
 
 def train_adversarial(pools, gen, disc, config, rng, paired=False, start_iteration=0):
     """Alternate discriminator ascent and generator descent steps.
 
-    Every iteration runs ``disc_steps`` discriminator updates, each on a
-    fresh minibatch drawn uniformly without replacement from each pool,
-    followed by one generator update on its own fresh minibatch. With
+    Every iteration runs one discriminator update on a fresh minibatch drawn
+    uniformly without replacement from each pool, followed by one generator
+    update on its own fresh minibatch. A minibatch holds BATCH_SIZE samples
+    per side, or the size of the smaller pool when that is less. With
     ``paired`` the two pools must align index-to-index and each minibatch
     uses the same indices on both sides. The minibatches are drawn ahead
     of their iterations (see `plan_minibatches`). History rows carry
@@ -338,26 +323,20 @@ def train_adversarial(pools, gen, disc, config, rng, paired=False, start_iterati
     """
     pools.validate()
     config.validate()
-    m = config.batch_size
     n_occ, n_vis = pools.occluded.shape[0], pools.visible.shape[0]
-    if m > n_occ or m > n_vis:
-        raise PreconditionError(
-            f"batch_size {m} exceeds a pool size "
-            f"({n_occ} occluded, {n_vis} visible)")
+    m = min(BATCH_SIZE, n_occ, n_vis)
     if paired and n_occ != n_vis:
         raise PreconditionError("paired training needs pools of equal length")
 
     def plan(first, count):
         return plan_minibatches(rng, start_iteration + first, count,
-                                config.disc_steps, n_occ, n_vis, m, paired)
+                                n_occ, n_vis, m, paired)
 
     history = []
     steps = planned(plan, config.iterations)
-    for t, (disc_occ, disc_vis, gen_idx) in enumerate(steps, start_iteration + 1):
-        disc_obj = accuracy = 0.0
-        for idx_occ, idx_vis in zip(disc_occ, disc_vis):
-            disc_obj, accuracy, grads = _disc_step(pools, gen, disc, idx_occ, idx_vis)
-            disc.set_params(sgd_step(disc.params(), grads, config.learn_rate, "ascend"))
+    for t, (idx_occ, idx_vis, gen_idx) in enumerate(steps, start_iteration + 1):
+        disc_obj, accuracy, grads = _disc_step(pools, gen, disc, idx_occ, idx_vis)
+        disc.set_params(sgd_step(disc.params(), grads, config.learn_rate, "ascend"))
         gen_obj, grads = _gen_step(pools, gen, disc, gen_idx)
         gen.set_params(sgd_step(gen.params(), grads, config.learn_rate, "descend"))
         history.append((t, disc_obj, gen_obj, accuracy))
@@ -388,34 +367,30 @@ def _paste_pool(pool, bank, occ_config):
 
 
 def progressive_train(visible_pool, real_occluded_pool, bank, occ_config,
-                      stage_configs, rng, mask_world=None):
+                      stage_configs, rng, world):
     """Two-stage adversarial training; returns (generator, discriminator, history).
 
-    Stage one mimics occlusion on known-good data: every visible sample
-    gets a mask drawn from the library of masks observed on the real
+    ``stage_configs`` holds the synthetic stage's config, then the real
+    stage's. Stage one mimics occlusion on known-good data: every visible
+    sample gets a mask drawn from the library of masks observed on the real
     occluded pool, prototype values pasted into those cells, and the
     result is trained against the same sample's original features. Stage
     two switches to the real occluded pool, copy-pasted the same way and
     trained against randomly paired visible samples. Generator and
     discriminator parameters carry over between stages.
 
-    When fewer than 50 observed masks exist and ``mask_world`` is given,
-    the library is topped up with synthetic mask patterns drawn from that
-    world; with no world and no observed masks at all, training refuses
-    to start.
+    When fewer than MIN_MASK_LIBRARY observed masks exist, the library is
+    topped up with synthetic mask patterns drawn from ``world``.
     """
     configs = [c.validate() for c in stage_configs]
-    if len(configs) != 2 or configs[0].stage != "synthetic" or configs[1].stage != "real":
+    if len(configs) != 2:
         raise PreconditionError("stage_configs must be (synthetic, real)")
 
     lib = mask_library(real_occluded_pool, bank, occ_config)
-    if len(lib) < MIN_MASK_LIBRARY and mask_world is not None:
-        top_rng = rng.split("mask-top-up")
-        for i in range(MIN_MASK_LIBRARY - len(lib)):
-            pattern = MASK_PATTERNS[i % len(MASK_PATTERNS)]
-            lib.append(sample_mask(mask_world, pattern, top_rng.split(f"m{i}")))
-    if not lib:
-        raise PreconditionError("empty mask library: no occlusion patterns to imitate")
+    top_rng = rng.split("mask-top-up")
+    for i in range(MIN_MASK_LIBRARY - len(lib)):
+        pattern = MASK_PATTERNS[i % len(MASK_PATTERNS)]
+        lib.append(sample_mask(world, pattern, top_rng.split(f"m{i}")))
 
     channels = visible_pool.features.shape[1]
     gen = Generator.init(channels, rng.split("generator"))
@@ -546,9 +521,7 @@ def write_model(path, gen, disc, head, configs, grid):
     chunks.append(struct.pack("<I", len(configs)))
     for cfg in configs:
         cfg.validate()
-        chunks.append(struct.pack("<IIIdB", cfg.iterations, cfg.disc_steps,
-                                  cfg.batch_size, cfg.learn_rate,
-                                  STAGES.index(cfg.stage)))
+        chunks.append(struct.pack("<Id", cfg.iterations, cfg.learn_rate))
     data = b"".join(chunks)
     with open(path, "wb") as fh:
         fh.write(data)
@@ -589,11 +562,7 @@ def read_model(path):
     configs = []
     for i in range(n_cfg):
         rec_pos = r.pos
-        iters, steps, batch, rate, stage = r.unpack("<IIIdB", f"train config {i}")
-        if stage >= len(STAGES):
-            raise FormatError(rec_pos, f"unknown stage code {stage}")
-        cfg = TrainConfig(stage=STAGES[stage], iterations=iters,
-                          disc_steps=steps, batch_size=batch, learn_rate=rate)
+        cfg = TrainConfig(*r.unpack("<Id", f"train config {i}"))
         try:
             cfg.validate()
         except PreconditionError as err:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import PreconditionError, ShapeMismatchError
 from .ndnum import Rng, check_finite, sgd_step
-from .completion import (Discriminator, _ascent_pass, _flatten_batch, minibatch,
-                         planned)
+from .completion import (BATCH_SIZE, Discriminator, _ascent_pass, _flatten_batch,
+                         minibatch, planned)
 
 SUBSETS = ("R", "HO", "R+HO")
 MISS_FLOOR = 1e-4
@@ -258,7 +258,7 @@ def probe_accuracy(features_a, features_b, seed, iterations=2000,
             raise PreconditionError(f"degenerate probe split: empty {name} fold")
 
     disc = Discriminator.init(int(np.prod(a.shape[1:])), rng.split("disc"))
-    m = min(32, train_a.shape[0], train_b.shape[0])
+    m = min(BATCH_SIZE, train_a.shape[0], train_b.shape[0])
 
     def plan(first, count):
         return plan_probe(rng, first, count, train_a.shape[0], train_b.shape[0], m)

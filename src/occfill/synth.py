@@ -46,6 +46,9 @@ SCALE_CEILING_STDS = 1.5
 # Redraw budget of the scale rejection loop, past which a draw fails instead
 # of spinning; the mixture above rejects about one draw in fifteen.
 MAX_SCALE_DRAWS = 100_000
+# Redraw budget of the background cell permutation, past which it fails. On
+# the grids from 2x3 up, seeds 0-999 needed at most 21 draws (3x2).
+MAX_BG_DRAWS = 100
 
 PART_NAMES = ("head", "torso", "left_arm", "right_arm", "left_leg", "right_leg")
 
@@ -96,6 +99,13 @@ class WorldConfig:
                 f"need at least {len(PART_NAMES) + 1} channels, got {self.channels}")
         if self.grid_x < 2 or self.grid_y < 2:
             raise PreconditionError("grid must be at least 2x2")
+        # Background clutter keeps 3 or 4 cells on their own part and moves
+        # every other cell off it; with 3 kept, the last cell of a 2x2 grid
+        # has no source outside its own part.
+        if self.grid_x * self.grid_y < 5:
+            raise PreconditionError(
+                "grid must hold at least 5 cells: a 2x2 grid cannot place "
+                "background clutter off its parts")
         if self.sigma_id < 0:
             raise PreconditionError("sigma_id must be non-negative")
         return self
@@ -418,9 +428,20 @@ def _bg_cell_permutation(world, rng, n_aligned):
 
     Returns src such that cell i shows the template of cell src[i]; exactly
     n_aligned cells draw their source from their own part, every other cell
-    from a different part.
+    from a different part. A draw whose swap search stalls is thrown away
+    and redrawn from the same stream, at most MAX_BG_DRAWS times in all.
     """
     parts = world.part_grid.reshape(-1)
+    for _ in range(MAX_BG_DRAWS):
+        src = _bg_cell_draw(parts, rng, n_aligned)
+        if src is not None:
+            return src
+    raise PreconditionError(
+        f"could not derange background cells in {MAX_BG_DRAWS} draws")
+
+
+def _bg_cell_draw(parts, rng, n_aligned):
+    """One attempt of `_bg_cell_permutation`; None when its swap search stalls."""
     n = parts.size
     for _ in range(1000):
         order = rng.permutation(n)
@@ -448,7 +469,7 @@ def _bg_cell_permutation(world, rng, n_aligned):
         j = rest[int(rng.integers(0, rest.size))]
         if parts[src[j]] != parts[i] and parts[src[i]] != parts[j]:
             src[i], src[j] = src[j], src[i]
-    raise PreconditionError("could not derange background cells")  # pragma: no cover
+    return None
 
 
 def gen_background(world, rng, pid=0):

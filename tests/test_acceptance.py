@@ -73,11 +73,11 @@ def eval_compactness(eval_set, bank, gen, occ_config):
 
 
 def identity_generator(train, bank, config):
-    visible, occ_pool, _ = _ped_pools(train)
+    visible, occ_pool = _ped_pools(train)
     world = gen_world(config.world_config())
-    zero = (TrainConfig("synthetic", 0), TrainConfig("real", 0))
+    zero = (TrainConfig(0), TrainConfig(0))
     gen, _, _ = progressive_train(visible, occ_pool, bank, config.occ_config(),
-                                  zero, Rng(0), mask_world=world)
+                                  zero, Rng(0), world)
     return gen
 
 
@@ -281,22 +281,19 @@ def test_criterion_08_progressive_training_is_better_and_steadier():
                        eval_pedestrians=300, eval_background=0).validate()
     train, eval_set, _ = synthesize(config)
     bank = kmeans(build_pool(train), k=5, seed=42, restarts=5)
-    visible, occ_pool, _ = _ped_pools(train)
+    visible, occ_pool = _ped_pools(train)
     world = gen_world(config.world_config())
     occ_cfg = config.occ_config()
 
     def final_ratio(stages, s):
         gen, _, _ = progressive_train(visible, occ_pool, bank, occ_cfg,
-                                      stages, Rng(s).split("t"),
-                                      mask_world=world)
+                                      stages, Rng(s).split("t"), world)
         return eval_compactness(eval_set, bank, gen, occ_cfg)
 
     # same total budget and base rate; the gentler second stage is the
     # schedule under test, the one-stage run keeps the base rate throughout
-    prog_stages = (TrainConfig("synthetic", 2000, 1, 32, 0.02),
-                   TrainConfig("real", 2000, 1, 32, 0.002))
-    direct_stages = (TrainConfig("synthetic", 0, 1, 32, 0.02),
-                     TrainConfig("real", 4000, 1, 32, 0.02))
+    prog_stages = (TrainConfig(2000, 0.02), TrainConfig(2000, 0.002))
+    direct_stages = (TrainConfig(0, 0.02), TrainConfig(4000, 0.02))
     prog = np.array([final_ratio(prog_stages, s) for s in range(5)])
     direct = np.array([final_ratio(direct_stages, s) for s in range(5)])
     report(8, "progressive training is better and steadier",

@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from occfill.cli import (
     parse_config_text,
     synthesize,
 )
-from occfill.completion import STAGES, read_model
+from occfill.completion import TrainConfig, read_model
 from occfill.errors import PreconditionError
 from occfill.eval import mask_iou
 from occfill.ndnum import Rng
@@ -39,9 +41,7 @@ data.eval_background = 40
 proto.k = 3
 proto.restarts = 2
 train1.iterations = 40
-train1.batch_size = 16
 train2.iterations = 40
-train2.batch_size = 16
 head.iterations = 60
 """
 
@@ -103,6 +103,15 @@ class TestConfigText:
         text = config_to_text(RunConfig())
         for key in CONFIG_KEYS:
             assert f"{key}=" in text
+
+    def test_readme_table_names_exactly_the_config_keys(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+        named = []
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                named += re.findall(r"`([^`]+)`", line.split("|")[1])
+        assert sorted(named) == sorted(CONFIG_KEYS)
 
     def test_blank_lines_and_comments_skipped(self):
         mapping = parse_config_text("\n# note\n  \nseed = 3\n# seed = 9\n")
@@ -179,11 +188,8 @@ class TestRunConfigValidate:
                 for f in dataclasses.fields(sub):
                     if getattr(changed[name], f.name) != getattr(sub, f.name):
                         moved.add((name, f.name))
-        # the stage name is fixed by position, not by a config value
-        assert (base["train1"].stage, base["train2"].stage) == STAGES
         unset = [f"{name}.{f.name}" for name, sub in base.items()
-                 for f in dataclasses.fields(sub)
-                 if (name, f.name) not in moved and f.name != "stage"]
+                 for f in dataclasses.fields(sub) if (name, f.name) not in moved]
         assert unset == []
 
 
@@ -299,8 +305,7 @@ class TestTrain:
 
     def test_model_round_trips_stage_configs(self, small_run):
         _, _, _, _, configs = read_model(small_run["model"])
-        assert [c.iterations for c in configs] == [40, 40]
-        assert [c.stage for c in configs] == ["synthetic", "real"]
+        assert configs == (TrainConfig(40, 2e-3), TrainConfig(40, 2e-4))
 
 
 class TestEval:
@@ -505,10 +510,25 @@ class TestExitCodes:
         assert code == 2
         assert "at least 7 channels" in capsys.readouterr().err
 
+    def test_two_by_two_grid_fails_fast(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("world.grid_x = 2\nworld.grid_y = 2\n")
+        code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "at least 5 cells" in capsys.readouterr().err
+
+    def test_removed_training_keys_are_refused(self, tmp_path, capsys):
+        for key in ("train1.disc_steps", "train2.batch_size"):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"{key} = 1\n")
+            code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
+            assert code == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.sampled_from((0, 2 ** 64 - 1)),
            channels=st.sampled_from((7, 9)),
-           grid=st.sampled_from(((2, 2), (2, 3), (3, 2))),
+           grid=st.sampled_from(((2, 3), (3, 2), (3, 3))),
            counts=st.tuples(*[st.sampled_from((0, 1))] * 5),
            iterations=st.tuples(*[st.sampled_from((0, 1))] * 3))
     def test_boundary_configs_finish_or_fail_fast(self, tmp_path_factory, seed,
@@ -525,8 +545,8 @@ class TestExitCodes:
             f"world.grid_x = {grid[0]}\nworld.grid_y = {grid[1]}\n"
             + "".join(f"data.{k} = {n}\n" for k, n in zip(keys, counts))
             + "data.proposals_per_image = 1\nproto.k = 1\nproto.restarts = 1\n"
-            f"train1.iterations = {iterations[0]}\ntrain1.batch_size = 1\n"
-            f"train2.iterations = {iterations[1]}\ntrain2.batch_size = 1\n"
+            f"train1.iterations = {iterations[0]}\n"
+            f"train2.iterations = {iterations[1]}\n"
             f"head.iterations = {iterations[2]}\neval.fppi_count = 2\n")
         common = ["--config", str(cfg)]
         data, bank = str(base / "s/train.fcds"), str(base / "b/bank.fcpb")

@@ -426,15 +426,17 @@ def two_pass_disc_step(pools, gen, disc, idx_occ, idx_vis):
 
 
 def full_backward_gen_step(pools, gen, disc, idx):
-    """The generator step with the discriminator's full backward, whose
-    parameter gradients are discarded."""
+    """The generator step with every layer's full backward, whose unused
+    gradients are discarded."""
     m = len(idx)
     fake = gen.forward(pools.occluded[idx])
     p_fake = disc.forward(fake.reshape(m, -1).T)
     _, objective = adversarial_losses(1.0, p_fake)
     _, d_flat = disc.backward(-1.0 / (m * (1.0 - np.clip(p_fake, 1e-7, 1.0 - 1e-7))))
-    grads, _ = gen.backward(d_flat.T.reshape(fake.shape))
-    return objective, grads
+    up_cols = np.moveaxis(d_flat.T.reshape(fake.shape), 1, 0).reshape(gen.channels, -1)
+    g_out, d_mid = gen.out.backward(up_cols)
+    g_mix, _ = gen.mix.backward(d_mid)
+    return objective, [*g_mix, *g_out]
 
 
 def assert_grads_close(got, want, rel=1e-12):
@@ -525,7 +527,7 @@ class TestLeanSteps:
             return real(params, grads, rate, direction)
 
         monkeypatch.setattr(completion, "sgd_step", poison_after_third_update)
-        cfg = TrainConfig(stage="synthetic", iterations=10, batch_size=4)
+        cfg = TrainConfig(iterations=10)
         with pytest.raises(PreconditionError):
             train_adversarial(pools, gen, disc, cfg, rng.split("t"))
         # The NaN lands during iteration 2's discriminator update. Its
@@ -534,20 +536,19 @@ class TestLeanSteps:
         assert updates == ["ascend", "descend", "ascend", "descend"]
 
 
-def reference_training_draws(rng, iterations, disc_steps, n_occ, n_vis, m,
-                             paired, start_iteration=0):
+def reference_training_draws(rng, iterations, n_occ, n_vis, m, paired,
+                             start_iteration=0):
     """The training loop's draws as it made them before minibatches were
     planned ahead: iteration by iteration, between the updates. Returns
     ([(idx_occ, idx_vis) per discriminator step], [idx per generator step])."""
     disc, gen = [], []
     for t in range(iterations):
         it_rng = rng.split(f"iter-{start_iteration + t}")
-        for k in range(disc_steps):
-            step_rng = it_rng.split(f"disc-{k}")
-            idx_occ = np.sort(step_rng.choice(n_occ, size=m, replace=False))
-            idx_vis = (idx_occ if paired
-                       else np.sort(step_rng.choice(n_vis, size=m, replace=False)))
-            disc.append((idx_occ, idx_vis))
+        step_rng = it_rng.split("disc-0")
+        idx_occ = np.sort(step_rng.choice(n_occ, size=m, replace=False))
+        idx_vis = (idx_occ if paired
+                   else np.sort(step_rng.choice(n_vis, size=m, replace=False)))
+        disc.append((idx_occ, idx_vis))
         gen.append(np.sort(it_rng.split("gen").choice(n_occ, size=m, replace=False)))
     return disc, gen
 
@@ -558,33 +559,31 @@ def assert_same_indices(got, want):
         assert np.array_equal(g, w)
 
 
-PLAN_CASES = [(False, 1), (True, 1), (False, 2), (True, 2)]
-
-
 class TestPlannedMinibatches:
-    @pytest.mark.parametrize("paired,disc_steps", PLAN_CASES)
-    def test_plan_equals_reference_draws(self, paired, disc_steps):
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_plan_equals_reference_draws(self, paired):
         n_vis = 15 if paired else 21
         disc_occ, disc_vis, gen = completion.plan_minibatches(
-            Rng(3).split("t"), 9, 6, disc_steps, 15, n_vis, 5, paired)
-        assert disc_occ.shape == disc_vis.shape == (6, disc_steps, 5)
-        assert gen.shape == (6, 5)
+            Rng(3).split("t"), 9, 6, 15, n_vis, 5, paired)
+        assert disc_occ.shape == disc_vis.shape == gen.shape == (6, 5)
         want_disc, want_gen = reference_training_draws(
-            Rng(3).split("t"), 6, disc_steps, 15, n_vis, 5, paired,
-            start_iteration=9)
-        assert_same_indices(list(disc_occ.reshape(-1, 5)), [o for o, _ in want_disc])
-        assert_same_indices(list(disc_vis.reshape(-1, 5)), [v for _, v in want_disc])
+            Rng(3).split("t"), 6, 15, n_vis, 5, paired, start_iteration=9)
+        assert_same_indices(list(disc_occ), [o for o, _ in want_disc])
+        assert_same_indices(list(disc_vis), [v for _, v in want_disc])
         assert_same_indices(list(gen), want_gen)
 
-    @pytest.mark.parametrize("paired,disc_steps", PLAN_CASES)
+    @pytest.mark.parametrize("paired", [False, True])
     def test_training_steps_get_the_reference_draws_across_chunks(
-            self, paired, disc_steps, monkeypatch):
+            self, paired, monkeypatch):
         # More iterations than one chunk holds, from an offset start, so the
-        # second chunk must pick up at the right iteration label.
+        # second chunk must pick up at the right iteration label. The pools
+        # exceed BATCH_SIZE, so every minibatch is a proper subset.
         iterations = completion.PLAN_CHUNK + 3
+        m = completion.BATCH_SIZE
         rng = Rng(19)
-        pools = FeaturePools(rng.split("occ").normal(shape=(10, 2, 2, 2)),
-                             rng.split("vis").normal(shape=(10 if paired else 13, 2, 2, 2)))
+        n_vis = m + 8 if paired else m + 11
+        pools = FeaturePools(rng.split("occ").normal(shape=(m + 8, 2, 2, 2)),
+                             rng.split("vis").normal(shape=(n_vis, 2, 2, 2)))
         gen = random_generator(2, rng.split("g"))
         disc = random_discriminator(8, 4, rng.split("d"))
         seen_disc, seen_gen = [], []
@@ -600,14 +599,12 @@ class TestPlannedMinibatches:
 
         monkeypatch.setattr(completion, "_disc_step", disc_spy)
         monkeypatch.setattr(completion, "_gen_step", gen_spy)
-        cfg = TrainConfig(stage="synthetic", iterations=iterations,
-                          disc_steps=disc_steps, batch_size=3)
+        cfg = TrainConfig(iterations=iterations)
         _, _, history = train_adversarial(pools, gen, disc, cfg, rng.split("t"),
                                           paired=paired, start_iteration=40)
         assert [row[0] for row in history] == list(range(41, 41 + iterations))
         want_disc, want_gen = reference_training_draws(
-            rng.split("t"), iterations, disc_steps, 10, pools.visible.shape[0], 3,
-            paired, start_iteration=40)
+            rng.split("t"), iterations, m + 8, n_vis, m, paired, start_iteration=40)
         assert_same_indices([o for o, _ in seen_disc], [o for o, _ in want_disc])
         assert_same_indices([v for _, v in seen_disc], [v for _, v in want_disc])
         assert_same_indices(seen_gen, want_gen)
@@ -640,7 +637,7 @@ class TestTrainAdversarial:
         disc = random_discriminator(18, 6, rng.split("d"))
         g_before = [p.copy() for p in gen.params()]
         d_before = [p.copy() for p in disc.params()]
-        cfg = TrainConfig(stage="synthetic", iterations=0)
+        cfg = TrainConfig(iterations=0)
         _, _, history = train_adversarial(pools, gen, disc, cfg, rng.split("t"))
         assert history == []
         assert all(np.array_equal(a, b) for a, b in zip(gen.params(), g_before))
@@ -652,7 +649,7 @@ class TestTrainAdversarial:
         pools = FeaturePools(base + 3.0, base - 3.0)
         gen = Generator.init(2, rng.split("g"))
         disc = Discriminator.init(18, rng.split("d"), width=16)
-        cfg = TrainConfig(stage="synthetic", iterations=200, learn_rate=2e-3)
+        cfg = TrainConfig(iterations=200, learn_rate=2e-3)
         _, _, history = train_adversarial(pools, gen, disc, cfg, rng.split("t"))
         acc = np.array([row[3] for row in history])
         assert acc[-20:].mean() > 0.9
@@ -663,7 +660,7 @@ class TestTrainAdversarial:
         pools = FeaturePools(base.copy(), base.copy())
         gen = Generator.init(2, rng.split("g"))
         disc = Discriminator.init(18, rng.split("d"), width=16)
-        cfg = TrainConfig(stage="synthetic", iterations=500, learn_rate=2e-3)
+        cfg = TrainConfig(iterations=500, learn_rate=2e-3)
         _, _, history = train_adversarial(pools, gen, disc, cfg, rng.split("t"))
         acc = np.array([row[3] for row in history[-100:]])
         assert 0.4 <= acc.mean() <= 0.6
@@ -675,7 +672,7 @@ class TestTrainAdversarial:
             pools = self.make_pools(14, offset=0.5)
             gen = random_generator(2, rng.split("g"))
             disc = random_discriminator(18, 6, rng.split("d"))
-            cfg = TrainConfig(stage="synthetic", iterations=40, batch_size=8)
+            cfg = TrainConfig(iterations=40)
             _, _, history = train_adversarial(pools, gen, disc, cfg, rng.split("t"))
             results.append((gen.params() + disc.params(), history))
         for a, b in zip(results[0][0], results[1][0]):
@@ -695,9 +692,9 @@ class TestTrainAdversarial:
             return real(params, grads, rate, direction)
 
         monkeypatch.setattr(completion, "sgd_step", spy)
-        cfg = TrainConfig(stage="synthetic", iterations=2, disc_steps=3, batch_size=4)
+        cfg = TrainConfig(iterations=2)
         train_adversarial(pools, gen, disc, cfg, rng.split("t"))
-        per_iter = [((6, 18), "ascend")] * 3 + [((2, 2), "descend")]
+        per_iter = [((6, 18), "ascend"), ((2, 2), "descend")]
         assert calls == per_iter * 2
 
     def test_history_numbering_and_offset(self):
@@ -705,19 +702,34 @@ class TestTrainAdversarial:
         pools = self.make_pools(18, n=12)
         gen = random_generator(2, rng.split("g"))
         disc = random_discriminator(18, 6, rng.split("d"))
-        cfg = TrainConfig(stage="real", iterations=5, batch_size=4, learn_rate=2e-4)
+        cfg = TrainConfig(iterations=5, learn_rate=2e-4)
         _, _, history = train_adversarial(pools, gen, disc, cfg, rng.split("t"),
                                           start_iteration=30)
         assert [row[0] for row in history] == [31, 32, 33, 34, 35]
 
-    def test_rejects_oversized_batch(self):
-        rng = Rng(19)
-        pools = self.make_pools(20, n=8)
-        gen = Generator.init(2, rng.split("g"))
-        disc = Discriminator.init(18, rng.split("d"), width=6)
-        cfg = TrainConfig(stage="synthetic", iterations=1, batch_size=9)
-        with pytest.raises(PreconditionError):
-            train_adversarial(pools, gen, disc, cfg, rng.split("t"))
+    def test_minibatch_follows_the_smaller_pool(self, monkeypatch):
+        sizes = []
+        real_disc, real_gen = completion._disc_step, completion._gen_step
+
+        def disc_spy(pools, gen, disc, idx_occ, idx_vis):
+            sizes.append((len(idx_occ), len(idx_vis)))
+            return real_disc(pools, gen, disc, idx_occ, idx_vis)
+
+        def gen_spy(pools, gen, disc, idx):
+            sizes.append((len(idx),))
+            return real_gen(pools, gen, disc, idx)
+
+        monkeypatch.setattr(completion, "_disc_step", disc_spy)
+        monkeypatch.setattr(completion, "_gen_step", gen_spy)
+        for n_occ, n_vis, want in ((8, 50, 8), (50, 9, 9), (40, 40, 32), (32, 33, 32)):
+            rng = Rng(19)
+            pools = FeaturePools(rng.split("occ").normal(shape=(n_occ, 2, 3, 3)),
+                                 rng.split("vis").normal(shape=(n_vis, 2, 3, 3)))
+            gen = Generator.init(2, rng.split("g"))
+            disc = Discriminator.init(18, rng.split("d"), width=6)
+            sizes.clear()
+            train_adversarial(pools, gen, disc, TrainConfig(iterations=2), rng.split("t"))
+            assert sizes == [(want, want), (want,)] * 2
 
     def test_paired_needs_equal_pool_sizes(self):
         rng = Rng(21)
@@ -725,27 +737,22 @@ class TestTrainAdversarial:
                              Rng(2).normal(shape=(9, 2, 3, 3)))
         gen = Generator.init(2, rng.split("g"))
         disc = Discriminator.init(18, rng.split("d"), width=6)
-        cfg = TrainConfig(stage="synthetic", iterations=1, batch_size=4)
+        cfg = TrainConfig(iterations=1)
         with pytest.raises(PreconditionError):
             train_adversarial(pools, gen, disc, cfg, rng.split("t"), paired=True)
 
     def test_config_validation(self):
         with pytest.raises(PreconditionError):
-            TrainConfig(stage="warmup").validate()
-        with pytest.raises(PreconditionError):
             TrainConfig(iterations=-1).validate()
         with pytest.raises(PreconditionError):
-            TrainConfig(disc_steps=0).validate()
-        with pytest.raises(PreconditionError):
-            TrainConfig(batch_size=0).validate()
-        with pytest.raises(PreconditionError):
             TrainConfig(learn_rate=0.0).validate()
+        with pytest.raises(PreconditionError):
+            TrainConfig(learn_rate=float("nan")).validate()
 
     def test_default_stage_configs(self):
         synth_cfg, real_cfg = RunConfig().stage_configs()
-        assert synth_cfg.stage == "synthetic" and synth_cfg.learn_rate == 2e-3
-        assert real_cfg.stage == "real" and real_cfg.learn_rate == 2e-4
-        assert synth_cfg.iterations == real_cfg.iterations == 2000
+        assert synth_cfg == TrainConfig(iterations=2000, learn_rate=2e-3)
+        assert real_cfg == TrainConfig(iterations=2000, learn_rate=2e-4)
 
 
 def build_training_world(sigma, seed, scale=105.0, n_vis=60, n_occ=40):
@@ -778,14 +785,14 @@ def clean_setup():
 
 class TestProgressiveTrain:
     def small_configs(self, t1=30, t2=20):
-        return (TrainConfig(stage="synthetic", iterations=t1, learn_rate=2e-3),
-                TrainConfig(stage="real", iterations=t2, learn_rate=2e-4))
+        return (TrainConfig(iterations=t1, learn_rate=2e-3),
+                TrainConfig(iterations=t2, learn_rate=2e-4))
 
     def test_zero_iterations_yield_identity_generator(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
         gen, _, history = progressive_train(
             pool_vis, pool_occ, bank, OcclusionConfig(),
-            self.small_configs(0, 0), Rng(1))
+            self.small_configs(0, 0), Rng(1), world)
         assert history == []
         x = Rng(2).normal(shape=(16, 7, 7))
         assert np.array_equal(gen.forward(x), x)
@@ -794,7 +801,7 @@ class TestProgressiveTrain:
         world, pool_vis, pool_occ, bank = noisy_setup
         gen, _, history = progressive_train(
             pool_vis, pool_occ, bank, OcclusionConfig(),
-            self.small_configs(25, 0), Rng(3))
+            self.small_configs(25, 0), Rng(3), world)
         assert [row[0] for row in history] == list(range(1, 26))
         fresh = Generator.init(16, Rng(3).split("generator"))
         moved = max(np.max(np.abs(a - b))
@@ -805,15 +812,15 @@ class TestProgressiveTrain:
         world, pool_vis, pool_occ, bank = noisy_setup
         _, _, history = progressive_train(
             pool_vis, pool_occ, bank, OcclusionConfig(),
-            self.small_configs(12, 7), Rng(4))
+            self.small_configs(12, 7), Rng(4), world)
         assert [row[0] for row in history] == list(range(1, 20))
 
     def test_zero_gap_generator_stays_identity(self, clean_setup):
         world, pool_vis, pool_occ, bank = clean_setup
-        configs = (TrainConfig(stage="synthetic", iterations=300, learn_rate=2e-3),
-                   TrainConfig(stage="real", iterations=200, learn_rate=2e-4))
+        configs = (TrainConfig(iterations=300, learn_rate=2e-3),
+                   TrainConfig(iterations=200, learn_rate=2e-4))
         gen, _, _ = progressive_train(
-            pool_vis, pool_occ, bank, OcclusionConfig(), configs, Rng(9))
+            pool_vis, pool_occ, bank, OcclusionConfig(), configs, Rng(9), world)
         fresh = Generator.init(16, Rng(9).split("generator"))
         drift = max(np.max(np.abs(a - b))
                     for a, b in zip(gen.params(), fresh.params()))
@@ -825,40 +832,48 @@ class TestProgressiveTrain:
         for _ in range(2):
             gen, disc, history = progressive_train(
                 pool_vis, pool_occ, bank, OcclusionConfig(),
-                self.small_configs(), Rng(5))
+                self.small_configs(), Rng(5), world)
             runs.append((gen.params() + disc.params(), history))
         for a, b in zip(runs[0][0], runs[1][0]):
             assert np.array_equal(a, b)
         assert runs[0][1] == runs[1][1]
 
-    def test_rejects_misordered_stages(self, noisy_setup):
-        world, pool_vis, pool_occ, bank = noisy_setup
-        configs = (TrainConfig(stage="real", iterations=1),
-                   TrainConfig(stage="synthetic", iterations=1))
-        with pytest.raises(PreconditionError):
-            progressive_train(pool_vis, pool_occ, bank, OcclusionConfig(),
-                              configs, Rng(6))
-
     def test_rejects_single_stage(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
         with pytest.raises(PreconditionError):
             progressive_train(pool_vis, pool_occ, bank, OcclusionConfig(),
-                              (TrainConfig(stage="synthetic", iterations=1),),
-                              Rng(7))
+                              (TrainConfig(iterations=1),), Rng(7), world)
 
-    def test_unoccluded_pool_gives_empty_library(self, clean_setup):
+    def synthetic_masks_drawn(self, monkeypatch, pool_vis, pool_occ, bank, world):
+        """Masks `progressive_train` draws from ``world`` to top up its library."""
+        drawn = []
+        real = completion.sample_mask
+
+        def spy(world, pattern, rng):
+            drawn.append(pattern)
+            return real(world, pattern, rng)
+
+        monkeypatch.setattr(completion, "sample_mask", spy)
+        _, _, history = progressive_train(
+            pool_vis, pool_occ, bank, OcclusionConfig(),
+            self.small_configs(2, 2), Rng(8), world)
+        assert len(history) == 4
+        return drawn
+
+    def test_unoccluded_pool_gives_empty_library(self, clean_setup, monkeypatch):
+        # nothing observed: the library is the synthetic top-up alone
         world, pool_vis, pool_occ, bank = clean_setup
         assert mask_library(pool_vis, bank) == []
-        with pytest.raises(PreconditionError):
-            progressive_train(pool_vis, pool_vis, bank, OcclusionConfig(),
-                              self.small_configs(2, 2), Rng(8))
+        drawn = self.synthetic_masks_drawn(monkeypatch, pool_vis, pool_vis, bank, world)
+        assert drawn == [MASK_PATTERNS[i % len(MASK_PATTERNS)]
+                         for i in range(MIN_MASK_LIBRARY)]
 
-    def test_mask_world_tops_up_library(self, clean_setup):
-        world, pool_vis, pool_occ, bank = clean_setup
-        gen, _, history = progressive_train(
-            pool_vis, pool_vis, bank, OcclusionConfig(),
-            self.small_configs(2, 2), Rng(8), mask_world=world)
-        assert len(history) == 4
+    def test_mask_world_tops_up_library(self, noisy_setup, monkeypatch):
+        world, pool_vis, pool_occ, bank = noisy_setup
+        observed = len(mask_library(pool_occ, bank))
+        assert 0 < observed < MIN_MASK_LIBRARY
+        drawn = self.synthetic_masks_drawn(monkeypatch, pool_vis, pool_occ, bank, world)
+        assert len(drawn) == MIN_MASK_LIBRARY - observed
 
     def test_observed_masks_found_on_occluded_pool(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
@@ -957,8 +972,8 @@ def small_model(seed=27):
     disc = random_discriminator(8, 4, rng.split("d"))
     head = ScoringHead.init(8, rng.split("h"))
     head.trained = True
-    configs = (TrainConfig(stage="synthetic", iterations=7, batch_size=3),
-               TrainConfig(stage="real", iterations=5, learn_rate=2e-4))
+    configs = (TrainConfig(iterations=7),
+               TrainConfig(iterations=5, learn_rate=2e-4))
     return gen, disc, head, configs
 
 
@@ -1004,7 +1019,7 @@ class TestModelFile:
                  ("disc_hid_w", width * flat * 8), ("disc_hid_b", width * 8),
                  ("disc_read_w", width * 8), ("disc_read_b", 8),
                  ("head_w", flat * 8), ("head_b", 8),
-                 ("flag", 1), ("count", 4), ("cfg0", 21), ("cfg1", 21)]
+                 ("flag", 1), ("count", 4), ("cfg0", 12), ("cfg1", 12)]
         offsets = {}
         pos = 0
         for name, size in sizes:
@@ -1064,19 +1079,19 @@ class TestModelFile:
             read_model(path)
         assert err.value.offset == off
 
-    def test_bad_stage_code_offset(self, tmp_path):
+    def test_version_one_model_refused(self, tmp_path):
+        # version 1 records carried batch size, discriminator steps and stage
         path, data = self.written(tmp_path)
-        off = self.layout()["cfg1"]
-        data[off + 20] = 9
+        data[4:8] = struct.pack("<I", 1)
         path.write_bytes(data)
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(FormatError, match="unsupported version 1") as err:
             read_model(path)
-        assert err.value.offset == off
+        assert err.value.offset == 4
 
     def test_invalid_config_values_offset(self, tmp_path):
         path, data = self.written(tmp_path)
-        off = self.layout()["cfg0"]
-        data[off + 4:off + 8] = struct.pack("<I", 0)
+        off = self.layout()["cfg1"]
+        data[off + 4:off + 12] = struct.pack("<d", 0.0)
         path.write_bytes(data)
         with pytest.raises(FormatError) as err:
             read_model(path)

@@ -325,6 +325,42 @@ def test_background_cell_permutation_alignment_count():
         assert aligned.sum() == k
 
 
+def test_every_accepted_small_grid_draws_backgrounds():
+    # N x 2 grids and 2x3, 3x3 stall the swap search for some draws; the
+    # permutation then redraws instead of failing
+    for gx in range(2, 7):
+        for gy in range(2, 7):
+            config = synth.WorldConfig(channels=7, grid_x=gx, grid_y=gy)
+            if gx * gy < 5:
+                # with 3 cells kept on their own part, the fourth of a 2x2
+                # grid has no other source
+                with pytest.raises(PreconditionError, match="at least 5 cells"):
+                    config.validate()
+                continue
+            world = synth.gen_world(config)
+            parts = world.part_grid.reshape(-1)
+            for seed in range(40):
+                b = synth.gen_background(world, Rng(seed))
+                assert b.features.shape == (7, gx, gy)
+            for k in (3, 4):
+                src = synth._bg_cell_permutation(world, Rng(k), k)
+                assert sorted(src) == list(range(gx * gy))
+                assert (parts[src] == parts).sum() == k
+
+
+def test_background_redraws_are_bounded(monkeypatch):
+    calls = []
+
+    def stalled(parts, rng, n_aligned):
+        calls.append(n_aligned)
+        return None
+
+    monkeypatch.setattr(synth, "_bg_cell_draw", stalled)
+    with pytest.raises(PreconditionError, match=f"{synth.MAX_BG_DRAWS} draws"):
+        synth.gen_background(WORLD, Rng(0))
+    assert len(calls) == synth.MAX_BG_DRAWS
+
+
 # ---------------------------------------------------------------------------
 # map statistics at defaults
 
