@@ -285,7 +285,10 @@ def train_model(proposals, bank, config):
         (positives if p.label == PEDESTRIAN else negatives).append(report.completed)
     if not positives or not negatives:
         raise PreconditionError("no completed samples to fit the scoring head on")
-    head = train_scoring_head(np.stack(positives), np.stack(negatives),
+    # Drop the per-proposal maps once stacked: the fit then holds the two
+    # stacks and its own feature matrix, not a third copy of every map.
+    positives, negatives = np.stack(positives), np.stack(negatives)
+    head = train_scoring_head(positives, negatives,
                               rng.split("head"), iterations=config.head_iterations,
                               learn_rate=config.head_learn_rate)
     LOG.info("scoring head fit on %d positives / %d negatives",
@@ -327,11 +330,12 @@ def evaluate(proposals, bank, gen, head, config):
                    "compactness_ratio": float("nan"),
                    "probe_accuracy": float("nan")}
     if raw_occ and vis_feats:
+        comp_occ, vis_feats = np.stack(comp_occ), np.stack(vis_feats)
         diagnostics["compactness_ratio"] = compactness_ratio(
-            np.stack(raw_occ), np.stack(comp_occ), np.stack(vis_feats))
-    if len(comp_occ) >= PROBE_MIN_SAMPLES and len(vis_feats) >= PROBE_MIN_SAMPLES:
-        diagnostics["probe_accuracy"] = probe_accuracy(
-            np.stack(comp_occ), np.stack(vis_feats), seed=config.seed)
+            np.stack(raw_occ), comp_occ, vis_feats)
+        if min(len(comp_occ), len(vis_feats)) >= PROBE_MIN_SAMPLES:
+            diagnostics["probe_accuracy"] = probe_accuracy(
+                comp_occ, vis_feats, seed=config.seed)
 
     rows = []
     for subset in SUBSETS:

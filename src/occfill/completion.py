@@ -46,6 +46,8 @@ MIN_MASK_LIBRARY = 50
 # Steps whose minibatch indices are drawn in one go; bounds the index
 # memory of a training loop or probe, whatever its iteration count.
 PLAN_CHUNK = 256
+# Columns per block when the head fit takes the rms of its feature matrix.
+HEAD_RMS_BLOCK = 64
 
 
 class Generator:
@@ -440,9 +442,14 @@ class ScoringHead:
 
     @staticmethod
     def _normalize(flat):
-        rms = np.sqrt(np.mean(flat ** 2, axis=0, keepdims=True))
-        return np.divide(flat, rms, out=np.array(flat, dtype=np.float64),
-                         where=rms > 0)
+        """Copy of a (d, n) matrix with its columns scaled to unit rms.
+
+        It copies because in `probability` the array belongs to the caller;
+        `train_scoring_head` owns its matrix and scales it in place instead.
+        """
+        out = np.array(flat, dtype=np.float64)
+        _unit_rms_columns(out)
+        return out
 
     def probability(self, features):
         """Pedestrian probability for one (c, x, y) map or a batch."""
@@ -462,8 +469,27 @@ class ScoringHead:
         self.layer.set_params(params)
 
 
+def _unit_rms_columns(flat):
+    """Scale the columns of a (d, n) matrix to unit rms, in place.
+
+    The rms is taken over HEAD_RMS_BLOCK columns at a time, so no full
+    `flat ** 2` is made. A column's sum runs down axis 0 just as it would
+    over the whole matrix, whichever its memory order, so the blocks do not
+    change one bit of the result.
+    """
+    for start in range(0, flat.shape[1], HEAD_RMS_BLOCK):
+        cols = flat[:, start:start + HEAD_RMS_BLOCK]
+        rms = np.sqrt(np.mean(cols ** 2, axis=0, keepdims=True))
+        np.divide(cols, rms, out=cols, where=rms > 0)
+
+
 def train_scoring_head(positives, negatives, rng, iterations=500, learn_rate=0.5):
-    """Fit the logistic head with cross-entropy: positives against negatives."""
+    """Fit the logistic head with cross-entropy: positives against negatives.
+
+    The inputs are only read. The fit holds one (d, n_pos + n_neg) copy of
+    them, normalized in place, so its memory beyond the inputs is one
+    feature matrix.
+    """
     pos = np.asarray(positives, dtype=np.float64)
     neg = np.asarray(negatives, dtype=np.float64)
     if pos.ndim != 4 or neg.ndim != 4 or pos.shape[1:] != neg.shape[1:]:
@@ -471,8 +497,8 @@ def train_scoring_head(positives, negatives, rng, iterations=500, learn_rate=0.5
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise PreconditionError("head training pools must be non-empty")
     head = ScoringHead.init(int(np.prod(pos.shape[1:])), rng.split("head-init"))
-    flat = head._normalize(np.concatenate(
-        [_flatten_batch(pos), _flatten_batch(neg)], axis=1))
+    flat = np.concatenate([_flatten_batch(pos), _flatten_batch(neg)], axis=1)
+    _unit_rms_columns(flat)
     labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
     n = labels.size
     for _ in range(iterations):

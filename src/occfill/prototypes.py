@@ -20,6 +20,8 @@ from .ndnum import Rng, check_finite
 from .synth import PEDESTRIAN, BinaryReader
 
 FULLY_VISIBLE = 0.99
+# Pool rows per block of the k-means distance pass.
+ASSIGN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,24 @@ def _plus_plus_seed(flat, k, rng):
 
 
 def _assign(flat, centers):
-    d2 = ((flat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    """Nearest center of every row and the (n, k) squared distances.
+
+    Distances are taken ASSIGN_BLOCK rows and one center at a time in a
+    reused buffer, so the largest temporary is ASSIGN_BLOCK x d instead of
+    n x k x d. Each distance still sums the same d contiguous squares, so
+    the result equals the broadcast `((flat[:, None] - centers) ** 2).sum(2)`
+    bit for bit.
+    """
+    n = flat.shape[0]
+    d2 = np.empty((n, centers.shape[0]))
+    buf = np.empty((min(n, ASSIGN_BLOCK), flat.shape[1]))
+    for start in range(0, n, ASSIGN_BLOCK):
+        rows = flat[start:start + ASSIGN_BLOCK]
+        diff = buf[:rows.shape[0]]
+        for j, center in enumerate(centers):
+            np.subtract(rows, center, out=diff)
+            np.square(diff, out=diff)
+            diff.sum(axis=1, out=d2[start:start + rows.shape[0], j])
     return d2.argmin(axis=1), d2
 
 
@@ -153,7 +172,7 @@ def kmeans(pool, k=5, seed=0, max_iters=100, restarts=5):
             f"pool holds {pool.size} entries, fewer than {k} clusters")
     if max_iters < 1 or restarts < 1:
         raise PreconditionError("max_iters and restarts must be >= 1")
-    flat = pool.features.reshape(pool.size, -1).astype(np.float64)
+    flat = pool.features.reshape(pool.size, -1).astype(np.float64, copy=False)
     check_finite(flat, "pool features")
     root = Rng(seed)
     best_labels, best_obj = None, np.inf

@@ -49,6 +49,8 @@ MAX_SCALE_DRAWS = 100_000
 # Redraw budget of the background cell permutation, past which it fails. On
 # the grids from 2x3 up, seeds 0-999 needed at most 21 draws (3x2).
 MAX_BG_DRAWS = 100
+# Swap attempts of one background draw before it counts as stalled.
+BG_SWAPS = 10_000
 
 PART_NAMES = ("head", "torso", "left_arm", "right_arm", "left_leg", "right_leg")
 
@@ -461,7 +463,7 @@ def _bg_cell_draw(parts, rng, n_aligned):
     pool = np.flatnonzero(~used)
     src[rest] = pool[rng.permutation(pool.size)]
     # Swap away accidental within-part matches among the rest.
-    for _ in range(10000):
+    for t in range(BG_SWAPS):
         bad = rest[parts[src[rest]] == parts[rest]]
         if bad.size == 0:
             return src
@@ -469,6 +471,13 @@ def _bg_cell_draw(parts, rng, n_aligned):
         j = rest[int(rng.integers(0, rest.size))]
         if parts[src[j]] != parts[i] and parts[src[i]] != parts[j]:
             src[i], src[j] = src[j], src[i]
+        elif not ((parts[src[rest]] != parts[i])
+                  & (parts[rest] != parts[src[i]])).any():
+            # No cell of the rest can ever trade with i, so src stays as it
+            # is. Make the draws the remaining swaps would, so the stream
+            # moves on exactly as if they had run, and give up now.
+            rng.integers(0, rest.size, shape=BG_SWAPS - 1 - t)
+            return None
     return None
 
 

@@ -273,6 +273,7 @@ def test_criterion_07_completed_features_confuse_a_fresh_probe(default_pipeline)
            f"raw={raw_probe:.4f} (>=0.9) completed={completed_probe:.4f} (<=0.7)")
 
 
+@pytest.mark.slow
 def test_criterion_08_progressive_training_is_better_and_steadier():
     # Fixed dataset and bank; only the training seed varies per run, so the
     # spread measures the stability of each schedule rather than the world.
@@ -328,6 +329,7 @@ def test_criterion_10_miss_rate_matches_threshold_sweep():
            mismatches == 0, f"mismatches={mismatches}/60 subset evaluations")
 
 
+@pytest.mark.slow
 def test_criterion_11_pipeline_is_bit_identical_across_runs(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seed = 42\n")

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from occfill.completion import (
     write_model,
 )
 from occfill.errors import FormatError, PreconditionError, ShapeMismatchError
-from occfill.ndnum import DenseLayer, Rng
+from occfill.ndnum import DenseLayer, Rng, sgd_step, sigmoid
 from occfill.occlusion import OcclusionConfig
 from occfill.prototypes import FeaturePool, build_pool, kmeans
 from occfill.synth import (
@@ -939,6 +940,80 @@ class TestScoringHead:
         head = ScoringHead.init(18, Rng(0))
         with pytest.raises(ShapeMismatchError):
             head.probability(np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("n_pos, n_neg", [(1, 1), (64, 64), (97, 150)])
+    def test_fit_equals_the_concatenating_reference(self, n_pos, n_neg):
+        # 2, 128 and 247 columns against the 64-column rms block, with an
+        # all-zero map among them for the rms = 0 branch
+        rng = Rng(31)
+        pos = rng.split("p").normal(shape=(n_pos, 3, 4, 4)) * 2.0 + 1.0
+        neg = rng.split("n").normal(shape=(n_neg, 3, 4, 4))
+        neg[0] = 0.0
+        got = train_scoring_head(pos, neg, rng.split("t"), iterations=40)
+        want = reference_scoring_head(pos, neg, rng.split("t"), iterations=40)
+        for a, b in zip(got.params(), want.params()):
+            assert a.tobytes() == b.tobytes()
+        assert got.trained
+
+    @pytest.mark.parametrize("shape", [(48, 1), (48, 200), (3, 5)])
+    def test_normalize_equals_the_reference_and_copies(self, shape):
+        # a lone column as `probability` passes it, a batch across the rms
+        # block in both memory orders, and an all-zero column
+        x = Rng(34).normal(shape=shape) * 3.0
+        x[:, 0] = 0.0
+        for flat in (x, np.asfortranarray(x)):
+            before = flat.copy()
+            got = ScoringHead._normalize(flat)
+            assert got.tobytes() == reference_normalize(flat).tobytes()
+            assert np.array_equal(flat, before)
+
+    def test_fit_leaves_its_inputs_alone(self):
+        rng = Rng(32)
+        pos = rng.normal(shape=(20, 2, 3, 3)) + 1.0
+        neg = rng.normal(shape=(30, 2, 3, 3))
+        before = pos.copy(), neg.copy()
+        train_scoring_head(pos, neg, rng.split("t"), iterations=3)
+        assert np.array_equal(pos, before[0]) and np.array_equal(neg, before[1])
+
+    def test_fit_holds_one_feature_matrix(self):
+        # The fit's own feature matrix is one copy of its inputs; the former
+        # concatenate-then-normalize path held two (about 2.0x).
+        rng = Rng(33)
+        pos = rng.normal(shape=(300, 16, 7, 7))
+        neg = rng.normal(shape=(300, 16, 7, 7))
+        tracemalloc.start()
+        try:
+            train_scoring_head(pos, neg, rng.split("t"), iterations=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (pos.nbytes + neg.nbytes)
+
+
+def reference_normalize(flat):
+    """Unit-rms columns as first written: one full `flat ** 2`, then a copy."""
+    rms = np.sqrt(np.mean(flat ** 2, axis=0, keepdims=True))
+    return np.divide(flat, rms, out=np.array(flat, dtype=np.float64),
+                     where=rms > 0)
+
+
+def reference_scoring_head(positives, negatives, rng, iterations, learn_rate=0.5):
+    """The head fit as it was first written: concatenate the two pools, then
+    normalize a copy of the whole matrix."""
+    pos, neg = np.asarray(positives), np.asarray(negatives)
+    head = ScoringHead.init(int(np.prod(pos.shape[1:])), rng.split("head-init"))
+    flat = reference_normalize(np.concatenate(
+        [pos.reshape(pos.shape[0], -1).T, neg.reshape(neg.shape[0], -1).T],
+        axis=1))
+    labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
+    for _ in range(iterations):
+        p = sigmoid(head.layer.weights @ flat + head.layer.bias[:, None])[0]
+        err = ((p - labels) / labels.size)[None, :]
+        head.layer.set_params(sgd_step(
+            head.layer.params(), [err @ flat.T, err.sum(axis=1)], learn_rate,
+            "descend"))
+    head.trained = True
+    return head
 
 
 class FakeProposal:

@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,51 @@ def test_matches_brute_force_on_small_pools():
         got = wcss(pool, bank)
         want = brute_force_objective(feats.reshape(n, -1), k)
         assert got == want
+
+
+def broadcast_assign(flat, centers):
+    """The k-means assignment as first written: one n x k x d broadcast."""
+    d2 = ((flat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1), d2
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (64, 1), (130, 1), (130, 5),
+                                  (800, 5)])
+def test_assign_equals_the_broadcast_reference(n, k):
+    # pools below, at and across the 64-row block, one center and several
+    rng = Rng(81)
+    flat = rng.normal((n, 16 * 7 * 7)) * 3.0 + 1.0
+    centers = rng.normal((k, 16 * 7 * 7))
+    labels, d2 = prototypes._assign(flat, centers)
+    want_labels, want_d2 = broadcast_assign(flat, centers)
+    assert d2.tobytes() == want_d2.tobytes()
+    assert np.array_equal(labels, want_labels)
+
+
+def test_bank_equals_the_one_the_broadcast_builds(monkeypatch):
+    pool = prototypes.build_pool(_mini_dataset())
+    got = prototypes.kmeans(pool, k=3, seed=9)
+    monkeypatch.setattr(prototypes, "_assign", broadcast_assign)
+    want = prototypes.kmeans(pool, k=3, seed=9)
+    for a, b in zip(got.prototypes, want.prototypes):
+        assert a.center.tobytes() == b.center.tobytes()
+        assert (a.scale_mean, a.scale_std, a.member_count) == \
+            (b.scale_mean, b.scale_std, b.member_count)
+
+
+def test_kmeans_memory_stays_near_the_pool():
+    # k-means reads the pool in place and keeps no n x k x d temporary; the
+    # broadcast assignment and a float64 copy of the pool peaked near 6x.
+    rng = Rng(82)
+    feats = rng.normal((800, 16, 7, 7))
+    pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=800))
+    tracemalloc.start()
+    try:
+        prototypes.kmeans(pool, k=5, seed=0, max_iters=5, restarts=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * feats.nbytes
 
 
 # ---------------------------------------------------------------------------

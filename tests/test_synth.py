@@ -348,6 +348,76 @@ def test_every_accepted_small_grid_draws_backgrounds():
                 assert (parts[src] == parts).sum() == k
 
 
+def reference_bg_cell_draw(parts, rng, n_aligned):
+    """`synth._bg_cell_draw` as first written: a stalled swap search spins
+    through all of its 10,000 attempts before it gives up."""
+    n = parts.size
+    for _ in range(1000):
+        order = rng.permutation(n)
+        aligned, rest = order[:n_aligned], order[n_aligned:]
+        counts = np.bincount(parts[aligned], minlength=parts.max() + 1)
+        if (counts <= np.bincount(parts, minlength=parts.max() + 1)).all():
+            break
+    src = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+    for a in aligned:
+        cand = np.flatnonzero((parts == parts[a]) & ~used)
+        pick = cand[int(rng.integers(0, len(cand)))]
+        src[a] = pick
+        used[pick] = True
+    pool = np.flatnonzero(~used)
+    src[rest] = pool[rng.permutation(pool.size)]
+    for _ in range(10000):
+        bad = rest[parts[src[rest]] == parts[rest]]
+        if bad.size == 0:
+            return src
+        i = bad[0]
+        j = rest[int(rng.integers(0, rest.size))]
+        if parts[src[j]] != parts[i] and parts[src[i]] != parts[j]:
+            src[i], src[j] = src[j], src[i]
+    return None
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("gx, gy", [(3, 2), (4, 2), (2, 3), (3, 3)])
+def test_backgrounds_equal_the_full_swap_search(monkeypatch, gx, gy):
+    # grids where draws stall; an early give-up must leave the stream where
+    # the full search would, so every background comes out the same
+    world = synth.gen_world(synth.WorldConfig(channels=7, grid_x=gx, grid_y=gy))
+    got = [synth.gen_background(world, Rng(seed)) for seed in range(120)]
+    monkeypatch.setattr(synth, "_bg_cell_draw", reference_bg_cell_draw)
+    want = [synth.gen_background(world, Rng(seed)) for seed in range(120)]
+    for a, b in zip(got, want):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert (a.scale, a.score) == (b.scale, b.score)
+
+
+class CountingRng(Rng):
+    """A stream that counts its `integers` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.integer_calls = 0
+
+    def integers(self, low, high, shape=None):
+        self.integer_calls += 1
+        return super().integers(low, high, shape)
+
+
+def test_a_stalled_background_draw_gives_up_at_once():
+    world = synth.gen_world(synth.WorldConfig(channels=7, grid_x=3, grid_y=2))
+    parts = world.part_grid.reshape(-1)
+    stalls = 0
+    for seed in range(40):
+        rng = CountingRng(seed)
+        if synth._bg_cell_draw(parts, rng, 3) is None:
+            stalls += 1
+            # the aligned picks, a few swap attempts and one bulk draw, not
+            # one call per remaining attempt
+            assert rng.integer_calls < 50
+    assert stalls > 0
+
+
 def test_background_redraws_are_bounded(monkeypatch):
     calls = []
 
