@@ -97,9 +97,11 @@ class RunConfig:
             raise PreconditionError("data.proposals_per_image must be >= 1")
         if self.proto_k < 1 or self.proto_restarts < 1:
             raise PreconditionError("proto.k and proto.restarts must be >= 1")
-        if self.head_iterations < 0 or self.head_learn_rate <= 0:
+        if self.head_iterations < 0:
+            raise PreconditionError("head.iterations must be >= 0")
+        if not (self.head_learn_rate > 0 and np.isfinite(self.head_learn_rate)):
             raise PreconditionError(
-                "head.iterations must be >= 0 and head.learn_rate positive")
+                f"head.learn_rate must be positive and finite, got {self.head_learn_rate}")
         if self.fppi_count < 2:
             raise PreconditionError("eval.fppi_count must be >= 2")
         self.world_config().validate()
@@ -244,8 +246,8 @@ def complete_proposal(features, scale, bank, gen, occ_config):
     found = analyze(features, scale, bank, occ_config)
     completed = None
     if found.occluded:
-        completed = gen.forward(copy_paste(features, found.prototype.center,
-                                           found.mask))
+        pasted = copy_paste(features, found.prototype.center, found.mask)
+        completed = gen.forward(pasted[None])[0]
     return ProposalReport(**vars(found), completed=completed)
 
 

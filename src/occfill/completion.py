@@ -76,26 +76,18 @@ class Generator:
 
     def _columns(self, features):
         feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim == 3:
-            c = feats.shape[0]
-            cols = feats.reshape(c, -1)
-        elif feats.ndim == 4:
-            c = feats.shape[1]
-            cols = np.moveaxis(feats, 1, 0).reshape(c, -1)
-        else:
-            raise PreconditionError("generator input must be (c, x, y) or (n, c, x, y)")
+        if feats.ndim != 4:
+            raise PreconditionError("generator input must be a batch (n, c, x, y)")
+        c = feats.shape[1]
         if c != self.channels:
             raise ShapeMismatchError("generator input channels", (c,), (self.channels,))
-        return cols, feats.shape
+        return feats.swapaxes(0, 1).reshape(c, -1), feats.shape
 
     def _restore(self, cols, shape):
-        if len(shape) == 3:
-            return cols.reshape(shape)
-        moved = cols.reshape((shape[1], shape[0]) + shape[2:])
-        return np.moveaxis(moved, 0, 1)
+        return cols.reshape((shape[1], shape[0]) + shape[2:]).swapaxes(0, 1)
 
     def forward(self, features):
-        """Refine one (c, x, y) map or a batch (n, c, x, y)."""
+        """Refine a batch (n, c, x, y); one map is a batch of one."""
         cols, shape = self._columns(features)
         residual = self.out.forward(self.mix.forward(cols))
         return self._restore(cols + residual, shape)
@@ -139,7 +131,7 @@ class Discriminator:
         return self.hidden.in_dim
 
     def forward(self, flat):
-        """Probabilities for a (d,) vector or (d, n) column batch."""
+        """(1, n) probabilities for a (d, n) batch of flattened maps."""
         return self.readout.forward(self.hidden.forward(flat))
 
     def backward(self, upstream):
@@ -440,27 +432,15 @@ class ScoringHead:
     def in_dim(self):
         return self.layer.in_dim
 
-    @staticmethod
-    def _normalize(flat):
-        """Copy of a (d, n) matrix with its columns scaled to unit rms.
-
-        It copies because in `probability` the array belongs to the caller;
-        `train_scoring_head` owns its matrix and scales it in place instead.
-        """
-        out = np.array(flat, dtype=np.float64)
-        _unit_rms_columns(out)
-        return out
-
     def probability(self, features):
-        """Pedestrian probability for one (c, x, y) map or a batch."""
+        """(n,) pedestrian probabilities for a batch (n, c, x, y); one map
+        is a batch of one. The rms scaling works on a copy of the maps."""
         feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim == 3:
-            flat = feats.reshape(-1)
-            if flat.shape[0] != self.in_dim:
-                raise ShapeMismatchError("head input", flat, (self.in_dim,))
-            return float(self.layer.forward(self._normalize(flat[:, None]))[0, 0])
-        flat = _flatten_batch(feats)
-        return self.layer.forward(self._normalize(flat))[0]
+        if feats.ndim != 4:
+            raise PreconditionError("head input must be a batch (n, c, x, y)")
+        flat = np.array(_flatten_batch(feats))
+        _unit_rms_columns(flat)
+        return self.layer.forward(flat)[0]
 
     def params(self):
         return self.layer.params()
@@ -525,7 +505,7 @@ def rescore(proposal, completed, head, occluded):
         return proposal.score
     if not head.trained:
         raise PreconditionError("scoring head is untrained")
-    return head.probability(np.asarray(completed, dtype=np.float64))
+    return float(head.probability(np.asarray(completed)[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -106,11 +106,11 @@ class Rng:
 class DenseLayer:
     """Fully connected layer with a cached forward pass for backprop.
 
-    Weights have shape (out_dim, in_dim). `forward` accepts a single vector
-    (in_dim,) or a column batch (in_dim, n) and caches input,
-    pre-activation and activation; `backward` replays the cache to produce
-    parameter and input gradients. Cached and returned arrays are never
-    written to afterwards.
+    Weights have shape (out_dim, in_dim). `forward` takes a column batch
+    (in_dim, n), one sample per column, and caches input, pre-activation
+    and activation; `backward` replays the cache to produce parameter and
+    input gradients. Cached and returned arrays are never written to
+    afterwards.
     """
 
     def __init__(self, weights, bias, activation="identity"):
@@ -146,9 +146,6 @@ class DenseLayer:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[:, None]
         if x.ndim != 2 or x.shape[0] != self.in_dim:
             raise ShapeMismatchError("dense input", x, (self.in_dim, -1))
         z = self.weights @ x
@@ -161,17 +158,14 @@ class DenseLayer:
             a = z
         self._cache = (x, z, a)
         check_finite(a, "dense output")
-        return a[:, 0] if single else a
+        return a
 
     def _pre_activation_grad(self, upstream):
-        """(cached input, gradient at the pre-activation, single-vector flag)."""
+        """(cached input, gradient at the pre-activation)."""
         if self._cache is None:
             raise PreconditionError("backward called before forward")
         x, z, a = self._cache
         up = np.asarray(upstream, dtype=np.float64)
-        single = up.ndim == 1
-        if single:
-            up = up[:, None]
         if up.shape != (self.out_dim, x.shape[1]):
             raise ShapeMismatchError("upstream gradient", up, (self.out_dim, x.shape[1]))
         if self.activation == "relu":
@@ -180,24 +174,22 @@ class DenseLayer:
             dz = up * a * (1.0 - a)
         else:
             dz = up
-        return x, dz, single
+        return x, dz
 
     def backward(self, upstream):
         """Gradients for the most recent forward; returns ((dW, db), dx)."""
-        x, dz, single = self._pre_activation_grad(upstream)
-        dx = self.weights.T @ dz
-        return (dz @ x.T, dz.sum(axis=1)), dx[:, 0] if single else dx
+        x, dz = self._pre_activation_grad(upstream)
+        return (dz @ x.T, dz.sum(axis=1)), self.weights.T @ dz
 
     def param_grads(self, upstream):
         """(dW, db) for the most recent forward, without the input gradient."""
-        x, dz, _ = self._pre_activation_grad(upstream)
+        x, dz = self._pre_activation_grad(upstream)
         return dz @ x.T, dz.sum(axis=1)
 
     def input_grad(self, upstream):
         """dx for the most recent forward, without the parameter gradients."""
-        _, dz, single = self._pre_activation_grad(upstream)
-        dx = self.weights.T @ dz
-        return dx[:, 0] if single else dx
+        _, dz = self._pre_activation_grad(upstream)
+        return self.weights.T @ dz
 
     def params(self):
         return [self.weights, self.bias]

@@ -108,8 +108,11 @@ class WorldConfig:
             raise PreconditionError(
                 "grid must hold at least 5 cells: a 2x2 grid cannot place "
                 "background clutter off its parts")
-        if self.sigma_id < 0:
-            raise PreconditionError("sigma_id must be non-negative")
+        # NaN fails every comparison: the `sigma_id > 0` tests downstream
+        # would silently draw a noise-free world.
+        if not (self.sigma_id >= 0 and math.isfinite(self.sigma_id)):
+            raise PreconditionError(
+                f"world.sigma_id must be finite and non-negative, got {self.sigma_id}")
         return self
 
 
@@ -583,12 +586,15 @@ class BinaryReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def floats(self, shape, what):
-        """A read-only float64 array of `shape`; every value must be finite."""
-        start = self.pos
-        arr = np.frombuffer(self.take(8 * math.prod(shape), what),
-                            dtype="<f8").reshape(shape)
+        """A read-only float64 array of `shape`; every value must be finite.
+
+        It is a view of the file's bytes, so a parsed file is held once."""
+        start, count = self.pos, math.prod(shape)
+        self.need(8 * count, what)
+        arr = np.frombuffer(self.data, "<f8", count, start).reshape(shape)
         if not np.isfinite(arr).all():
             raise FormatError(start, f"non-finite value in {what}")
+        self.pos += 8 * count
         return arr
 
     def finish(self):

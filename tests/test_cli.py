@@ -14,17 +14,18 @@ from hypothesis import strategies as st
 from occfill.cli import (
     CONFIG_KEYS,
     RunConfig,
+    complete_proposal,
     config_from_mapping,
     config_to_text,
     main,
     parse_config_text,
     synthesize,
 )
-from occfill.completion import TrainConfig, read_model
+from occfill.completion import TrainConfig, copy_paste, read_model, rescore
 from occfill.errors import PreconditionError
 from occfill.eval import mask_iou
 from occfill.ndnum import Rng
-from occfill.occlusion import completion_mask, correlation_map
+from occfill.occlusion import analyze, completion_mask, correlation_map
 from occfill.prototypes import build_pool, nearest_prototype, read_bank
 from occfill.synth import PEDESTRIAN, read_dataset
 
@@ -160,6 +161,10 @@ class TestRunConfigValidate:
         ({"fppi_count": 1}, "fppi_count"),
         ({"alpha": 1.5}, "alpha"),
         ({"beta_mode": "adaptive"}, "beta_mode"),
+        ({"head_learn_rate": float("inf")}, "head.learn_rate"),
+        ({"head_learn_rate": float("nan")}, "head.learn_rate"),
+        ({"sigma_id": float("inf")}, "world.sigma_id"),
+        ({"sigma_id": float("nan")}, "world.sigma_id"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(PreconditionError, match=match):
@@ -296,7 +301,7 @@ class TestTrain:
                 "--data", str(small_run["train"]),
                 "--bank", str(small_run["bank"]), "--out", str(tmp_path)])
         gen, _, head, grid, _ = read_model(tmp_path / "model.fcgd")
-        x = Rng(3).normal(shape=(8, 5, 5)) ** 2
+        x = Rng(3).normal(shape=(8, 5, 5))[None] ** 2
         assert np.array_equal(gen.forward(x), x)
         assert head.trained
         assert tuple(grid) == (5, 5)
@@ -341,6 +346,30 @@ class TestEval:
             assert int(rows[subset]["gt_count"]) == 1
             assert 0.0 <= float(rows[subset]["mr_baseline"]) <= 1.0
             assert 0.0 <= float(rows[subset]["mr_completed"]) <= 1.0
+
+    def test_one_proposal_is_a_row_of_one_batch(self, small_run):
+        # complete_proposal and rescore run one proposal as a batch of one.
+        # The completed map is its row of one batched pass, bit for bit. The
+        # head's score is not: BLAS sums a one-column product in another
+        # order than a many-column one, a few ulp apart.
+        occ_config = config_from_mapping(parse_config_text(SMALL)).occ_config()
+        bank = read_bank(small_run["bank"])
+        gen, _, head, _, _ = read_model(small_run["model"])
+        flagged, pasted = [], []
+        for p in read_dataset(small_run["eval"]):
+            found = analyze(p.features, p.scale, bank, occ_config)
+            if found.occluded:
+                flagged.append(p)
+                pasted.append(copy_paste(p.features, found.prototype.center,
+                                         found.mask))
+        assert len(flagged) >= 8
+        completed = gen.forward(np.stack(pasted))
+        scores = head.probability(completed)
+        for i, p in enumerate(flagged):
+            report = complete_proposal(p.features, p.scale, bank, gen, occ_config)
+            assert np.array_equal(report.completed, completed[i])
+            score = rescore(p, report.completed, head, occluded=True)
+            assert abs(score - scores[i]) <= 1e-12
 
     def test_unreachable_fixed_beta_is_a_no_op(self, small_run, tmp_path):
         # correlations are non-negative, so beta=0 never flags a cell and
@@ -509,6 +538,16 @@ class TestExitCodes:
         code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert "at least 7 channels" in capsys.readouterr().err
+
+    def test_nan_identity_noise_fails_fast(self, tmp_path, capsys):
+        # NaN fails every `sigma_id > 0` test, so synthesis would draw a
+        # noise-free world and exit 0.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("world.sigma_id = nan\n")
+        code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "world.sigma_id must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "train.fcds").exists()
 
     def test_two_by_two_grid_fails_fast(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -69,7 +69,7 @@ def stable_sigmoid(z):
 class TestGenerator:
     def test_zero_init_is_exact_identity(self):
         gen = Generator.init(4, Rng(0))
-        x = Rng(1).normal(shape=(4, 5, 3))
+        x = Rng(1).normal(shape=(4, 5, 3))[None]
         assert np.array_equal(gen.forward(x), x)
 
     def test_zero_init_identity_on_batches(self):
@@ -81,7 +81,7 @@ class TestGenerator:
         rng = Rng(3)
         gen = random_generator(3, rng)
         x = rng.split("x").normal(shape=(3, 4, 2))
-        got = gen.forward(x)
+        got = gen.forward(x[None])[0]
         w1, b1 = gen.mix.weights, gen.mix.bias
         w2, b2 = gen.out.weights, gen.out.bias
         for i in range(4):
@@ -96,7 +96,7 @@ class TestGenerator:
         batch = rng.split("x").normal(shape=(5, 2, 3, 3))
         got = gen.forward(batch)
         for i in range(5):
-            assert np.max(np.abs(got[i] - gen.forward(batch[i]))) <= 1e-12
+            assert np.max(np.abs(got[i] - gen.forward(batch[i][None])[0])) <= 1e-12
 
     def test_rejects_flat_input(self):
         gen = Generator.init(2, Rng(0))
@@ -106,7 +106,7 @@ class TestGenerator:
     def test_rejects_channel_mismatch(self):
         gen = Generator.init(2, Rng(0))
         with pytest.raises(ShapeMismatchError):
-            gen.forward(np.zeros((3, 2, 2)))
+            gen.forward(np.zeros((1, 3, 2, 2)))
 
     def test_rejects_nonsquare_layers(self):
         rng = Rng(0)
@@ -130,16 +130,16 @@ class TestGenerator:
     def test_params_roundtrip_preserves_output(self):
         rng = Rng(5)
         gen = random_generator(3, rng)
-        x = rng.split("x").normal(shape=(3, 3, 3))
+        x = rng.split("x").normal(shape=(3, 3, 3))[None]
         before = gen.forward(x)
         gen.set_params(gen.params())
         assert np.array_equal(gen.forward(x), before)
 
-    def test_single_map_matches_batch_of_one(self):
-        rng = Rng(1)
-        gen = random_generator(2, rng)
-        x = rng.split("x").normal(shape=(2, 3, 3))
-        assert np.array_equal(gen.forward(x), gen.forward(x[None])[0])
+    def test_rejects_single_map(self):
+        # One map is a batch of one, (1, c, x, y); a bare (c, x, y) is refused.
+        gen = Generator.init(2, Rng(0))
+        with pytest.raises(PreconditionError):
+            gen.forward(np.zeros((2, 3, 3)))
 
 
 class TestDiscriminator:
@@ -795,7 +795,7 @@ class TestProgressiveTrain:
             pool_vis, pool_occ, bank, OcclusionConfig(),
             self.small_configs(0, 0), Rng(1), world)
         assert history == []
-        x = Rng(2).normal(shape=(16, 7, 7))
+        x = Rng(2).normal(shape=(16, 7, 7))[None]
         assert np.array_equal(gen.forward(x), x)
 
     def test_stage_two_skipped_when_zero(self, noisy_setup):
@@ -887,26 +887,24 @@ class TestProgressiveTrain:
 class TestScoringHead:
     def test_zero_weights_score_half(self):
         head = ScoringHead(DenseLayer(np.zeros((1, 18)), np.zeros(1), "sigmoid"))
-        x = Rng(1).normal(shape=(2, 3, 3))
+        x = Rng(1).normal(shape=(2, 3, 3))[None]
         assert head.probability(x) == 0.5
 
     def test_all_zero_features_are_safe(self):
         head = ScoringHead(DenseLayer(np.ones((1, 18)), np.zeros(1), "sigmoid"))
-        p = head.probability(np.zeros((2, 3, 3)))
+        p = head.probability(np.zeros((1, 2, 3, 3)))
         assert p == 0.5
 
-    def test_batch_matches_single(self):
-        rng = Rng(23)
-        head = ScoringHead.init(18, rng.split("h"))
-        batch = rng.split("x").normal(shape=(6, 2, 3, 3))
-        got = head.probability(batch)
-        want = np.array([head.probability(batch[i]) for i in range(6)])
-        assert np.max(np.abs(got - want)) <= 1e-12
+    def test_rejects_single_map(self):
+        # One map is a batch of one, (1, c, x, y); a bare (c, x, y) is refused.
+        head = ScoringHead.init(18, Rng(0))
+        with pytest.raises(PreconditionError):
+            head.probability(np.zeros((2, 3, 3)))
 
     def test_scale_invariance_from_normalization(self):
         rng = Rng(24)
         head = ScoringHead.init(18, rng.split("h"))
-        x = rng.split("x").normal(shape=(2, 3, 3))
+        x = rng.split("x").normal(shape=(2, 3, 3))[None]
         assert head.probability(x * 37.0) == pytest.approx(
             head.probability(x), abs=1e-12)
 
@@ -939,7 +937,7 @@ class TestScoringHead:
     def test_input_dim_checked(self):
         head = ScoringHead.init(18, Rng(0))
         with pytest.raises(ShapeMismatchError):
-            head.probability(np.zeros((2, 3, 4)))
+            head.probability(np.zeros((1, 2, 3, 4)))
 
     @pytest.mark.parametrize("n_pos, n_neg", [(1, 1), (64, 64), (97, 150)])
     def test_fit_equals_the_concatenating_reference(self, n_pos, n_neg):
@@ -955,17 +953,21 @@ class TestScoringHead:
             assert a.tobytes() == b.tobytes()
         assert got.trained
 
-    @pytest.mark.parametrize("shape", [(48, 1), (48, 200), (3, 5)])
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 4), (200, 3, 4, 4), (5, 3, 1, 1)])
     def test_normalize_equals_the_reference_and_copies(self, shape):
-        # a lone column as `probability` passes it, a batch across the rms
-        # block in both memory orders, and an all-zero column
+        # `probability` normalizes a copy of the maps: a batch of one as
+        # `rescore` passes it, a batch across the rms block in both memory
+        # orders, and an all-zero map
         x = Rng(34).normal(shape=shape) * 3.0
-        x[:, 0] = 0.0
-        for flat in (x, np.asfortranarray(x)):
-            before = flat.copy()
-            got = ScoringHead._normalize(flat)
-            assert got.tobytes() == reference_normalize(flat).tobytes()
-            assert np.array_equal(flat, before)
+        x[0] = 0.0
+        head = ScoringHead.init(int(np.prod(shape[1:])), Rng(35))
+        for feats in (x, np.asfortranarray(x)):
+            before = feats.copy()
+            got = head.probability(feats)
+            want = reference_normalize(feats.reshape(shape[0], -1).T)
+            assert head.layer._cache[0].tobytes() == want.tobytes()
+            assert got.tobytes() == head.layer.forward(want)[0].tobytes()
+            assert np.array_equal(feats, before)
 
     def test_fit_leaves_its_inputs_alone(self):
         rng = Rng(32)
@@ -1038,7 +1040,7 @@ class TestRescore:
         head = train_scoring_head(base + 4.0, base - 4.0, rng.split("t"))
         completed = base[0] + 4.0
         got = rescore(FakeProposal(0.1), completed, head, occluded=True)
-        assert got == head.probability(completed)
+        assert got == head.probability(completed[None])
 
 
 def small_model(seed=27):

@@ -82,20 +82,20 @@ def finite_diff_check(network, x, epsilon):
 def test_dense_forward_hand_example():
     # weights [[1, 2]], bias [1], identity: 1*3 + 2*4 + 1 = 12
     layer = ndnum.DenseLayer([[1.0, 2.0]], [1.0], "identity")
-    out = layer.forward([3.0, 4.0])
+    out = layer.forward(np.array([3.0, 4.0])[:, None])[:, 0]
     assert out.shape == (1,)
     assert out[0] == pytest.approx(12.0, abs=1e-12)
 
 
 def test_dense_forward_zero_weights_sigmoid_is_half():
     layer = ndnum.DenseLayer(np.zeros((3, 5)), np.zeros(3), "sigmoid")
-    out = layer.forward(np.arange(5.0))
+    out = layer.forward(np.arange(5.0)[:, None])
     assert np.allclose(out, 0.5, atol=1e-15)
 
 
 def test_dense_forward_identity_weights_identity_activation():
     layer = ndnum.DenseLayer(np.eye(4), np.zeros(4), "identity")
-    x = np.array([0.5, -1.0, 2.0, 0.0])
+    x = np.array([0.5, -1.0, 2.0, 0.0])[:, None]
     assert np.array_equal(layer.forward(x), x)
 
 
@@ -104,6 +104,17 @@ def test_dense_forward_dimension_mismatch_names_both_sides():
     with pytest.raises(ShapeMismatchError) as exc:
         layer.forward(np.ones(4))
     assert "(4" in str(exc.value) and "3" in str(exc.value)
+
+
+def test_dense_forward_refuses_a_vector():
+    # One sample is a batch of one column; a 1-d input of the right length
+    # is refused, not promoted.
+    layer = ndnum.DenseLayer(np.ones((2, 3)), np.zeros(2))
+    with pytest.raises(ShapeMismatchError):
+        layer.forward(np.ones(3))
+    layer.forward(np.ones((3, 1)))
+    with pytest.raises(ShapeMismatchError):
+        layer.backward(np.ones(2))
 
 
 def test_dense_backward_before_forward_errors():
@@ -115,16 +126,16 @@ def test_dense_backward_before_forward_errors():
 def test_dense_backward_zero_upstream_gives_zero_grads():
     rng = ndnum.Rng(7)
     layer = ndnum.DenseLayer.init(4, 3, rng, "relu")
-    layer.forward(rng.normal(4))
-    (dw, db), dx = layer.backward(np.zeros(3))
+    layer.forward(rng.normal((4, 1)))
+    (dw, db), dx = layer.backward(np.zeros((3, 1)))
     assert not dw.any() and not db.any() and not dx.any()
 
 
 def test_dense_backward_single_weight_linear_grad_is_input():
     # f(w) = w * x, df/dw = x
     layer = ndnum.DenseLayer([[2.0]], [0.0], "identity")
-    layer.forward([3.5])
-    (dw, db), dx = layer.backward([1.0])
+    layer.forward([[3.5]])
+    (dw, db), dx = layer.backward([[1.0]])
     assert dw[0, 0] == pytest.approx(3.5, abs=1e-15)
     assert db[0] == pytest.approx(1.0, abs=1e-15)
     assert dx[0] == pytest.approx(2.0, abs=1e-15)
@@ -137,13 +148,12 @@ def scaled_layer(in_dim, out_dim, rng, activation, scale):
 
 
 @pytest.mark.parametrize("activation", ndnum.ACTIVATIONS)
-@pytest.mark.parametrize("batch", [None, 4])
+@pytest.mark.parametrize("batch", [1, 4])
 def test_split_gradients_equal_the_parts_of_backward(activation, batch):
     rng = ndnum.Rng(13)
     layer = scaled_layer(5, 3, rng.split("layer"), activation, scale=0.8)
-    shape = 5 if batch is None else (5, batch)
-    layer.forward(rng.split("x").normal(shape))
-    up = rng.split("up").normal(3 if batch is None else (3, batch))
+    layer.forward(rng.split("x").normal((5, batch)))
+    up = rng.split("up").normal((3, batch))
     (dw, db), dx = layer.backward(up)
     pw, pb = layer.param_grads(up)
     assert np.array_equal(pw, dw) and np.array_equal(pb, db)
@@ -162,7 +172,7 @@ def test_dense_backward_matches_central_differences():
     rng = ndnum.Rng(11)
     layer = scaled_layer(5, 4, rng, "sigmoid", scale=0.7)
     net = Network([layer])
-    err = finite_diff_check(net, rng.normal(5), 1e-6)
+    err = finite_diff_check(net, rng.normal((5, 1)), 1e-6)
     assert err < 1e-5
 
 
@@ -199,7 +209,7 @@ def test_network_gradient_check_100_random_configs():
                          acts[int(r.integers(0, 3))], scale=0.6),
         ]
         net = Network(layers)
-        x = r.normal(dims[0])
+        x = r.normal((dims[0], 1))
         if not _fd_oracle_valid(net, x):
             continue
         err = finite_diff_check(net, x, 1e-5)
@@ -214,7 +224,7 @@ def test_finite_diff_constant_network_error_zero():
     # every gradient is exactly reproduced by differences
     layer = ndnum.DenseLayer(np.zeros((2, 3)), np.zeros(2), "identity")
     net = Network([layer])
-    err = finite_diff_check(net, np.zeros(3), 1e-5)
+    err = finite_diff_check(net, np.zeros((3, 1)), 1e-5)
     assert err <= 1e-9
 
 

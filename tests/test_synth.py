@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,6 +495,26 @@ def test_roundtrip_twice_identical_bytes(tmp_path):
     synth.write_dataset(props, p1)
     synth.write_dataset(synth.read_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_read_holds_the_file_once(tmp_path):
+    # Feature arrays are views of the file's bytes, so reading holds the
+    # file once; a copy per field would hold it twice.
+    props = [synth.Proposal(i, p.label, p.scale, p.features, p.score,
+                            visibility=p.visibility, true_mask=p.true_mask)
+             for i, p in enumerate(_sample_proposals() * 44)]
+    path = tmp_path / "data.bin"
+    synth.write_dataset(props, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = synth.read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == len(props)
+    assert not back[0].features.flags.writeable
+    assert peak <= 1.5 * size
 
 
 def test_roundtrip_empty(tmp_path):
