@@ -124,8 +124,8 @@ class TestGenerator:
 
     def test_backward_requires_forward(self):
         gen = Generator.init(2, Rng(0))
-        with pytest.raises(PreconditionError):
-            gen.backward(np.zeros((2, 2, 2)))
+        with pytest.raises(PreconditionError, match="before forward"):
+            gen.backward(np.zeros((1, 2, 2, 2)))
 
     def test_params_roundtrip_preserves_output(self):
         rng = Rng(5)

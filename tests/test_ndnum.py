@@ -102,7 +102,7 @@ def test_dense_forward_identity_weights_identity_activation():
 def test_dense_forward_dimension_mismatch_names_both_sides():
     layer = ndnum.DenseLayer(np.ones((2, 3)), np.zeros(2))
     with pytest.raises(ShapeMismatchError) as exc:
-        layer.forward(np.ones(4))
+        layer.forward(np.ones((4, 1)))
     assert "(4" in str(exc.value) and "3" in str(exc.value)
 
 
@@ -119,8 +119,8 @@ def test_dense_forward_refuses_a_vector():
 
 def test_dense_backward_before_forward_errors():
     layer = ndnum.DenseLayer(np.ones((2, 2)), np.zeros(2))
-    with pytest.raises(PreconditionError):
-        layer.backward(np.ones(2))
+    with pytest.raises(PreconditionError, match="before forward"):
+        layer.backward(np.ones((2, 1)))
 
 
 def test_dense_backward_zero_upstream_gives_zero_grads():
@@ -162,10 +162,10 @@ def test_split_gradients_equal_the_parts_of_backward(activation, batch):
 
 def test_split_gradients_need_a_forward():
     layer = ndnum.DenseLayer(np.ones((2, 2)), np.zeros(2))
-    with pytest.raises(PreconditionError):
-        layer.param_grads(np.ones(2))
-    with pytest.raises(PreconditionError):
-        layer.input_grad(np.ones(2))
+    with pytest.raises(PreconditionError, match="before forward"):
+        layer.param_grads(np.ones((2, 1)))
+    with pytest.raises(PreconditionError, match="before forward"):
+        layer.input_grad(np.ones((2, 1)))
 
 
 def test_dense_backward_matches_central_differences():
