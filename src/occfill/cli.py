@@ -59,8 +59,6 @@ class RunConfig:
     proto_k: int = 5
     proto_restarts: int = 5
     alpha: float = 0.30
-    beta_mode: str = "dynamic-mean"
-    beta: float = 0.0
     stage1_iterations: int = 2000
     stage1_learn_rate: float = 2e-3
     stage2_iterations: int = 2000
@@ -75,8 +73,7 @@ class RunConfig:
                            seed=self.seed)
 
     def occ_config(self):
-        return OcclusionConfig(alpha=self.alpha, beta_mode=self.beta_mode,
-                               beta=self.beta)
+        return OcclusionConfig(alpha=self.alpha)
 
     def stage_configs(self):
         return (TrainConfig(self.stage1_iterations, self.stage1_learn_rate),
@@ -127,8 +124,6 @@ CONFIG_KEYS = {
     "proto.k": ("proto_k", int),
     "proto.restarts": ("proto_restarts", int),
     "occ.alpha": ("alpha", float),
-    "occ.beta_mode": ("beta_mode", str),
-    "occ.beta": ("beta", float),
     "train1.iterations": ("stage1_iterations", int),
     "train1.learn_rate": ("stage1_learn_rate", float),
     "train2.iterations": ("stage2_iterations", int),
@@ -496,9 +491,9 @@ def cmd_inspect(args):
         raise PreconditionError(f"no proposal with id {args.id}")
     proposal = matches[0]
     found = analyze(proposal.features, proposal.scale, bank, config.occ_config())
-    proto, flagged = found.prototype, found.flagged
+    proto, mask = found.prototype, found.mask
     _write_pgm(out / "corr_map.pgm", _gray_scale(found.cmap.grid))
-    _write_pgm(out / "mask.pgm", np.where(found.mask.grid, 255, 0))
+    _write_pgm(out / "mask.pgm", np.where(mask.grid, 255, 0))
     _write_grid_csv(out / "corr_map.csv", found.cmap.grid)
     for channel in range(proposal.features.shape[0]):
         grid = channel_correlation(proposal.features, proto.center, channel).grid
@@ -506,8 +501,8 @@ def cmd_inspect(args):
     print(f"proposal {proposal.id}: label={proposal.label} "
           f"scale={proposal.scale:.2f} visibility={proposal.visibility:.2f}")
     print(f"nearest prototype scale {proto.scale_mean:.2f}; "
-          f"flagged {flagged.count}/{flagged.grid.size} cells "
-          f"({flagged.fraction():.2f}); occluded={found.occluded}")
+          f"flagged {mask.count}/{mask.grid.size} cells "
+          f"({mask.fraction():.2f}); occluded={found.occluded}")
     print(f"heatmaps written to {out}")
     return EXIT_OK
 

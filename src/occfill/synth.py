@@ -280,12 +280,9 @@ def sample_scale(rng):
         else:
             floor = 0.5 * (means[comp - 1] + means[comp]) + 0.01 * means[comp]
             body = means[comp] - floor
-            if body <= 0 or stds[comp] == 0:
-                s = means[comp] + stds[comp] * rng.normal()
-            else:
-                var_log = np.log1p((stds[comp] / body) ** 2)
-                mu_log = np.log(body) - 0.5 * var_log
-                s = floor + np.exp(mu_log + np.sqrt(var_log) * rng.normal())
+            var_log = np.log1p((stds[comp] / body) ** 2)
+            mu_log = np.log(body) - 0.5 * var_log
+            s = floor + np.exp(mu_log + np.sqrt(var_log) * rng.normal())
         if MIN_SCALE <= s <= means[comp] + SCALE_CEILING_STDS * stds[comp]:
             return float(s)
     raise PreconditionError(f"no pedestrian height accepted in {MAX_SCALE_DRAWS} draws")
@@ -448,14 +445,8 @@ def _bg_cell_permutation(world, rng, n_aligned):
 def _bg_cell_draw(parts, rng, n_aligned):
     """One attempt of `_bg_cell_permutation`; None when its swap search stalls."""
     n = parts.size
-    for _ in range(1000):
-        order = rng.permutation(n)
-        aligned, rest = order[:n_aligned], order[n_aligned:]
-        counts = np.bincount(parts[aligned], minlength=parts.max() + 1)
-        if (counts <= np.bincount(parts, minlength=parts.max() + 1)).all():
-            break
-    else:  # pragma: no cover - astronomically unlikely with small n_aligned
-        raise PreconditionError("could not place aligned cells")
+    order = rng.permutation(n)
+    aligned, rest = order[:n_aligned], order[n_aligned:]
     src = np.full(n, -1, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
     for a in aligned:

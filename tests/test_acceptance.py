@@ -191,7 +191,6 @@ def _localization_ious(sigma, kinds, bank_k, count=500):
     members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(300)]
     bank = kmeans(build_pool(members), k=bank_k, seed=42, restarts=5)
-    occ_cfg = OcclusionConfig()
     ious = []
     for i in range(count):
         pr = rng.split(f"o{i}")
@@ -202,7 +201,7 @@ def _localization_ious(sigma, kinds, bank_k, count=500):
         p = gen_occluded(world, base, mask, kind, pr)
         proto = nearest_prototype(bank, p.scale)
         cmap = correlation_map(p.features, proto.center)
-        ious.append(mask_iou(completion_mask(cmap, occ_cfg), p.true_mask))
+        ious.append(mask_iou(completion_mask(cmap), p.true_mask))
     return np.array(ious)
 
 

@@ -94,9 +94,9 @@ class TestConfigText:
     def test_round_trip_preserves_every_field(self):
         config = RunConfig(seed=9, channels=12, grid_x=6, grid_y=8,
                            sigma_id=0.125, train_visible=11, proto_k=2,
-                           alpha=0.45, beta_mode="fixed", beta=0.75,
-                           stage1_learn_rate=3e-3, stage2_iterations=17,
-                           head_learn_rate=0.25, fppi_count=5)
+                           alpha=0.45, stage1_learn_rate=3e-3,
+                           stage2_iterations=17, head_learn_rate=0.25,
+                           fppi_count=5)
         text = config_to_text(config)
         assert config_from_mapping(parse_config_text(text)) == config
 
@@ -160,7 +160,7 @@ class TestRunConfigValidate:
         ({"head_learn_rate": 0.0}, "head"),
         ({"fppi_count": 1}, "fppi_count"),
         ({"alpha": 1.5}, "alpha"),
-        ({"beta_mode": "adaptive"}, "beta_mode"),
+        ({"alpha": float("nan")}, "alpha"),
         ({"head_learn_rate": float("inf")}, "head.learn_rate"),
         ({"head_learn_rate": float("nan")}, "head.learn_rate"),
         ({"sigma_id": float("inf")}, "world.sigma_id"),
@@ -371,22 +371,6 @@ class TestEval:
             score = rescore(p, report.completed, head, occluded=True)
             assert abs(score - scores[i]) <= 1e-12
 
-    def test_unreachable_fixed_beta_is_a_no_op(self, small_run, tmp_path):
-        # correlations are non-negative, so beta=0 never flags a cell and
-        # every proposal must keep its original detector score
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(SMALL + "occ.beta_mode = fixed\nocc.beta = 0.0\n")
-        run_ok(["eval", "--config", str(cfg),
-                "--data", str(small_run["eval"]),
-                "--bank", str(small_run["bank"]),
-                "--model", str(small_run["model"]), "--out", str(tmp_path)])
-        with open(tmp_path / "metrics.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        for row in rows:
-            assert float(row["delta_mr"]) == 0.0
-            assert float(row["mr_baseline"]) == float(row["mr_completed"])
-
 
 class TestInspect:
     def test_heatmap_files_written(self, small_run, tmp_path, capsys):
@@ -416,22 +400,22 @@ class TestInspect:
         assert code == 2
         assert "no proposal with id 999999" in capsys.readouterr().err
 
-    def test_verdict_is_the_pipelines_when_the_mask_is_empty(self, default_run,
-                                                             tmp_path, capsys):
-        # beta = -1000 empties every completion mask, so the pipeline passes
-        # the proposal through even though the alpha rule fires on it
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("seed = 42\nocc.beta_mode = fixed\nocc.beta = -1000.0\n")
-        capsys.readouterr()
-        run_ok(["inspect", "--config", str(cfg),
-                "--data", str(default_run["eval"]),
-                "--bank", str(default_run["bank"]),
-                "--id", "1", "--out", str(tmp_path / "out")])
-        out = capsys.readouterr().out
-        flagged, total = out.split("flagged ")[1].split(" ")[0].split("/")
-        assert int(flagged) / int(total) > RunConfig().alpha
-        assert (tmp_path / "out/mask.pgm").read_bytes().endswith(bytes(49))
-        assert "occluded=False" in out
+    def test_flagged_count_is_the_written_mask(self, default_run, tmp_path,
+                                               capsys):
+        # The printed flagged count and mask.pgm both come from the one
+        # completion mask.
+        for pid in ("0", "1", "500"):
+            out_dir = tmp_path / pid
+            capsys.readouterr()
+            run_ok(["inspect", "--config", str(default_run["cfg"]),
+                    "--data", str(default_run["eval"]),
+                    "--bank", str(default_run["bank"]),
+                    "--id", pid, "--out", str(out_dir)])
+            out = capsys.readouterr().out
+            flagged, total = out.split("flagged ")[1].split(" ")[0].split("/")
+            pixels = (out_dir / "mask.pgm").read_bytes()[len(b"P5\n7 7\n255\n"):]
+            assert len(pixels) == int(total) == 49
+            assert pixels.count(255) == int(flagged)
 
 
 class TestDefaultShowcase:
@@ -474,7 +458,7 @@ class TestDefaultShowcase:
         bank = read_bank(default_run["bank"])
         proto = nearest_prototype(bank, proposal.scale)
         cmap = correlation_map(proposal.features, proto.center)
-        mask = completion_mask(cmap, RunConfig().occ_config())
+        mask = completion_mask(cmap)
         assert mask_iou(mask, proposal.true_mask) >= 0.6
 
     def test_background_proposal_mostly_flagged(self, default_run, tmp_path,
@@ -557,7 +541,8 @@ class TestExitCodes:
         assert "at least 5 cells" in capsys.readouterr().err
 
     def test_removed_training_keys_are_refused(self, tmp_path, capsys):
-        for key in ("train1.disc_steps", "train2.batch_size"):
+        for key in ("train1.disc_steps", "train2.batch_size",
+                    "occ.beta_mode", "occ.beta"):
             cfg = tmp_path / "cfg.txt"
             cfg.write_text(f"{key} = 1\n")
             code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])

@@ -214,10 +214,6 @@ class TestIsOccluded:
         for alpha in (0.0, 1.0, -0.2):
             with pytest.raises(PreconditionError):
                 is_occluded(mask_with(1), OcclusionConfig(alpha=alpha))
-        with pytest.raises(PreconditionError):
-            OcclusionConfig(beta_mode="adaptive").validate()
-        with pytest.raises(PreconditionError):
-            OcclusionConfig(beta=float("nan")).validate()
 
 
 class TestCompletionMask:
@@ -227,16 +223,6 @@ class TestCompletionMask:
     def test_dynamic_matches_occluded_cells(self):
         m = grid_map([[4.0, 3.0], [2.0, 1.0]])
         assert np.array_equal(completion_mask(m).grid, occluded_cells(m).grid)
-
-    def test_unreachable_fixed_beta(self):
-        m = grid_map([[4.0, 3.0], [2.0, 1.0]])
-        out = completion_mask(m, OcclusionConfig(beta_mode="fixed", beta=-1.0))
-        assert out.count == 0
-
-    def test_fixed_beta_hand_value(self):
-        m = grid_map([[4.0, 3.0], [2.0, 1.0]])
-        out = completion_mask(m, OcclusionConfig(beta_mode="fixed", beta=2.5))
-        assert out.grid.tolist() == [[False, False], [True, True]]
 
 
 class TestSyntheticRecovery:
@@ -287,12 +273,11 @@ class TestSyntheticRecovery:
 
 def reference_chain(features, scale, bank, config):
     """The four-call chain each caller used to spell out, kept as the oracle:
-    (prototype, correlation map, flagged cells, completion mask, verdict)."""
+    (prototype, correlation map, below-mean mask, verdict)."""
     proto = nearest_prototype(bank, float(scale))
     cmap = correlation_map(features, proto.center)
-    flagged = occluded_cells(cmap)
-    mask = completion_mask(cmap, config)
-    return proto, cmap, flagged, mask, is_occluded(flagged, config) and mask.count > 0
+    mask = occluded_cells(cmap)
+    return proto, cmap, mask, is_occluded(mask, config)
 
 
 @pytest.fixture(scope="module")
@@ -313,57 +298,33 @@ def analysis_set():
     background = [gen_background(world, rng.split(f"b{i}"), pid=200 + i)
                   for i in range(30)]
     proposals = visible[:20] + occluded + background
-    grids = [correlation_map(p.features, nearest_prototype(bank, p.scale).center).grid
-             for p in proposals]
-    # A fixed cutoff at the median cell value leaves some masks empty and
-    # fills others; -1000 empties every mask.
-    configs = {"dynamic-mean": OcclusionConfig(),
-               "fixed-median": OcclusionConfig(beta_mode="fixed",
-                                               beta=float(np.median(grids))),
-               "fixed-unreachable": OcclusionConfig(beta_mode="fixed", beta=-1000.0)}
     pool = FeaturePool(np.stack([p.features for p in occluded]),
                        np.array([p.scale for p in occluded]))
-    return bank, proposals, pool, configs
-
-
-CONFIG_NAMES = ("dynamic-mean", "fixed-median", "fixed-unreachable")
+    return bank, proposals, pool
 
 
 class TestAnalyze:
-    @pytest.mark.parametrize("name", CONFIG_NAMES)
-    def test_matches_the_reference_chain(self, analysis_set, name):
-        bank, proposals, _, configs = analysis_set
-        config = configs[name]
+    def test_matches_the_reference_chain(self, analysis_set):
+        bank, proposals, _ = analysis_set
+        config = OcclusionConfig()
         verdicts = []
         for p in proposals:
-            proto, cmap, flagged, mask, occluded = reference_chain(
+            proto, cmap, mask, occluded = reference_chain(
                 p.features, p.scale, bank, config)
             found = analyze(p.features, p.scale, bank, config)
             assert found.prototype is proto
             assert np.array_equal(found.cmap.grid, cmap.grid)
-            assert np.array_equal(found.flagged.grid, flagged.grid)
             assert np.array_equal(found.mask.grid, mask.grid)
             assert found.occluded is occluded
             verdicts.append(occluded)
-        if name == "fixed-unreachable":
-            assert not any(verdicts)
-        else:
-            assert 0 < sum(verdicts) < len(verdicts)
+        assert 0 < sum(verdicts) < len(verdicts)
 
-    def test_empty_mask_overrides_the_alpha_rule(self, analysis_set):
-        bank, proposals, _, configs = analysis_set
-        config = configs["fixed-unreachable"]
-        flagged = [analyze(p.features, p.scale, bank, config) for p in proposals]
-        assert any(is_occluded(f.flagged, config) for f in flagged)
-        assert not any(f.occluded or f.mask.count for f in flagged)
-
-    @pytest.mark.parametrize("name", CONFIG_NAMES)
-    def test_mask_library_and_paste_match_the_chain(self, analysis_set, name):
-        bank, _, pool, configs = analysis_set
-        config = configs[name]
+    def test_mask_library_and_paste_match_the_chain(self, analysis_set):
+        bank, _, pool = analysis_set
+        config = OcclusionConfig()
         masks, pasted = [], []
         for feats, scale in zip(pool.features, pool.scales):
-            proto, _, _, mask, _ = reference_chain(feats, scale, bank, config)
+            proto, _, mask, _ = reference_chain(feats, scale, bank, config)
             if mask.count > 0:
                 masks.append(mask.grid)
             pasted.append(copy_paste(feats, proto.center, mask))
