@@ -268,8 +268,7 @@ def train_model(proposals, bank, config):
     world = gen_world(config.world_config())
     rng = Rng(config.seed)
     gen, disc, history = progressive_train(
-        visible, occ_pool, bank, occ_config, config.stage_configs(),
-        rng.split("train"), world)
+        visible, occ_pool, bank, config.stage_configs(), rng.split("train"), world)
     LOG.info("adversarial training done (%d iterations)", len(history))
 
     positives, negatives = [], []

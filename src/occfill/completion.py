@@ -23,6 +23,7 @@ flagged occluded pedestrians against the flagged backgrounds, each completed
 by the trained generator.
 """
 
+import logging
 import struct
 from dataclasses import dataclass
 
@@ -48,6 +49,10 @@ MIN_MASK_LIBRARY = 50
 PLAN_CHUNK = 256
 # Columns per block when the head fit takes the rms of its feature matrix.
 HEAD_RMS_BLOCK = 64
+# Iterations between two progress lines of adversarial training.
+PROGRESS_EVERY = 100
+
+LOG = logging.getLogger(__name__)
 
 
 class Generator:
@@ -252,9 +257,8 @@ def planned(plan, count):
     first .. first + n - 1. Each chunk is drawn in one tight loop before
     any of its steps run, and memory stays bounded for any ``count``.
     Drawing ahead is the measured faster layout: drawing each step's
-    indices inline gives the same bytes but slows the probe from 1.43 to
-    1.82 s and adversarial training from 1.45 to 1.67 s (2-vCPU host, one
-    BLAS thread).
+    indices inline gives the same bytes but slows adversarial training
+    from 1.45 to 1.67 s (2-vCPU host, one BLAS thread).
     """
     for first in range(0, count, PLAN_CHUNK):
         yield from zip(*plan(first, min(PLAN_CHUNK, count - first)))
@@ -316,7 +320,8 @@ def train_adversarial(pools, gen, disc, config, rng, paired=False, start_iterati
     of their iterations (see `plan_minibatches`). History rows carry
     (iteration, disc_objective, gen_objective, disc_accuracy), with the
     objectives and the discriminator's minibatch accuracy measured just
-    before the corresponding update. Both networks are updated in place
+    before the corresponding update. Every PROGRESS_EVERY iterations the
+    latest row is logged at info level. Both networks are updated in place
     and returned.
     """
     pools.validate()
@@ -338,34 +343,38 @@ def train_adversarial(pools, gen, disc, config, rng, paired=False, start_iterati
         gen_obj, grads = _gen_step(pools, gen, disc, gen_idx)
         gen.set_params(sgd_step(gen.params(), grads, config.learn_rate, "descend"))
         history.append((t, disc_obj, gen_obj, accuracy))
+        if t % PROGRESS_EVERY == 0:
+            LOG.info("iteration %d: disc objective %.4f, gen objective %.4f, "
+                     "disc accuracy %.3f", t, disc_obj, gen_obj, accuracy)
     return gen, disc, history
 
 
-def mask_library(occluded_pool, bank, occ_config=OcclusionConfig()):
+def mask_library(occluded_pool, bank):
     """Masks observed on real occluded samples, via their completion masks.
 
     Empty masks are dropped: a sample whose correlation map flags nothing
-    contributes no occlusion pattern worth imitating.
+    contributes no occlusion pattern worth imitating. The mask does not
+    depend on the verdict's ``alpha``, so the default config serves.
     """
     masks = []
     for feats, scale in zip(occluded_pool.features, occluded_pool.scales):
-        mask = analyze(feats, scale, bank, occ_config).mask
+        mask = analyze(feats, scale, bank, OcclusionConfig()).mask
         if mask.count > 0:
             masks.append(mask)
     return masks
 
 
-def _paste_pool(pool, bank, occ_config):
+def _paste_pool(pool, bank):
     """Completion-masked copy-paste for every sample in a feature pool."""
     pasted = np.empty_like(pool.features)
     for i, (feats, scale) in enumerate(zip(pool.features, pool.scales)):
-        found = analyze(feats, scale, bank, occ_config)
+        found = analyze(feats, scale, bank, OcclusionConfig())
         pasted[i] = copy_paste(feats, found.prototype.center, found.mask)
     return pasted
 
 
-def progressive_train(visible_pool, real_occluded_pool, bank, occ_config,
-                      stage_configs, rng, world):
+def progressive_train(visible_pool, real_occluded_pool, bank, stage_configs, rng,
+                      world):
     """Two-stage adversarial training; returns (generator, discriminator, history).
 
     ``stage_configs`` holds the synthetic stage's config, then the real
@@ -384,7 +393,7 @@ def progressive_train(visible_pool, real_occluded_pool, bank, occ_config,
     if len(configs) != 2:
         raise PreconditionError("stage_configs must be (synthetic, real)")
 
-    lib = mask_library(real_occluded_pool, bank, occ_config)
+    lib = mask_library(real_occluded_pool, bank)
     top_rng = rng.split("mask-top-up")
     for i in range(MIN_MASK_LIBRARY - len(lib)):
         pattern = MASK_PATTERNS[i % len(MASK_PATTERNS)]
@@ -405,7 +414,7 @@ def progressive_train(visible_pool, real_occluded_pool, bank, occ_config,
     gen, disc, history = train_adversarial(
         stage1, gen, disc, configs[0], rng.split("stage1"), paired=True)
 
-    stage2 = FeaturePools(occluded=_paste_pool(real_occluded_pool, bank, occ_config),
+    stage2 = FeaturePools(occluded=_paste_pool(real_occluded_pool, bank),
                           visible=visible_pool.features)
     gen, disc, tail = train_adversarial(
         stage2, gen, disc, configs[1], rng.split("stage2"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ShapeMismatchError
-from .ndnum import Rng, check_finite, sgd_step
+from .ndnum import DenseLayer, Rng, check_finite, sgd_step
 from .completion import (BATCH_SIZE, Discriminator, _ascent_pass, _flatten_batch,
                          minibatch, planned)
 
@@ -29,6 +29,8 @@ MISS_FLOOR = 1e-4
 FPPI_POINTS = tuple(float(v) for v in np.logspace(-2.0, 0.0, 9))
 PROBE_MIN_SAMPLES = 40
 PROBE_TRAIN_FRACTION = 0.7
+# Samples per block when compactness_ratio sums squared distances.
+COMPACTNESS_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -179,9 +181,18 @@ def compactness_ratio(raw_occluded, completed_occluded, visible):
     if raw.shape[0] != completed.shape[0]:
         raise PreconditionError("raw and completed sets must pair up")
     centroid = vis.mean(axis=0)
+    buf = np.empty((COMPACTNESS_BLOCK,) + centroid.shape)
 
     def scatter(feats):
-        return float(np.mean(np.sum((feats - centroid) ** 2, axis=(1, 2, 3))))
+        # Each sample's sum is its own, so summing COMPACTNESS_BLOCK samples
+        # at a time gives the same bits as one full `feats - centroid`.
+        sums = np.empty(feats.shape[0])
+        for start in range(0, feats.shape[0], COMPACTNESS_BLOCK):
+            rows = feats[start:start + COMPACTNESS_BLOCK]
+            diff = np.subtract(rows, centroid, out=buf[:rows.shape[0]])
+            np.square(diff, out=diff)
+            sums[start:start + rows.shape[0]] = np.sum(diff, axis=(1, 2, 3))
+        return float(np.mean(sums))
 
     denom = scatter(raw)
     if denom == 0.0:
@@ -232,6 +243,46 @@ def _split_by_content(a, b, rng):
     return split(a) + split(b)
 
 
+def _train_probe(train_a, train_b, rng, iterations, learn_rate):
+    """The probe discriminator after SGD on train fold a (label 1) against b.
+
+    Each update of the hidden weights adds dz·xᵀ with x a training row, so
+    they move only within the span of the training rows. When the folds
+    hold fewer rows than features, the probe trains on the rows'
+    coordinates in an orthonormal basis Q of that span, from the hidden
+    weights W0·Q, and maps back as W0 + (W - W0·Q)·Qᵀ: the same classifier
+    up to rounding, from smaller products. W0 and every minibatch are
+    drawn as in full space.
+    """
+    n_a, n_b = train_a.shape[0], train_b.shape[0]
+    n, d = n_a + n_b, int(np.prod(train_a.shape[1:]))
+    disc = Discriminator.init(d, rng.split("disc"))
+    full = disc.hidden
+    if n < d:
+        basis, tri = np.linalg.qr(np.concatenate([train_a, train_b]).reshape(n, d).T)
+        # Rows' coordinates in the basis: X·Q = Rᵀ, since Xᵀ = Q·R. Copied to
+        # row order, so that the minibatch gathers read contiguous rows.
+        rows = np.ascontiguousarray(tri.T)
+        train_a, train_b = rows[:n_a], rows[n_a:]
+        disc = Discriminator(DenseLayer(full.weights @ basis, full.bias, "relu"),
+                             disc.readout)
+        start = disc.hidden.weights
+    m = min(BATCH_SIZE, n_a, n_b)
+
+    def plan(first, count):
+        return plan_probe(rng, first, count, n_a, n_b, m)
+
+    for idx_a, idx_b in planned(plan, iterations):
+        grads = _probe_step(train_a, train_b, disc, idx_a, idx_b)
+        disc.set_params(sgd_step(disc.params(), grads, learn_rate, "ascend"))
+
+    if n < d:
+        moved = (disc.hidden.weights - start) @ basis.T
+        disc = Discriminator(DenseLayer(full.weights + moved, disc.hidden.bias, "relu"),
+                             disc.readout)
+    return disc
+
+
 def probe_accuracy(features_a, features_b, seed, iterations=2000,
                    learn_rate=2e-3):
     """Held-out accuracy of a freshly trained two-way feature classifier.
@@ -239,7 +290,10 @@ def probe_accuracy(features_a, features_b, seed, iterations=2000,
     Samples are split 70/30 by content; a discriminator of the standard
     architecture trains on the train folds and is scored on the held-out
     ones. Near 0.5 means the two feature sets are statistically
-    indistinguishable to this probe.
+    indistinguishable to this probe. When the train folds hold fewer
+    samples than a map has features, the probe trains in the span of its
+    training rows (see `_train_probe`): the same classifier up to
+    rounding, at a fraction of the cost.
     """
     a = _sample_set("side a", features_a)
     b = _sample_set("side b", features_b)
@@ -257,16 +311,7 @@ def probe_accuracy(features_a, features_b, seed, iterations=2000,
         if part.shape[0] == 0:
             raise PreconditionError(f"degenerate probe split: empty {name} fold")
 
-    disc = Discriminator.init(int(np.prod(a.shape[1:])), rng.split("disc"))
-    m = min(BATCH_SIZE, train_a.shape[0], train_b.shape[0])
-
-    def plan(first, count):
-        return plan_probe(rng, first, count, train_a.shape[0], train_b.shape[0], m)
-
-    for idx_a, idx_b in planned(plan, iterations):
-        grads = _probe_step(train_a, train_b, disc, idx_a, idx_b)
-        disc.set_params(sgd_step(disc.params(), grads, learn_rate, "ascend"))
-
+    disc = _train_probe(train_a, train_b, rng, iterations, learn_rate)
     p_a = disc.forward(_flatten_batch(test_a))
     p_b = disc.forward(_flatten_batch(test_b))
     correct = int(np.sum(p_a > 0.5)) + int(np.sum(p_b < 0.5))

@@ -76,8 +76,7 @@ def identity_generator(train, bank, config):
     visible, occ_pool = _ped_pools(train)
     world = gen_world(config.world_config())
     zero = (TrainConfig(0), TrainConfig(0))
-    gen, _, _ = progressive_train(visible, occ_pool, bank, config.occ_config(),
-                                  zero, Rng(0), world)
+    gen, _, _ = progressive_train(visible, occ_pool, bank, zero, Rng(0), world)
     return gen
 
 
@@ -286,8 +285,8 @@ def test_criterion_08_progressive_training_is_better_and_steadier():
     occ_cfg = config.occ_config()
 
     def final_ratio(stages, s):
-        gen, _, _ = progressive_train(visible, occ_pool, bank, occ_cfg,
-                                      stages, Rng(s).split("t"), world)
+        gen, _, _ = progressive_train(visible, occ_pool, bank, stages,
+                                      Rng(s).split("t"), world)
         return eval_compactness(eval_set, bank, gen, occ_cfg)
 
     # same total budget and base rate; the gentler second stage is the

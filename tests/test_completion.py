@@ -1,3 +1,4 @@
+import logging
 import math
 import struct
 import tracemalloc
@@ -29,7 +30,6 @@ from occfill.completion import (
 )
 from occfill.errors import FormatError, PreconditionError, ShapeMismatchError
 from occfill.ndnum import DenseLayer, Rng, sgd_step, sigmoid
-from occfill.occlusion import OcclusionConfig
 from occfill.prototypes import FeaturePool, build_pool, kmeans
 from occfill.synth import (
     MASK_PATTERNS,
@@ -708,6 +708,22 @@ class TestTrainAdversarial:
                                           start_iteration=30)
         assert [row[0] for row in history] == [31, 32, 33, 34, 35]
 
+    def test_progress_is_logged_every_hundred_iterations(self, caplog):
+        rng = Rng(23)
+        pools = self.make_pools(24, n=12)
+        gen = random_generator(2, rng.split("g"))
+        disc = random_discriminator(18, 6, rng.split("d"))
+        cfg = TrainConfig(iterations=250, learn_rate=2e-4)
+        with caplog.at_level(logging.INFO, logger="occfill.completion"):
+            _, _, history = train_adversarial(pools, gen, disc, cfg, rng.split("t"),
+                                              start_iteration=150)
+        got = [r.getMessage() for r in caplog.records if r.name == "occfill.completion"]
+        want = [f"iteration {t}: disc objective {d:.4f}, gen objective {g:.4f}, "
+                f"disc accuracy {a:.3f}"
+                for t, d, g, a in history if t in (200, 300, 400)]
+        assert len(got) == 3
+        assert got == want
+
     def test_minibatch_follows_the_smaller_pool(self, monkeypatch):
         sizes = []
         real_disc, real_gen = completion._disc_step, completion._gen_step
@@ -792,8 +808,7 @@ class TestProgressiveTrain:
     def test_zero_iterations_yield_identity_generator(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
         gen, _, history = progressive_train(
-            pool_vis, pool_occ, bank, OcclusionConfig(),
-            self.small_configs(0, 0), Rng(1), world)
+            pool_vis, pool_occ, bank, self.small_configs(0, 0), Rng(1), world)
         assert history == []
         x = Rng(2).normal(shape=(16, 7, 7))[None]
         assert np.array_equal(gen.forward(x), x)
@@ -801,8 +816,7 @@ class TestProgressiveTrain:
     def test_stage_two_skipped_when_zero(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
         gen, _, history = progressive_train(
-            pool_vis, pool_occ, bank, OcclusionConfig(),
-            self.small_configs(25, 0), Rng(3), world)
+            pool_vis, pool_occ, bank, self.small_configs(25, 0), Rng(3), world)
         assert [row[0] for row in history] == list(range(1, 26))
         fresh = Generator.init(16, Rng(3).split("generator"))
         moved = max(np.max(np.abs(a - b))
@@ -812,8 +826,7 @@ class TestProgressiveTrain:
     def test_history_spans_both_stages(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
         _, _, history = progressive_train(
-            pool_vis, pool_occ, bank, OcclusionConfig(),
-            self.small_configs(12, 7), Rng(4), world)
+            pool_vis, pool_occ, bank, self.small_configs(12, 7), Rng(4), world)
         assert [row[0] for row in history] == list(range(1, 20))
 
     def test_zero_gap_generator_stays_identity(self, clean_setup):
@@ -821,7 +834,7 @@ class TestProgressiveTrain:
         configs = (TrainConfig(iterations=300, learn_rate=2e-3),
                    TrainConfig(iterations=200, learn_rate=2e-4))
         gen, _, _ = progressive_train(
-            pool_vis, pool_occ, bank, OcclusionConfig(), configs, Rng(9), world)
+            pool_vis, pool_occ, bank, configs, Rng(9), world)
         fresh = Generator.init(16, Rng(9).split("generator"))
         drift = max(np.max(np.abs(a - b))
                     for a, b in zip(gen.params(), fresh.params()))
@@ -832,8 +845,7 @@ class TestProgressiveTrain:
         runs = []
         for _ in range(2):
             gen, disc, history = progressive_train(
-                pool_vis, pool_occ, bank, OcclusionConfig(),
-                self.small_configs(), Rng(5), world)
+                pool_vis, pool_occ, bank, self.small_configs(), Rng(5), world)
             runs.append((gen.params() + disc.params(), history))
         for a, b in zip(runs[0][0], runs[1][0]):
             assert np.array_equal(a, b)
@@ -842,8 +854,8 @@ class TestProgressiveTrain:
     def test_rejects_single_stage(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
         with pytest.raises(PreconditionError):
-            progressive_train(pool_vis, pool_occ, bank, OcclusionConfig(),
-                              (TrainConfig(iterations=1),), Rng(7), world)
+            progressive_train(pool_vis, pool_occ, bank, (TrainConfig(iterations=1),),
+                              Rng(7), world)
 
     def synthetic_masks_drawn(self, monkeypatch, pool_vis, pool_occ, bank, world):
         """Masks `progressive_train` draws from ``world`` to top up its library."""
@@ -856,8 +868,7 @@ class TestProgressiveTrain:
 
         monkeypatch.setattr(completion, "sample_mask", spy)
         _, _, history = progressive_train(
-            pool_vis, pool_occ, bank, OcclusionConfig(),
-            self.small_configs(2, 2), Rng(8), world)
+            pool_vis, pool_occ, bank, self.small_configs(2, 2), Rng(8), world)
         assert len(history) == 4
         return drawn
 

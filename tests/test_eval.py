@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from occfill.eval import (
     probe_accuracy,
     subset_of,
 )
-from occfill.ndnum import Rng
+from occfill.ndnum import Rng, sgd_step
 from occfill.synth import OcclusionMask
 
 
@@ -279,6 +280,31 @@ class TestCompactnessRatio:
         with pytest.raises(PreconditionError):
             compactness_ratio(vis[:2], vis[:2] + 1.0, vis)
 
+    def test_blocks_give_the_bits_of_one_full_pass(self):
+        rng = Rng(67)
+        n = 2 * eval_module.COMPACTNESS_BLOCK + 5
+        raw, completed, vis = (rng.split(k).normal(shape=(n, 16, 7, 7)) for k in "rcv")
+        centroid = vis.mean(axis=0)
+
+        def scatter(feats):
+            return float(np.mean(np.sum((feats - centroid) ** 2, axis=(1, 2, 3))))
+
+        assert compactness_ratio(raw, completed, vis) == scatter(completed) / scatter(raw)
+
+    def test_peak_above_the_inputs_is_a_few_blocks(self):
+        rng = Rng(68)
+        shape = (16, 7, 7)
+        n = 8 * eval_module.COMPACTNESS_BLOCK
+        raw, completed, vis = (rng.split(k).normal(shape=(n,) + shape) for k in "rcv")
+        block = eval_module.COMPACTNESS_BLOCK * int(np.prod(shape)) * 8
+        tracemalloc.start()
+        try:
+            compactness_ratio(raw, completed, vis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block
+
 
 class TestProbeAccuracy:
     def test_shuffled_copy_scores_chance(self):
@@ -401,6 +427,77 @@ class TestProbePlan:
         want = reference_probe_draws(Rng(81), iterations, train_a.shape[0],
                                      train_b.shape[0], m)
         assert_same_draws(seen, want)
+
+
+def full_space_probe(a, b, seed, iterations, learn_rate=2e-3):
+    """The probe trained in full space, on every feature of its train folds.
+
+    Returns the trained discriminator and the two held-out folds."""
+    rng = Rng(seed)
+    train_a, test_a, train_b, test_b = eval_module._split_by_content(
+        a, b, rng.split("fold"))
+    disc = Discriminator.init(int(np.prod(a.shape[1:])), rng.split("disc"))
+    m = min(32, train_a.shape[0], train_b.shape[0])
+    idx_a, idx_b = plan_probe(rng, 0, iterations, train_a.shape[0],
+                              train_b.shape[0], m)
+    for ia, ib in zip(idx_a, idx_b):
+        grads = _probe_step(train_a, train_b, disc, ia, ib)
+        disc.set_params(sgd_step(disc.params(), grads, learn_rate, "ascend"))
+    return disc, test_a, test_b
+
+
+def held_out_accuracy(disc, test_a, test_b):
+    p_a = disc.forward(test_a.reshape(test_a.shape[0], -1).T)
+    p_b = disc.forward(test_b.reshape(test_b.shape[0], -1).T)
+    correct = int(np.sum(p_a > 0.5)) + int(np.sum(p_b < 0.5))
+    return correct / (test_a.shape[0] + test_b.shape[0])
+
+
+def span_sides(seed, n=60, shared=4, shape=(16, 7, 7)):
+    """Two sides with ``shared`` byte-identical samples in both."""
+    rng = Rng(seed)
+    common = rng.split("common").normal(shape=(shared,) + shape)
+    a = np.concatenate([rng.split("a").normal(shape=(n,) + shape), common])
+    b = np.concatenate([rng.split("b").normal(shape=(n,) + shape) + 0.3, common])
+    return a, b
+
+
+class TestProbeSpan:
+    def train_folds(self, a, b, seed):
+        train_a, _, train_b, _ = eval_module._split_by_content(
+            a, b, Rng(seed).split("fold"))
+        return train_a, train_b
+
+    def test_span_training_is_full_space_training(self):
+        a, b = span_sides(90)
+        train_a, train_b = self.train_folds(a, b, 91)
+        rows = np.concatenate([train_a, train_b]).reshape(-1, a[0].size)
+        assert rows.shape[0] < rows.shape[1]
+        assert np.linalg.matrix_rank(rows) < rows.shape[0]
+        got = eval_module._train_probe(train_a, train_b, Rng(91), 300, 2e-3)
+        want, test_a, test_b = full_space_probe(a, b, 91, 300)
+        for g, w in zip(got.params(), want.params()):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
+        start = Discriminator.init(rows.shape[1], Rng(91).split("disc"))
+        assert np.max(np.abs(got.hidden.weights - start.hidden.weights)) > 1e-3
+        assert (probe_accuracy(a, b, seed=91, iterations=300)
+                == held_out_accuracy(want, test_a, test_b))
+
+    def test_zero_iterations_score_the_untrained_probe(self):
+        a, b = span_sides(92)
+        want = held_out_accuracy(*full_space_probe(a, b, 93, 0))
+        assert probe_accuracy(a, b, seed=93, iterations=0) == want
+
+    def test_as_many_rows_as_features_train_in_full_space(self):
+        a, b = span_sides(94, shape=(2, 3, 3))
+        train_a, train_b = self.train_folds(a, b, 95)
+        assert train_a.shape[0] + train_b.shape[0] >= a[0].size
+        got = eval_module._train_probe(train_a, train_b, Rng(95), 300, 2e-3)
+        want, test_a, test_b = full_space_probe(a, b, 95, 300)
+        assert all(np.array_equal(g, w) for g, w in zip(got.params(), want.params()))
+        assert (probe_accuracy(a, b, seed=95, iterations=300)
+                == held_out_accuracy(want, test_a, test_b))
 
 
 class TestMaskIoU:

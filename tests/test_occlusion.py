@@ -328,8 +328,8 @@ class TestAnalyze:
             if mask.count > 0:
                 masks.append(mask.grid)
             pasted.append(copy_paste(feats, proto.center, mask))
-        library = mask_library(pool, bank, config)
+        library = mask_library(pool, bank)
         assert len(library) == len(masks)
         assert all(np.array_equal(got.grid, want)
                    for got, want in zip(library, masks))
-        assert np.array_equal(_paste_pool(pool, bank, config), np.stack(pasted))
+        assert np.array_equal(_paste_pool(pool, bank), np.stack(pasted))
