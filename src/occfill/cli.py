@@ -11,8 +11,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .occlusion import Analysis, OcclusionConfig, analyze, channel_correlation
 # Only analyze calls correlation_map. The name stays bound here because
 # bench/test_tracer.py counts its calls by patching it in this module.
 from .occlusion import correlation_map  # noqa: F401
-from .prototypes import (FULLY_VISIBLE, FeaturePool, build_pool, kmeans,
-                         read_bank, write_bank)
+from .prototypes import (FULLY_VISIBLE, FeaturePool, ProtoConfig, build_pool,
+                         kmeans, read_bank, write_bank)
 from .synth import (MASK_PATTERNS, PEDESTRIAN, WorldConfig, gen_background,
                     gen_occluded, gen_pedestrian, gen_world, read_dataset,
                     sample_mask, sample_scale, write_dataset)
@@ -41,97 +43,74 @@ EXIT_IO = 3
 
 
 # ---------------------------------------------------------------------------
-# Run configuration: one flat namespace covering every pipeline stage.
+# Run configuration: the run seed plus one config per pipeline stage. Config
+# key `a.b` is field `b` of section `a`; the keys, their types, parsing and
+# the archived text all follow from the dataclass fields.
 
 @dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    channels: int = 16
-    grid_x: int = 7
-    grid_y: int = 7
-    sigma_id: float = 0.05
+class DataConfig:
     train_visible: int = 800
     train_occluded: int = 300
     train_background: int = 300
     eval_pedestrians: int = 500
     eval_background: int = 500
     proposals_per_image: int = 10
-    proto_k: int = 5
-    proto_restarts: int = 5
-    alpha: float = 0.30
-    stage1_iterations: int = 2000
-    stage1_learn_rate: float = 2e-3
-    stage2_iterations: int = 2000
-    stage2_learn_rate: float = 2e-4
-    head_iterations: int = 500
-    head_learn_rate: float = 0.5
-    fppi_count: int = 9
 
-    def world_config(self):
-        return WorldConfig(channels=self.channels, grid_x=self.grid_x,
-                           grid_y=self.grid_y, sigma_id=self.sigma_id,
-                           seed=self.seed)
+    def validate(self):
+        for name, count in vars(self).items():
+            if count < 0:
+                raise PreconditionError(f"data.{name} must be non-negative")
+        if self.proposals_per_image < 1:
+            raise PreconditionError("data.proposals_per_image must be >= 1")
+        return self
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    seed: int = 0
+    world: WorldConfig = WorldConfig()
+    data: DataConfig = DataConfig()
+    proto: ProtoConfig = ProtoConfig()
+    occ: OcclusionConfig = OcclusionConfig()
+    train1: TrainConfig = TrainConfig(2000, 2e-3)
+    train2: TrainConfig = TrainConfig(2000, 2e-4)
+    head: TrainConfig = TrainConfig(500, 0.5)
+    eval: EvalConfig = EvalConfig()
 
     def occ_config(self):
-        return OcclusionConfig(alpha=self.alpha)
-
-    def stage_configs(self):
-        return (TrainConfig(self.stage1_iterations, self.stage1_learn_rate),
-                TrainConfig(self.stage2_iterations, self.stage2_learn_rate))
-
-    def eval_config(self):
-        return EvalConfig(fppi_points=tuple(
-            float(v) for v in np.logspace(-2.0, 0.0, self.fppi_count)))
+        # bench/checks.py rebuilds eval completions through this accessor.
+        return self.occ
 
     def validate(self):
         if not (0 <= self.seed < 2 ** 64):
             raise PreconditionError("seed must fit an unsigned 64-bit integer")
-        counts = (self.train_visible, self.train_occluded, self.train_background,
-                  self.eval_pedestrians, self.eval_background)
-        if any(n < 0 for n in counts):
-            raise PreconditionError("data counts must be non-negative")
-        if self.proposals_per_image < 1:
-            raise PreconditionError("data.proposals_per_image must be >= 1")
-        if self.proto_k < 1 or self.proto_restarts < 1:
-            raise PreconditionError("proto.k and proto.restarts must be >= 1")
-        if self.head_iterations < 0:
-            raise PreconditionError("head.iterations must be >= 0")
-        if not (self.head_learn_rate > 0 and np.isfinite(self.head_learn_rate)):
-            raise PreconditionError(
-                f"head.learn_rate must be positive and finite, got {self.head_learn_rate}")
-        if self.fppi_count < 2:
-            raise PreconditionError("eval.fppi_count must be >= 2")
-        self.world_config().validate()
-        self.occ_config().validate()
-        for stage in self.stage_configs():
-            stage.validate()
-        self.eval_config().validate()
+        self.world.validate()
+        self.data.validate()
+        self.proto.validate()
+        self.occ.validate()
+        for name in ("train1", "train2", "head"):
+            getattr(self, name).validate(name)
+        self.eval.validate()
         return self
 
 
-CONFIG_KEYS = {
-    "seed": ("seed", int),
-    "world.channels": ("channels", int),
-    "world.grid_x": ("grid_x", int),
-    "world.grid_y": ("grid_y", int),
-    "world.sigma_id": ("sigma_id", float),
-    "data.train_visible": ("train_visible", int),
-    "data.train_occluded": ("train_occluded", int),
-    "data.train_background": ("train_background", int),
-    "data.eval_pedestrians": ("eval_pedestrians", int),
-    "data.eval_background": ("eval_background", int),
-    "data.proposals_per_image": ("proposals_per_image", int),
-    "proto.k": ("proto_k", int),
-    "proto.restarts": ("proto_restarts", int),
-    "occ.alpha": ("alpha", float),
-    "train1.iterations": ("stage1_iterations", int),
-    "train1.learn_rate": ("stage1_learn_rate", float),
-    "train2.iterations": ("stage2_iterations", int),
-    "train2.learn_rate": ("stage2_learn_rate", float),
-    "head.iterations": ("head_iterations", int),
-    "head.learn_rate": ("head_learn_rate", float),
-    "eval.fppi_count": ("fppi_count", int),
-}
+def _leaf_types(cls, prefix=""):
+    for name, kind in get_type_hints(cls).items():
+        if is_dataclass(kind):
+            yield from _leaf_types(kind, f"{prefix}{name}.")
+        else:
+            yield prefix + name, kind
+
+
+CONFIG_KEYS = dict(_leaf_types(RunConfig))
+
+
+def _with(config, key, value):
+    """`config` with the field at dotted `key` set to `value`."""
+    name, _, rest = key.partition(".")
+    if rest:
+        value = _with(getattr(config, name), rest, value)
+    return replace(config, **{name: value})
 
 
 def parse_config_text(text):
@@ -153,23 +132,22 @@ def parse_config_text(text):
 
 
 def config_from_mapping(mapping):
-    values = {}
+    config = RunConfig()
     for key, raw in mapping.items():
         if key not in CONFIG_KEYS:
             raise PreconditionError(f"unknown config key {key!r}")
-        field, convert = CONFIG_KEYS[key]
         try:
-            values[field] = convert(raw)
+            config = _with(config, key, CONFIG_KEYS[key](raw))
         except ValueError as exc:
             raise PreconditionError(f"config key {key}: {exc}") from exc
-    return RunConfig(**values)
+    return config
 
 
 def config_to_text(config):
     """Canonical archive form; floats via repr so parsing round-trips exactly."""
     lines = []
-    for key, (field, _) in CONFIG_KEYS.items():
-        value = getattr(config, field)
+    for key in CONFIG_KEYS:
+        value = attrgetter(key)(config)
         lines.append(f"{key}={repr(value) if isinstance(value, float) else value}")
     return "\n".join(lines) + "\n"
 
@@ -179,7 +157,7 @@ def config_to_text(config):
 
 def synthesize(config):
     """Draw the train and eval proposal sets plus a manifest of counts."""
-    world = gen_world(config.world_config())
+    world = gen_world(config.world, config.seed)
     root = Rng(config.seed)
 
     def pedestrians(rng, n, start_id, occlude):
@@ -200,16 +178,17 @@ def synthesize(config):
         return [gen_background(world, rng.split(f"p{i}"), pid=start_id + i)
                 for i in range(n)]
 
-    train = pedestrians(root.split("train-visible"), config.train_visible,
+    data = config.data
+    train = pedestrians(root.split("train-visible"), data.train_visible,
                         0, "never")
-    train += pedestrians(root.split("train-occluded"), config.train_occluded,
+    train += pedestrians(root.split("train-occluded"), data.train_occluded,
                          len(train), "always")
     train += backgrounds(root.split("train-background"),
-                         config.train_background, len(train))
+                         data.train_background, len(train))
     eval_set = pedestrians(root.split("eval-pedestrians"),
-                           config.eval_pedestrians, 0, "half")
+                           data.eval_pedestrians, 0, "half")
     eval_set += backgrounds(root.split("eval-background"),
-                            config.eval_background, len(eval_set))
+                            data.eval_background, len(eval_set))
 
     def counts(proposals):
         tally = {"pedestrian": 0, "background": 0, "R": 0, "HO": 0, "R+HO": 0}
@@ -222,10 +201,10 @@ def synthesize(config):
         return tally
 
     manifest = {"seed": config.seed, "dims": list(world.dims),
-                "proposals_per_image": config.proposals_per_image,
+                "proposals_per_image": data.proposals_per_image,
                 "train": counts(train), "eval": counts(eval_set)}
     for part in (manifest["train"], manifest["eval"]):
-        part["images"] = -(-part["total"] // config.proposals_per_image)
+        part["images"] = -(-part["total"] // data.proposals_per_image)
     return train, eval_set, manifest
 
 
@@ -264,18 +243,18 @@ def train_model(proposals, bank, config):
     eval time: completed occluded pedestrians against completed backgrounds.
     """
     visible, occ_pool = _ped_pools(proposals)
-    occ_config = config.occ_config()
-    world = gen_world(config.world_config())
+    world = gen_world(config.world, config.seed)
     rng = Rng(config.seed)
-    gen, disc, history = progressive_train(
-        visible, occ_pool, bank, config.stage_configs(), rng.split("train"), world)
+    gen, disc, history = progressive_train(visible, occ_pool, bank,
+                                           (config.train1, config.train2),
+                                           rng.split("train"), world)
     LOG.info("adversarial training done (%d iterations)", len(history))
 
     positives, negatives = [], []
     for p in proposals:
         if p.label == PEDESTRIAN and p.visibility >= FULLY_VISIBLE:
             continue
-        report = complete_proposal(p.features, p.scale, bank, gen, occ_config)
+        report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
         if not report.occluded:
             continue
         (positives if p.label == PEDESTRIAN else negatives).append(report.completed)
@@ -284,9 +263,8 @@ def train_model(proposals, bank, config):
     # Drop the per-proposal maps once stacked: the fit then holds the two
     # stacks and its own feature matrix, not a third copy of every map.
     positives, negatives = np.stack(positives), np.stack(negatives)
-    head = train_scoring_head(positives, negatives,
-                              rng.split("head"), iterations=config.head_iterations,
-                              learn_rate=config.head_learn_rate)
+    head = train_scoring_head(positives, negatives, rng.split("head"),
+                              config.head)
     LOG.info("scoring head fit on %d positives / %d negatives",
              len(positives), len(negatives))
     return gen, disc, head, history
@@ -301,13 +279,11 @@ def evaluate(proposals, bank, gen, head, config):
     A subset without ground truths gets NaN miss rates; the others are
     still computed.
     """
-    occ_config = config.occ_config()
-    eval_config = config.eval_config()
-    images = -(-len(proposals) // config.proposals_per_image)
+    images = -(-len(proposals) // config.data.proposals_per_image)
     truths, baseline, completed_dets = [], [], []
     raw_occ, comp_occ, vis_feats, ious = [], [], [], []
     for p in proposals:
-        report = complete_proposal(p.features, p.scale, bank, gen, occ_config)
+        report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
         score = rescore(p, report.completed, head, report.occluded)
         baseline.append(Detection(p.id, p.score))
         completed_dets.append(Detection(p.id, float(score)))
@@ -338,9 +314,9 @@ def evaluate(proposals, bank, gen, head, config):
         members = sum(1 for t in truths if subset in subset_of(t.visibility))
         mr_base = mr_comp = float("nan")
         if members:
-            mr_base = log_avg_miss_rate(baseline, truths, eval_config, subset,
+            mr_base = log_avg_miss_rate(baseline, truths, config.eval, subset,
                                         images=images)
-            mr_comp = log_avg_miss_rate(completed_dets, truths, eval_config,
+            mr_comp = log_avg_miss_rate(completed_dets, truths, config.eval,
                                         subset, images=images)
         rows.append({"subset": subset, "mr_baseline": mr_base,
                      "mr_completed": mr_comp, "delta_mr": mr_base - mr_comp,
@@ -377,9 +353,12 @@ def _write_metrics(path, rows, diagnostics):
                              row["gt_count"], diagnostics["images"]])
 
 
-def _write_pgm(path, cells):
-    """8-bit binary PGM; `cells` is a uint8-compatible 2-d array."""
-    arr = np.ascontiguousarray(cells, dtype=np.uint8)
+def _write_pgm(path, grid):
+    """8-bit binary PGM of a uint8-compatible grid indexed [x, y].
+
+    Image rows run top to bottom (y), each left to right (x).
+    """
+    arr = np.ascontiguousarray(np.asarray(grid).T, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
         fh.write(arr.tobytes())
@@ -394,9 +373,10 @@ def _gray_scale(grid):
 
 
 def _write_grid_csv(path, grid):
+    """One CSV row per y of a grid indexed [x, y], as in `_write_pgm`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in np.asarray(grid, dtype=np.float64):
+        for row in np.asarray(grid, dtype=np.float64).T:
             writer.writerow([repr(float(v)) for v in row])
 
 
@@ -441,8 +421,8 @@ def cmd_build_prototypes(args):
     config = _load_config(args)
     out = _prepare_out(args, config)
     pool = build_pool(read_dataset(args.data))
-    bank = kmeans(pool, k=config.proto_k, seed=config.seed,
-                  restarts=config.proto_restarts)
+    bank = kmeans(pool, k=config.proto.k, seed=config.seed,
+                  restarts=config.proto.restarts)
     write_bank(bank, out / "bank.fcpb")
     for i, proto in enumerate(bank.prototypes):
         print(f"cluster {i}: scale {proto.scale_mean:.2f} ± "
@@ -458,7 +438,8 @@ def cmd_train(args):
     bank = read_bank(args.bank)
     gen, disc, head, history = train_model(proposals, bank, config)
     grid = bank.prototypes[0].center.shape[1:]
-    write_model(out / "model.fcgd", gen, disc, head, config.stage_configs(), grid)
+    write_model(out / "model.fcgd", gen, disc, head,
+                (config.train1, config.train2), grid)
     _write_history(out / "history.csv", history)
     print(f"model written to {out / 'model.fcgd'} "
           f"({len(history)} iterations logged)")
@@ -489,7 +470,7 @@ def cmd_inspect(args):
     if not matches:
         raise PreconditionError(f"no proposal with id {args.id}")
     proposal = matches[0]
-    found = analyze(proposal.features, proposal.scale, bank, config.occ_config())
+    found = analyze(proposal.features, proposal.scale, bank, config.occ)
     proto, mask = found.prototype, found.mask
     _write_pgm(out / "corr_map.pgm", _gray_scale(found.cmap.grid))
     _write_pgm(out / "mask.pgm", np.where(mask.grid, 255, 0))

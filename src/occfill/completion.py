@@ -166,11 +166,12 @@ class TrainConfig:
     iterations: int = 2000
     learn_rate: float = 2e-3
 
-    def validate(self):
+    def validate(self, section="train"):
         if self.iterations < 0:
-            raise PreconditionError("iterations must be non-negative")
+            raise PreconditionError(f"{section}.iterations must be non-negative")
         if not (self.learn_rate > 0 and np.isfinite(self.learn_rate)):
-            raise PreconditionError("learn_rate must be positive and finite")
+            raise PreconditionError(f"{section}.learn_rate must be positive "
+                                    f"and finite, got {self.learn_rate}")
         return self
 
 
@@ -476,13 +477,14 @@ def _unit_rms_columns(flat):
         np.divide(cols, rms, out=cols, where=rms > 0)
 
 
-def train_scoring_head(positives, negatives, rng, iterations=500, learn_rate=0.5):
+def train_scoring_head(positives, negatives, rng, config):
     """Fit the logistic head with cross-entropy: positives against negatives.
 
     The inputs are only read. The fit holds one (d, n_pos + n_neg) copy of
     them, normalized in place, so its memory beyond the inputs is one
     feature matrix.
     """
+    config.validate("head")
     pos = np.asarray(positives, dtype=np.float64)
     neg = np.asarray(negatives, dtype=np.float64)
     if pos.ndim != 4 or neg.ndim != 4 or pos.shape[1:] != neg.shape[1:]:
@@ -494,7 +496,7 @@ def train_scoring_head(positives, negatives, rng, iterations=500, learn_rate=0.5
     _unit_rms_columns(flat)
     labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
     n = labels.size
-    for _ in range(iterations):
+    for _ in range(config.iterations):
         # Cross-entropy gradient taken at the pre-activation, (p - y) / n:
         # bounded even when a logit saturates, unlike routing 1/p upstream
         # through the sigmoid derivative, which silently zeroes out any
@@ -504,7 +506,7 @@ def train_scoring_head(positives, negatives, rng, iterations=500, learn_rate=0.5
         dw = err @ flat.T
         db = err.sum(axis=1)
         head.layer.set_params(sgd_step(head.layer.params(), [dw, db],
-                                       learn_rate, "descend"))
+                                       config.learn_rate, "descend"))
     head.trained = True
     return head
 

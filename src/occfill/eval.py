@@ -1,12 +1,12 @@
 """Detection metrics and diagnostic scores for completion experiments.
 
 The headline number is the log-average miss rate: sweep the detection
-score threshold, record the miss rate at each of nine log-spaced
-false-positives-per-image budgets, and geometric-mean them. Ground
-truths and detections pair up by proposal id (each synthetic proposal
-is its own image), greedily from the highest score down. Ground truths
-outside the visibility subset under evaluation act as ignore regions:
-detections matched to them count neither way.
+score threshold, record the miss rate at each of `fppi_count` (nine by
+default) log-spaced false-positives-per-image budgets, and geometric-mean
+them. Ground truths and detections pair up by proposal id (each synthetic
+proposal is its own image), greedily from the highest score down.
+Ground truths outside the visibility subset under evaluation act as
+ignore regions: detections matched to them count neither way.
 
 Alongside it: a feature-space compactness ratio (how much closer
 completion moves occluded features to the visible centroid), a probe
@@ -26,7 +26,6 @@ from .completion import (BATCH_SIZE, Discriminator, _ascent_pass, _flatten_batch
 
 SUBSETS = ("R", "HO", "R+HO")
 MISS_FLOOR = 1e-4
-FPPI_POINTS = tuple(float(v) for v in np.logspace(-2.0, 0.0, 9))
 PROBE_MIN_SAMPLES = 40
 PROBE_TRAIN_FRACTION = 0.7
 # Samples per block when compactness_ratio sums squared distances.
@@ -35,14 +34,15 @@ COMPACTNESS_BLOCK = 64
 
 @dataclass(frozen=True)
 class EvalConfig:
-    fppi_points: tuple = FPPI_POINTS
+    fppi_count: int = 9
+
+    @property
+    def fppi_points(self):
+        return tuple(float(v) for v in np.logspace(-2.0, 0.0, self.fppi_count))
 
     def validate(self):
-        pts = np.asarray(self.fppi_points, dtype=np.float64)
-        if pts.size < 2 or np.any(np.diff(pts) <= 0):
-            raise PreconditionError("fppi points must be strictly increasing")
-        if pts[0] != 1e-2 or pts[-1] != 1.0:
-            raise PreconditionError("fppi range must span [1e-2, 1]")
+        if self.fppi_count < 2:
+            raise PreconditionError("eval.fppi_count must be >= 2")
         return self
 
 
@@ -314,8 +314,11 @@ def probe_accuracy(features_a, features_b, seed, iterations=2000,
     disc = _train_probe(train_a, train_b, rng, iterations, learn_rate)
     p_a = disc.forward(_flatten_batch(test_a))
     p_b = disc.forward(_flatten_batch(test_b))
-    correct = int(np.sum(p_a > 0.5)) + int(np.sum(p_b < 0.5))
-    return correct / (test_a.shape[0] + test_b.shape[0])
+    # A tie at p = 0.5 says neither side: half right, so an untrained probe
+    # reads chance.
+    correct = (np.sum(p_a > 0.5) + np.sum(p_b < 0.5)
+               + 0.5 * (np.sum(p_a == 0.5) + np.sum(p_b == 0.5)))
+    return float(correct) / (test_a.shape[0] + test_b.shape[0])
 
 
 def mask_iou(predicted, truth):

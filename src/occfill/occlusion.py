@@ -49,7 +49,7 @@ class OcclusionConfig:
 
     def validate(self):
         if not (0.0 < self.alpha < 1.0):
-            raise PreconditionError("alpha must lie strictly inside (0, 1)")
+            raise PreconditionError("occ.alpha must lie strictly inside (0, 1)")
         return self
 
 

@@ -25,6 +25,18 @@ ASSIGN_BLOCK = 64
 
 
 @dataclass(frozen=True)
+class ProtoConfig:
+    k: int = 5
+    restarts: int = 5
+
+    def validate(self):
+        for name in ("k", "restarts"):
+            if getattr(self, name) < 1:
+                raise PreconditionError(f"proto.{name} must be >= 1")
+        return self
+
+
+@dataclass(frozen=True)
 class Prototype:
     center: np.ndarray          # (C, X, Y) float64, read-only
     scale_mean: float

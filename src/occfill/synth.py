@@ -92,22 +92,22 @@ class WorldConfig:
     grid_x: int = 7
     grid_y: int = 7
     sigma_id: float = 0.05
-    seed: int = 0
 
     def validate(self):
         # One channel per part template plus at least one occluder template.
         if self.channels < len(PART_NAMES) + 1:
             raise PreconditionError(
-                f"need at least {len(PART_NAMES) + 1} channels, got {self.channels}")
+                f"world.channels: need at least {len(PART_NAMES) + 1} channels, "
+                f"got {self.channels}")
         if self.grid_x < 2 or self.grid_y < 2:
-            raise PreconditionError("grid must be at least 2x2")
+            raise PreconditionError("world.grid_x and world.grid_y must be >= 2")
         # Background clutter keeps 3 or 4 cells on their own part and moves
         # every other cell off it; with 3 kept, the last cell of a 2x2 grid
         # has no source outside its own part.
         if self.grid_x * self.grid_y < 5:
             raise PreconditionError(
-                "grid must hold at least 5 cells: a 2x2 grid cannot place "
-                "background clutter off its parts")
+                "world.grid_x x world.grid_y must hold at least 5 cells: a 2x2 "
+                "grid cannot place background clutter off its parts")
         # NaN fails every comparison: the `sigma_id > 0` tests downstream
         # would silently draw a noise-free world.
         if not (self.sigma_id >= 0 and math.isfinite(self.sigma_id)):
@@ -251,10 +251,10 @@ def _draw_templates(config, rng):
     return _freeze(basis[:n_parts]), _freeze(basis[n_parts:])
 
 
-def gen_world(config):
-    """Materialize templates and the part layout for a config."""
+def gen_world(config, seed):
+    """Materialize templates and the part layout for a config and seed."""
     config.validate()
-    rng = Rng(config.seed).split("world")
+    rng = Rng(seed).split("world")
     part_grid = default_part_grid(config.grid_x, config.grid_y)
     templates, spare = _draw_templates(config, rng)
     return World(config, part_grid, templates, spare)

@@ -12,6 +12,7 @@ import test_prototypes as km_oracle
 
 from occfill import completion
 from occfill.cli import (
+    DataConfig,
     RunConfig,
     _ped_pools,
     complete_proposal,
@@ -74,7 +75,7 @@ def eval_compactness(eval_set, bank, gen, occ_config):
 
 def identity_generator(train, bank, config):
     visible, occ_pool = _ped_pools(train)
-    world = gen_world(config.world_config())
+    world = gen_world(config.world, config.seed)
     zero = (TrainConfig(0), TrainConfig(0))
     gen, _, _ = progressive_train(visible, occ_pool, bank, zero, Rng(0), world)
     return gen
@@ -83,7 +84,7 @@ def identity_generator(train, bank, config):
 @pytest.fixture(scope="module")
 def flagging_bench():
     """Default world at seed 42 with a bank clustered from 800 visible samples."""
-    world = gen_world(WorldConfig(seed=42))
+    world = gen_world(WorldConfig(), 42)
     rng = Rng(42)
     members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(800)]
@@ -96,8 +97,8 @@ def default_pipeline():
     """Full default-config run at seed 42, shared by the training criteria."""
     config = RunConfig(seed=42).validate()
     train, eval_set, _ = synthesize(config)
-    bank = kmeans(build_pool(train), k=config.proto_k, seed=config.seed,
-                  restarts=config.proto_restarts)
+    bank = kmeans(build_pool(train), k=config.proto.k, seed=config.seed,
+                  restarts=config.proto.restarts)
     gen, _, head, _ = train_model(train, bank, config)
     rows, diag = evaluate(eval_set, bank, gen, head, config)
     return {"config": config, "train": train, "eval": eval_set, "bank": bank,
@@ -185,7 +186,7 @@ def test_criterion_03_training_gradients_match_finite_differences():
 
 
 def _localization_ious(sigma, kinds, bank_k, count=500):
-    world = gen_world(WorldConfig(sigma_id=sigma, seed=42))
+    world = gen_world(WorldConfig(sigma_id=sigma), 42)
     rng = Rng(42)
     members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(300)]
@@ -250,7 +251,7 @@ def test_criterion_06_completion_compacts_the_feature_space(default_pipeline):
     trained = fx["diag"]["compactness_ratio"]
     iden = identity_generator(fx["train"], fx["bank"], fx["config"])
     pasted = eval_compactness(fx["eval"], fx["bank"], iden,
-                              fx["config"].occ_config())
+                              fx["config"].occ)
     report(6, "completion compacts the feature space",
            trained < 0.5 and pasted < 1.0,
            f"trained={trained:.4f} (<0.5) paste_only={pasted:.4f} (<1.0)")
@@ -275,14 +276,15 @@ def test_criterion_07_completed_features_confuse_a_fresh_probe(default_pipeline)
 def test_criterion_08_progressive_training_is_better_and_steadier():
     # Fixed dataset and bank; only the training seed varies per run, so the
     # spread measures the stability of each schedule rather than the world.
-    config = RunConfig(seed=42, sigma_id=0.25, train_visible=400,
-                       train_occluded=200, train_background=50,
-                       eval_pedestrians=300, eval_background=0).validate()
+    config = RunConfig(seed=42, world=WorldConfig(sigma_id=0.25),
+                       data=DataConfig(train_visible=400, train_occluded=200,
+                                       train_background=50, eval_pedestrians=300,
+                                       eval_background=0)).validate()
     train, eval_set, _ = synthesize(config)
     bank = kmeans(build_pool(train), k=5, seed=42, restarts=5)
     visible, occ_pool = _ped_pools(train)
-    world = gen_world(config.world_config())
-    occ_cfg = config.occ_config()
+    world = gen_world(config.world, config.seed)
+    occ_cfg = config.occ
 
     def final_ratio(stages, s):
         gen, _, _ = progressive_train(visible, occ_pool, bank, stages,

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import re
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from occfill.cli import (
     CONFIG_KEYS,
+    DataConfig,
     RunConfig,
     complete_proposal,
     config_from_mapping,
@@ -23,11 +25,12 @@ from occfill.cli import (
 )
 from occfill.completion import TrainConfig, copy_paste, read_model, rescore
 from occfill.errors import PreconditionError
-from occfill.eval import mask_iou
+from occfill.eval import EvalConfig, mask_iou
 from occfill.ndnum import Rng
-from occfill.occlusion import analyze, completion_mask, correlation_map
-from occfill.prototypes import build_pool, nearest_prototype, read_bank
-from occfill.synth import PEDESTRIAN, read_dataset
+from occfill.occlusion import (OcclusionConfig, analyze, completion_mask,
+                               correlation_map)
+from occfill.prototypes import ProtoConfig, build_pool, nearest_prototype, read_bank
+from occfill.synth import PEDESTRIAN, WorldConfig, read_dataset
 
 SMALL = """\
 seed = 7
@@ -92,11 +95,17 @@ class TestConfigText:
         assert config_from_mapping({}) == RunConfig()
 
     def test_round_trip_preserves_every_field(self):
-        config = RunConfig(seed=9, channels=12, grid_x=6, grid_y=8,
-                           sigma_id=0.125, train_visible=11, proto_k=2,
-                           alpha=0.45, stage1_learn_rate=3e-3,
-                           stage2_iterations=17, head_learn_rate=0.25,
-                           fppi_count=5)
+        # Every field of every section moves off its default, so a field
+        # without a key, or a key the parser drops, fails the round trip.
+        def nudged(value):
+            if dataclasses.is_dataclass(value):
+                return dataclasses.replace(value, **{
+                    f.name: nudged(getattr(value, f.name))
+                    for f in dataclasses.fields(value)})
+            return value + 1 if isinstance(value, int) else value / 3
+        config, default = nudged(RunConfig()), RunConfig()
+        for key in CONFIG_KEYS:
+            assert attrgetter(key)(config) != attrgetter(key)(default), key
         text = config_to_text(config)
         assert config_from_mapping(parse_config_text(text)) == config
 
@@ -108,10 +117,17 @@ class TestConfigText:
     def test_readme_table_names_exactly_the_config_keys(self):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = text.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
-        named = []
+        named, default = [], RunConfig()
         for line in section.splitlines():
             if line.startswith("| `"):
-                named += re.findall(r"`([^`]+)`", line.split("|")[1])
+                cells = line.split("|")
+                keys = re.findall(r"`([^`]+)`", cells[1])
+                values = re.findall(r"`([^`]+)`", cells[2])
+                assert len(keys) == len(values), line
+                for key, value in zip(keys, values):
+                    assert key in CONFIG_KEYS, key
+                    assert CONFIG_KEYS[key](value) == attrgetter(key)(default), key
+                named += keys
         assert sorted(named) == sorted(CONFIG_KEYS)
 
     def test_blank_lines_and_comments_skipped(self):
@@ -141,7 +157,8 @@ class TestConfigText:
            rate=st.floats(min_value=1e-9, max_value=1.0,
                           allow_nan=False, allow_infinity=False))
     def test_round_trip_is_exact_for_any_values(self, seed, sigma, rate):
-        config = RunConfig(seed=seed, sigma_id=sigma, stage1_learn_rate=rate)
+        config = RunConfig(seed=seed, world=WorldConfig(sigma_id=sigma),
+                           train1=TrainConfig(learn_rate=rate))
         text = config_to_text(config)
         assert config_from_mapping(parse_config_text(text)) == config
 
@@ -153,49 +170,28 @@ class TestRunConfigValidate:
     @pytest.mark.parametrize("kwargs,match", [
         ({"seed": -1}, "seed"),
         ({"seed": 2 ** 64}, "seed"),
-        ({"proto_restarts": 0}, "proto.restarts"),
-        ({"train_visible": -1}, "non-negative"),
-        ({"proposals_per_image": 0}, "proposals_per_image"),
-        ({"proto_k": 0}, "proto.k"),
-        ({"head_learn_rate": 0.0}, "head"),
-        ({"fppi_count": 1}, "fppi_count"),
-        ({"alpha": 1.5}, "alpha"),
-        ({"alpha": float("nan")}, "alpha"),
-        ({"head_learn_rate": float("inf")}, "head.learn_rate"),
-        ({"head_learn_rate": float("nan")}, "head.learn_rate"),
-        ({"sigma_id": float("inf")}, "world.sigma_id"),
-        ({"sigma_id": float("nan")}, "world.sigma_id"),
+        ({"proto": ProtoConfig(restarts=0)}, "proto.restarts"),
+        ({"data": DataConfig(train_visible=-1)}, "non-negative"),
+        ({"data": DataConfig(proposals_per_image=0)}, "proposals_per_image"),
+        ({"proto": ProtoConfig(k=0)}, "proto.k"),
+        ({"head": TrainConfig(500, 0.0)}, "head"),
+        ({"eval": EvalConfig(fppi_count=1)}, "fppi_count"),
+        ({"occ": OcclusionConfig(alpha=1.5)}, "alpha"),
+        ({"occ": OcclusionConfig(alpha=float("nan"))}, "alpha"),
+        ({"head": TrainConfig(500, float("inf"))}, "head.learn_rate"),
+        ({"head": TrainConfig(500, float("nan"))}, "head.learn_rate"),
+        ({"world": WorldConfig(sigma_id=float("inf"))}, "world.sigma_id"),
+        ({"world": WorldConfig(sigma_id=float("nan"))}, "world.sigma_id"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(PreconditionError, match=match):
             RunConfig(**kwargs).validate()
 
-    def test_every_stage_config_field_follows_a_run_config_field(self):
-        # A stage config field that no RunConfig field moves is validated
-        # but can never be set from a config file or a flag.
-        def stage_configs(config):
-            first, second = config.stage_configs()
-            return {"world": config.world_config(), "occ": config.occ_config(),
-                    "train1": first, "train2": second,
-                    "eval": config.eval_config()}
-
-        def nudged(value):
-            if isinstance(value, str):
-                return value + "-x"
-            return value + (1 if isinstance(value, int) else 0.5)
-
-        base = stage_configs(RunConfig())
-        moved = set()
-        for run_field in dataclasses.fields(RunConfig):
-            value = nudged(getattr(RunConfig(), run_field.name))
-            changed = stage_configs(RunConfig(**{run_field.name: value}))
-            for name, sub in base.items():
-                for f in dataclasses.fields(sub):
-                    if getattr(changed[name], f.name) != getattr(sub, f.name):
-                        moved.add((name, f.name))
-        unset = [f"{name}.{f.name}" for name, sub in base.items()
-                 for f in dataclasses.fields(sub) if (name, f.name) not in moved]
-        assert unset == []
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_error_names_its_key(self, key):
+        # -1 is out of range for every key
+        with pytest.raises(PreconditionError, match=re.escape(key)):
+            config_from_mapping({key: "-1"}).validate()
 
 
 class TestSynthData:
@@ -352,7 +348,7 @@ class TestEval:
         # The completed map is its row of one batched pass, bit for bit. The
         # head's score is not: BLAS sums a one-column product in another
         # order than a many-column one, a few ulp apart.
-        occ_config = config_from_mapping(parse_config_text(SMALL)).occ_config()
+        occ_config = config_from_mapping(parse_config_text(SMALL)).occ
         bank = read_bank(small_run["bank"])
         gen, _, head, _, _ = read_model(small_run["model"])
         flagged, pasted = [], []
@@ -391,6 +387,35 @@ class TestInspect:
         assert len(grid) == 5 and all(len(row) == 5 for row in grid)
         channels = sorted(tmp_path.glob("channel_*.csv"))
         assert len(channels) == 8
+
+    def test_non_square_grid_has_one_image_row_per_y(self, tmp_path, capsys):
+        # 4 cells wide, 7 tall; eval proposal 7 is occluded on its right half
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(SMALL.replace("seed = 7", "seed = 3")
+                            .replace("world.grid_x = 5", "world.grid_x = 4")
+                            .replace("world.grid_y = 5", "world.grid_y = 7"))
+        run_ok(["synth-data", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        run_ok(["build-prototypes", "--config", str(cfg),
+                "--data", str(tmp_path / "s/train.fcds"), "--out", str(tmp_path / "b")])
+        run_ok(["inspect", "--config", str(cfg),
+                "--data", str(tmp_path / "s/eval.fcds"),
+                "--bank", str(tmp_path / "b/bank.fcpb"),
+                "--id", "7", "--out", str(tmp_path / "i")])
+        capsys.readouterr()
+        proposal = next(p for p in read_dataset(tmp_path / "s/eval.fcds")
+                        if p.id == 7)
+        found = analyze(proposal.features, proposal.scale,
+                        read_bank(tmp_path / "b/bank.fcpb"), OcclusionConfig())
+        header = b"P5\n4 7\n255\n"
+        pgm = (tmp_path / "i/mask.pgm").read_bytes()
+        assert pgm.startswith(header)
+        rows = np.frombuffer(pgm[len(header):], dtype=np.uint8).reshape(7, 4)
+        assert np.array_equal(rows == 255, found.mask.grid.T)
+        assert np.array_equal(rows == 255, proposal.true_mask.grid.T)
+        assert rows[:, :2].max() == 0 and rows[:, 2:].min() == 255
+        with (tmp_path / "i/corr_map.csv").open() as fh:
+            grid = [[float(v) for v in row] for row in csv.reader(fh)]
+        assert np.array_equal(np.array(grid), found.cmap.grid.T)
 
     def test_unknown_id_fails_cleanly(self, small_run, tmp_path, capsys):
         code = main(["inspect", "--config", str(small_run["cfg"]),

@@ -41,6 +41,9 @@ from occfill.synth import (
     sample_mask,
 )
 
+# The pipeline's default head fit: 500 steps of size 0.5.
+HEAD_FIT = TrainConfig(500, 0.5)
+
 
 def random_generator(channels, rng):
     """A generator whose second layer is non-zero, for exercising gradients."""
@@ -767,13 +770,14 @@ class TestTrainAdversarial:
             TrainConfig(learn_rate=float("nan")).validate()
 
     def test_default_stage_configs(self):
-        synth_cfg, real_cfg = RunConfig().stage_configs()
-        assert synth_cfg == TrainConfig(iterations=2000, learn_rate=2e-3)
-        assert real_cfg == TrainConfig(iterations=2000, learn_rate=2e-4)
+        config = RunConfig()
+        assert config.train1 == TrainConfig(iterations=2000, learn_rate=2e-3)
+        assert config.train2 == TrainConfig(iterations=2000, learn_rate=2e-4)
+        assert config.head == HEAD_FIT
 
 
 def build_training_world(sigma, seed, scale=105.0, n_vis=60, n_occ=40):
-    world = gen_world(WorldConfig(sigma_id=sigma, seed=seed))
+    world = gen_world(WorldConfig(sigma_id=sigma), seed)
     rng = Rng(seed + 100)
     vis = [gen_pedestrian(world, scale, rng.split(f"v{i}"), pid=i)
            for i in range(n_vis)]
@@ -922,7 +926,7 @@ class TestScoringHead:
     def test_training_separates_offset_pools(self):
         rng = Rng(25)
         base = rng.normal(shape=(80, 2, 3, 3))
-        head = train_scoring_head(base + 4.0, base - 4.0, rng.split("t"))
+        head = train_scoring_head(base + 4.0, base - 4.0, rng.split("t"), HEAD_FIT)
         assert head.trained
         p_pos = head.probability(base[:10] + 4.0)
         p_neg = head.probability(base[:10] - 4.0)
@@ -932,12 +936,22 @@ class TestScoringHead:
     def test_rejects_mismatched_pools(self):
         with pytest.raises(PreconditionError):
             train_scoring_head(np.zeros((4, 2, 3, 3)), np.zeros((4, 2, 3, 4)),
-                               Rng(0))
+                               Rng(0), HEAD_FIT)
 
     def test_rejects_empty_pools(self):
         with pytest.raises(PreconditionError):
             train_scoring_head(np.zeros((0, 2, 3, 3)), np.zeros((4, 2, 3, 3)),
-                               Rng(0))
+                               Rng(0), HEAD_FIT)
+
+    @pytest.mark.parametrize("config,match", [
+        (TrainConfig(-1, 0.5), "head.iterations"),
+        (TrainConfig(500, 0.0), "head.learn_rate"),
+        (TrainConfig(500, float("nan")), "head.learn_rate"),
+    ])
+    def test_rejects_bad_config(self, config, match):
+        pools = np.ones((4, 2, 3, 3))
+        with pytest.raises(PreconditionError, match=match):
+            train_scoring_head(pools, -pools, Rng(0), config)
 
     def test_rejects_wrong_head_shape(self):
         with pytest.raises(PreconditionError):
@@ -958,7 +972,7 @@ class TestScoringHead:
         pos = rng.split("p").normal(shape=(n_pos, 3, 4, 4)) * 2.0 + 1.0
         neg = rng.split("n").normal(shape=(n_neg, 3, 4, 4))
         neg[0] = 0.0
-        got = train_scoring_head(pos, neg, rng.split("t"), iterations=40)
+        got = train_scoring_head(pos, neg, rng.split("t"), TrainConfig(40, 0.5))
         want = reference_scoring_head(pos, neg, rng.split("t"), iterations=40)
         for a, b in zip(got.params(), want.params()):
             assert a.tobytes() == b.tobytes()
@@ -985,7 +999,7 @@ class TestScoringHead:
         pos = rng.normal(shape=(20, 2, 3, 3)) + 1.0
         neg = rng.normal(shape=(30, 2, 3, 3))
         before = pos.copy(), neg.copy()
-        train_scoring_head(pos, neg, rng.split("t"), iterations=3)
+        train_scoring_head(pos, neg, rng.split("t"), TrainConfig(3, 0.5))
         assert np.array_equal(pos, before[0]) and np.array_equal(neg, before[1])
 
     def test_fit_holds_one_feature_matrix(self):
@@ -996,7 +1010,7 @@ class TestScoringHead:
         neg = rng.normal(shape=(300, 16, 7, 7))
         tracemalloc.start()
         try:
-            train_scoring_head(pos, neg, rng.split("t"), iterations=2)
+            train_scoring_head(pos, neg, rng.split("t"), TrainConfig(2, 0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1048,7 +1062,7 @@ class TestRescore:
     def test_occluded_proposal_uses_head(self):
         rng = Rng(26)
         base = rng.normal(shape=(40, 2, 3, 3))
-        head = train_scoring_head(base + 4.0, base - 4.0, rng.split("t"))
+        head = train_scoring_head(base + 4.0, base - 4.0, rng.split("t"), HEAD_FIT)
         completed = base[0] + 4.0
         got = rescore(FakeProposal(0.1), completed, head, occluded=True)
         assert got == head.probability(completed[None])

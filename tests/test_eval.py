@@ -231,12 +231,15 @@ class TestEvalConfig:
         assert np.allclose(pts, np.logspace(-2, 0, 9))
 
     def test_rejects_bad_grids(self):
-        with pytest.raises(PreconditionError):
-            EvalConfig(fppi_points=(1e-2, 1e-2, 1.0)).validate()
-        with pytest.raises(PreconditionError):
-            EvalConfig(fppi_points=(1e-3, 1.0)).validate()
-        with pytest.raises(PreconditionError):
-            EvalConfig(fppi_points=(1e-2, 0.5)).validate()
+        for count in (1, 0, -1):
+            with pytest.raises(PreconditionError, match="eval.fppi_count"):
+                EvalConfig(fppi_count=count).validate()
+
+    def test_points_span_the_range_at_any_count(self):
+        for count in (2, 3, 9, 20):
+            pts = EvalConfig(fppi_count=count).validate().fppi_points
+            assert len(pts) == count
+            assert pts[0] == 1e-2 and pts[-1] == 1.0
 
 
 class TestCompactnessRatio:
@@ -450,7 +453,8 @@ def held_out_accuracy(disc, test_a, test_b):
     p_a = disc.forward(test_a.reshape(test_a.shape[0], -1).T)
     p_b = disc.forward(test_b.reshape(test_b.shape[0], -1).T)
     correct = int(np.sum(p_a > 0.5)) + int(np.sum(p_b < 0.5))
-    return correct / (test_a.shape[0] + test_b.shape[0])
+    ties = int(np.sum(p_a == 0.5)) + int(np.sum(p_b == 0.5))
+    return (correct + ties / 2) / (test_a.shape[0] + test_b.shape[0])
 
 
 def span_sides(seed, n=60, shared=4, shape=(16, 7, 7)):
@@ -488,6 +492,11 @@ class TestProbeSpan:
         a, b = span_sides(92)
         want = held_out_accuracy(*full_space_probe(a, b, 93, 0))
         assert probe_accuracy(a, b, seed=93, iterations=0) == want
+
+    def test_untrained_probe_reads_chance(self):
+        # The zero readout gives p = 0.5 for every sample: a tie on both
+        # sides counts half right, not wrong.
+        assert probe_accuracy(*span_sides(92), seed=93, iterations=0) == 0.5
 
     def test_as_many_rows_as_features_train_in_full_space(self):
         a, b = span_sides(94, shape=(2, 3, 3))

@@ -57,7 +57,7 @@ def xor_toy_check(seed=0, trials=20):
     mask complement for the empty mask, the full mask, and ``trials``
     random masks.
     """
-    world = gen_world(WorldConfig(sigma_id=0.0, seed=seed))
+    world = gen_world(WorldConfig(sigma_id=0.0), seed)
     rng = Rng(seed).split("xor-toy")
     gx, gy = world.config.grid_x, world.config.grid_y
     scale = SCALE_MEANS[1]
@@ -230,7 +230,7 @@ class TestSyntheticRecovery:
         assert xor_toy_check()
 
     def test_zero_noise_object_masks_recovered_exactly(self):
-        world = gen_world(WorldConfig(sigma_id=0.0, seed=5))
+        world = gen_world(WorldConfig(sigma_id=0.0), 5)
         rng = Rng(55)
         pool = build_pool([
             gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
@@ -250,7 +250,7 @@ class TestSyntheticRecovery:
             assert np.array_equal(got.grid, mask.grid)
 
     def test_pedestrian_maps_beat_background_maps(self):
-        world = gen_world(WorldConfig(seed=11))
+        world = gen_world(WorldConfig(), 11)
         rng = Rng(77)
         pool = build_pool([
             gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
@@ -283,7 +283,7 @@ def reference_chain(features, scale, bank, config):
 @pytest.fixture(scope="module")
 def analysis_set():
     """A seeded bank plus visible, occluded and background proposals."""
-    world = gen_world(WorldConfig(seed=21))
+    world = gen_world(WorldConfig(), 21)
     rng = Rng(210)
     visible = [gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(80)]

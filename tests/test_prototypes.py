@@ -11,7 +11,7 @@ from occfill import prototypes, synth
 from occfill.errors import FormatError, PreconditionError, ShapeMismatchError
 from occfill.ndnum import Rng
 
-WORLD = synth.gen_world(synth.WorldConfig())
+WORLD = synth.gen_world(synth.WorldConfig(), 0)
 
 
 def scalar_pool(values, scales=None):

@@ -12,8 +12,8 @@ from occfill import synth
 from occfill.errors import FormatError, PreconditionError, ShapeMismatchError
 from occfill.ndnum import Rng
 
-WORLD = synth.gen_world(synth.WorldConfig())
-QUIET = synth.gen_world(synth.WorldConfig(sigma_id=0.0))
+WORLD = synth.gen_world(synth.WorldConfig(), 0)
+QUIET = synth.gen_world(synth.WorldConfig(sigma_id=0.0), 0)
 
 
 def corr_map(a, b):
@@ -33,16 +33,16 @@ def archetype(world, scale):
 
 
 def test_world_same_seed_identical():
-    a = synth.gen_world(synth.WorldConfig(seed=7))
-    b = synth.gen_world(synth.WorldConfig(seed=7))
+    a = synth.gen_world(synth.WorldConfig(), 7)
+    b = synth.gen_world(synth.WorldConfig(), 7)
     assert np.array_equal(a.templates, b.templates)
     assert np.array_equal(a.spare_templates, b.spare_templates)
     assert np.array_equal(a.part_grid, b.part_grid)
 
 
 def test_world_seed_changes_templates():
-    a = synth.gen_world(synth.WorldConfig(seed=7))
-    b = synth.gen_world(synth.WorldConfig(seed=8))
+    a = synth.gen_world(synth.WorldConfig(), 7)
+    b = synth.gen_world(synth.WorldConfig(), 8)
     assert not np.array_equal(a.templates, b.templates)
 
 
@@ -75,14 +75,14 @@ def assert_orthogonal_templates(world):
 
 
 def test_non_power_of_two_channels_supported():
-    assert_orthogonal_templates(synth.gen_world(synth.WorldConfig(channels=12, seed=3)))
+    assert_orthogonal_templates(synth.gen_world(synth.WorldConfig(channels=12), 3))
 
 
 @pytest.mark.parametrize("channels", [c for c in range(7, 25) if c & (c - 1)])
 def test_non_power_of_two_templates_are_orthogonal(channels):
     for seed in range(10):
         assert_orthogonal_templates(
-            synth.gen_world(synth.WorldConfig(channels=channels, seed=seed)))
+            synth.gen_world(synth.WorldConfig(channels=channels), seed))
 
 
 @pytest.mark.parametrize("channels,digest", [
@@ -94,7 +94,7 @@ def test_power_of_two_templates_are_pinned(channels, digest):
     # the Hadamard templates of seeds 0-19 must not move with the other branch
     h = hashlib.sha256()
     for seed in range(20):
-        w = synth.gen_world(synth.WorldConfig(channels=channels, seed=seed))
+        w = synth.gen_world(synth.WorldConfig(channels=channels), seed)
         h.update(w.templates.tobytes())
         h.update(w.spare_templates.tobytes())
     assert h.hexdigest() == digest
@@ -108,7 +108,7 @@ def test_too_few_channels_rejected():
 def test_six_channels_rejected_up_front():
     # six part templates leave no orthogonal row for an occluder
     with pytest.raises(PreconditionError, match="at least 7 channels"):
-        synth.gen_world(synth.WorldConfig(channels=6))
+        synth.gen_world(synth.WorldConfig(channels=6), 0)
 
 
 def test_scale_rejection_loop_is_bounded(monkeypatch):
@@ -338,7 +338,7 @@ def test_every_accepted_small_grid_draws_backgrounds():
                 with pytest.raises(PreconditionError, match="at least 5 cells"):
                     config.validate()
                 continue
-            world = synth.gen_world(config)
+            world = synth.gen_world(config, 0)
             parts = world.part_grid.reshape(-1)
             for seed in range(40):
                 b = synth.gen_background(world, Rng(seed))
@@ -384,7 +384,7 @@ def reference_bg_cell_draw(parts, rng, n_aligned):
 def test_backgrounds_equal_the_full_swap_search(monkeypatch, gx, gy):
     # grids where draws stall; an early give-up must leave the stream where
     # the full search would, so every background comes out the same
-    world = synth.gen_world(synth.WorldConfig(channels=7, grid_x=gx, grid_y=gy))
+    world = synth.gen_world(synth.WorldConfig(channels=7, grid_x=gx, grid_y=gy), 0)
     got = [synth.gen_background(world, Rng(seed)) for seed in range(120)]
     monkeypatch.setattr(synth, "_bg_cell_draw", reference_bg_cell_draw)
     want = [synth.gen_background(world, Rng(seed)) for seed in range(120)]
@@ -406,7 +406,7 @@ class CountingRng(Rng):
 
 
 def test_a_stalled_background_draw_gives_up_at_once():
-    world = synth.gen_world(synth.WorldConfig(channels=7, grid_x=3, grid_y=2))
+    world = synth.gen_world(synth.WorldConfig(channels=7, grid_x=3, grid_y=2), 0)
     parts = world.part_grid.reshape(-1)
     stalls = 0
     for seed in range(40):
@@ -538,7 +538,7 @@ def test_zero_dim_header_rejected(tmp_path, dims, offset):
 
 
 def test_write_rejects_mixed_shapes(tmp_path):
-    small = synth.gen_world(synth.WorldConfig(channels=8, seed=1))
+    small = synth.gen_world(synth.WorldConfig(channels=8), 1)
     props = [synth.gen_pedestrian(WORLD, 105.0, Rng(1)),
              synth.gen_pedestrian(small, 105.0, Rng(2))]
     with pytest.raises(ShapeMismatchError):
