@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import dataclass, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -421,8 +422,7 @@ def cmd_build_prototypes(args):
     config = _load_config(args)
     out = _prepare_out(args, config)
     pool = build_pool(read_dataset(args.data))
-    bank = kmeans(pool, k=config.proto.k, seed=config.seed,
-                  restarts=config.proto.restarts)
+    bank = kmeans(pool, config.proto, seed=config.seed)
     write_bank(bank, out / "bank.fcpb")
     for i, proto in enumerate(bank.prototypes):
         print(f"cluster {i}: scale {proto.scale_mean:.2f} ± "
@@ -560,7 +560,12 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PRECONDITION
     try:
-        return int(args.func(args))
+        start = time.perf_counter()
+        code = int(args.func(args))
+        # Wall time goes to the log only, so stdout and artifacts stay
+        # byte-identical across runs.
+        LOG.info("%s took %.2f s", args.command, time.perf_counter() - start)
+        return code
     except OccfillError as exc:
         LOG.debug("command failed", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)

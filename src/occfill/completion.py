@@ -240,10 +240,14 @@ def _ascent_pass(disc, positives, negatives):
     """
     m = positives.shape[0]
     p = disc.forward(_flatten_batch(np.concatenate([positives, negatives])))
-    p_pos, p_neg = p[:, :m], p[:, m:]
-    upstream = np.concatenate([1.0 / (m * clamp_prob(p_pos)),
-                               -1.0 / (m * (1.0 - clamp_prob(p_neg)))], axis=1)
-    return p_pos, p_neg, disc.param_grads(upstream)
+    return p[:, :m], p[:, m:], disc.param_grads(_ascent_upstream(p, m))
+
+
+def _ascent_upstream(p, m):
+    """Gradient of mean log p[:m] + mean log(1 - p[m:]) wrt p, along the
+    last axis, with p clamped away from 0 and 1 as in the losses."""
+    return np.concatenate([1.0 / (m * clamp_prob(p[..., :m])),
+                           -1.0 / (m * (1.0 - clamp_prob(p[..., m:])))], axis=-1)
 
 
 def minibatch(rng, n, m):

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ShapeMismatchError
-from .ndnum import DenseLayer, Rng, check_finite, sgd_step
-from .completion import (BATCH_SIZE, Discriminator, _ascent_pass, _flatten_batch,
-                         minibatch, planned)
+from .ndnum import DenseLayer, Rng, check_finite, relu, sgd_step, sigmoid
+from .completion import (BATCH_SIZE, Discriminator, _ascent_pass, _ascent_upstream,
+                         _flatten_batch, minibatch, planned)
 
 SUBSETS = ("R", "HO", "R+HO")
 MISS_FLOOR = 1e-4
@@ -246,41 +246,77 @@ def _split_by_content(a, b, rng):
 def _train_probe(train_a, train_b, rng, iterations, learn_rate):
     """The probe discriminator after SGD on train fold a (label 1) against b.
 
-    Each update of the hidden weights adds dz·xᵀ with x a training row, so
-    they move only within the span of the training rows. When the folds
-    hold fewer rows than features, the probe trains on the rows'
-    coordinates in an orthonormal basis Q of that span, from the hidden
-    weights W0·Q, and maps back as W0 + (W - W0·Q)·Qᵀ: the same classifier
-    up to rounding, from smaller products. W0 and every minibatch are
-    drawn as in full space.
+    Every step adds a combination of training rows to the hidden weights
+    W, so W stays W0 plus a sum of rows. With fewer rows n than features d
+    (350 against 784 on the default config), the steps therefore run on
+    the rows' Gram matrix (`_gram_steps`) and W is formed once at the end:
+    the same classifier up to rounding, from one n-row product per step
+    instead of two d-wide ones. With n >= d the hidden weights step in full
+    space, where the n x n Gram matrix would cost more memory than it
+    saves. W0 and every minibatch are drawn as in full space either way.
     """
     n_a, n_b = train_a.shape[0], train_b.shape[0]
     n, d = n_a + n_b, int(np.prod(train_a.shape[1:]))
     disc = Discriminator.init(d, rng.split("disc"))
-    full = disc.hidden
-    if n < d:
-        basis, tri = np.linalg.qr(np.concatenate([train_a, train_b]).reshape(n, d).T)
-        # Rows' coordinates in the basis: X·Q = Rᵀ, since Xᵀ = Q·R. Copied to
-        # row order, so that the minibatch gathers read contiguous rows.
-        rows = np.ascontiguousarray(tri.T)
-        train_a, train_b = rows[:n_a], rows[n_a:]
-        disc = Discriminator(DenseLayer(full.weights @ basis, full.bias, "relu"),
-                             disc.readout)
-        start = disc.hidden.weights
     m = min(BATCH_SIZE, n_a, n_b)
 
     def plan(first, count):
         return plan_probe(rng, first, count, n_a, n_b, m)
 
-    for idx_a, idx_b in planned(plan, iterations):
-        grads = _probe_step(train_a, train_b, disc, idx_a, idx_b)
-        disc.set_params(sgd_step(disc.params(), grads, learn_rate, "ascend"))
+    steps = planned(plan, iterations)
+    if n >= d:
+        for idx_a, idx_b in steps:
+            grads = _probe_step(train_a, train_b, disc, idx_a, idx_b)
+            disc.set_params(sgd_step(disc.params(), grads, learn_rate, "ascend"))
+        return disc
+    rows = np.concatenate([train_a, train_b]).reshape(n, d)
+    moves, head = _gram_steps(rows, n_a, disc, steps, learn_rate)
+    width = disc.hidden.out_dim
+    return Discriminator(
+        DenseLayer(disc.hidden.weights + moves.T @ rows, head[:width], "relu"),
+        DenseLayer(head[None, width:-1], head[-1:], "sigmoid"))
 
-    if n < d:
-        moved = (disc.hidden.weights - start) @ basis.T
-        disc = Discriminator(DenseLayer(full.weights + moved, disc.hidden.bias, "relu"),
-                             disc.readout)
-    return disc
+
+def _gram_steps(rows, n_a, disc, steps, learn_rate):
+    """Run the probe's steps on the hidden pre-activations of its rows.
+
+    With dz the (2m, width) pre-activation gradient of a step's batch b and
+    X_b its rows, a full-space step adds η·dzᵀ·X_b to the hidden weights W.
+    So W = W0 + Cᵀ·X for the (n, d) training rows X and an (n, width)
+    table C that gains η·dz on the rows b. The steps need W only through
+    Z = X·Wᵀ, the pre-activations of every row, and the Gram matrix
+    K = X·Xᵀ updates it: Z += K[:, b]·η·dz, one n x 2m x width product
+    per step where full space takes two of width x 2m x d. K is symmetric,
+    so K[:, b] is read as the rows K[b].
+
+    Starts from the parameters of ``disc``. Returns C and one vector of
+    the stepped hidden bias, readout weights and readout bias, which takes
+    one `sgd_step` per step. Z and C are row-major, so every gather and
+    scatter is a row operation. Activations, probabilities, the stepped
+    parameters and Z are checked finite at the step that made them.
+    """
+    gram = rows @ rows.T
+    hidden = rows @ disc.hidden.weights.T
+    moves = np.zeros_like(hidden)
+    width = hidden.shape[1]
+    head = np.concatenate([disc.hidden.bias, disc.readout.weights[0],
+                           disc.readout.bias])
+    for idx_a, idx_b in steps:
+        batch = np.concatenate([idx_a, idx_b + n_a])
+        readout = head[width:-1]
+        z = hidden[batch]
+        z += head[:width]
+        h = check_finite(relu(z), "probe hidden output")
+        p = check_finite(sigmoid(h @ readout + head[-1]), "probe output")
+        dz_read = _ascent_upstream(p, idx_a.shape[0]) * p * (1.0 - p)
+        dz = dz_read[:, None] * readout * (z > 0)
+        grads = np.concatenate([dz.sum(axis=0), dz_read @ h, [dz_read.sum()]])
+        [head] = sgd_step([head], [grads], learn_rate, "ascend")
+        dz *= learn_rate
+        moves[batch] += dz
+        hidden += gram[batch].T @ dz
+        check_finite(hidden, "probe hidden pre-activations")
+    return moves, head
 
 
 def probe_accuracy(features_a, features_b, seed, iterations=2000,
@@ -291,10 +327,15 @@ def probe_accuracy(features_a, features_b, seed, iterations=2000,
     architecture trains on the train folds and is scored on the held-out
     ones. Near 0.5 means the two feature sets are statistically
     indistinguishable to this probe. When the train folds hold fewer
-    samples than a map has features, the probe trains in the span of its
-    training rows (see `_train_probe`): the same classifier up to
-    rounding, at a fraction of the cost.
+    samples than a map has features, the probe steps through the Gram
+    matrix of its training rows (see `_gram_steps`): the same classifier
+    up to rounding, at one product per step instead of two.
     """
+    if iterations < 0:
+        raise PreconditionError(f"probe iterations must be >= 0, got {iterations}")
+    if not (learn_rate > 0 and np.isfinite(learn_rate)):
+        raise PreconditionError(
+            f"probe learn rate must be positive and finite, got {learn_rate}")
     a = _sample_set("side a", features_a)
     b = _sample_set("side b", features_b)
     if a.shape[1:] != b.shape[1:]:

@@ -175,20 +175,20 @@ def _objective(flat, labels, k):
     return float(np.sum((flat - centers[labels]) ** 2))
 
 
-def kmeans(pool, k=5, seed=0, max_iters=100, restarts=5):
-    """Cluster the pool; the best of `restarts` seeded runs wins."""
-    if k < 1:
-        raise PreconditionError(f"cluster count must be >= 1, got {k}")
+def kmeans(pool, config=ProtoConfig(), seed=0, max_iters=100):
+    """Cluster the pool into `config.k` clusters; the best of
+    `config.restarts` seeded runs wins."""
+    k = config.validate().k
     if pool.size < k:
         raise PreconditionError(
             f"pool holds {pool.size} entries, fewer than {k} clusters")
-    if max_iters < 1 or restarts < 1:
-        raise PreconditionError("max_iters and restarts must be >= 1")
+    if max_iters < 1:
+        raise PreconditionError("max_iters must be >= 1")
     flat = pool.features.reshape(pool.size, -1).astype(np.float64, copy=False)
     check_finite(flat, "pool features")
     root = Rng(seed)
     best_labels, best_obj = None, np.inf
-    for r in range(restarts):
+    for r in range(config.restarts):
         labels, obj = _lloyd(flat, k, root.split(f"restart-{r}"), max_iters)
         if obj < best_obj:
             best_labels, best_obj = labels, obj

@@ -39,7 +39,8 @@ from occfill.occlusion import (
     is_occluded,
     occluded_cells,
 )
-from occfill.prototypes import FeaturePool, build_pool, kmeans, nearest_prototype
+from occfill.prototypes import (FeaturePool, ProtoConfig, build_pool, kmeans,
+                                nearest_prototype)
 from occfill.synth import (
     MASK_PATTERNS,
     PEDESTRIAN,
@@ -88,7 +89,7 @@ def flagging_bench():
     rng = Rng(42)
     members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(800)]
-    bank = kmeans(build_pool(members), k=5, seed=42, restarts=5)
+    bank = kmeans(build_pool(members), ProtoConfig(k=5, restarts=5), seed=42)
     return world, bank
 
 
@@ -97,8 +98,7 @@ def default_pipeline():
     """Full default-config run at seed 42, shared by the training criteria."""
     config = RunConfig(seed=42).validate()
     train, eval_set, _ = synthesize(config)
-    bank = kmeans(build_pool(train), k=config.proto.k, seed=config.seed,
-                  restarts=config.proto.restarts)
+    bank = kmeans(build_pool(train), config.proto, seed=config.seed)
     gen, _, head, _ = train_model(train, bank, config)
     rows, diag = evaluate(eval_set, bank, gen, head, config)
     return {"config": config, "train": train, "eval": eval_set, "bank": bank,
@@ -149,7 +149,7 @@ def test_criterion_02_kmeans_matches_exhaustive_partitioning():
         k = 1 + trial % 3
         feats = rng.split(f"f{trial}").normal((n, 1, 1, 2))
         pool = FeaturePool(feats, rng.split(f"s{trial}").uniform(50, 200, shape=n))
-        bank = kmeans(pool, k=k, seed=trial, restarts=20)
+        bank = kmeans(pool, ProtoConfig(k=k, restarts=20), seed=trial)
         got = km_oracle.wcss(pool, bank)
         want = km_oracle.brute_force_objective(feats.reshape(n, -1), k)
         mismatches += got != want
@@ -190,7 +190,7 @@ def _localization_ious(sigma, kinds, bank_k, count=500):
     rng = Rng(42)
     members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(300)]
-    bank = kmeans(build_pool(members), k=bank_k, seed=42, restarts=5)
+    bank = kmeans(build_pool(members), ProtoConfig(k=bank_k, restarts=5), seed=42)
     ious = []
     for i in range(count):
         pr = rng.split(f"o{i}")
@@ -281,7 +281,7 @@ def test_criterion_08_progressive_training_is_better_and_steadier():
                                        train_background=50, eval_pedestrians=300,
                                        eval_background=0)).validate()
     train, eval_set, _ = synthesize(config)
-    bank = kmeans(build_pool(train), k=5, seed=42, restarts=5)
+    bank = kmeans(build_pool(train), ProtoConfig(k=5, restarts=5), seed=42)
     visible, occ_pool = _ped_pools(train)
     world = gen_world(config.world, config.seed)
     occ_cfg = config.occ

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import re
 from operator import attrgetter
 from pathlib import Path
@@ -522,6 +523,31 @@ class TestDeterminism:
             first = (tmp_path / "r1" / rel).read_bytes()
             second = (tmp_path / "r2" / rel).read_bytes()
             assert first == second, rel
+
+
+class TestTimingLog:
+    def test_wall_time_is_logged_and_outputs_do_not_move(
+            self, small_run, tmp_path, monkeypatch, caplog, capsys):
+        argv = ["eval", "--config", str(small_run["cfg"]),
+                "--data", str(small_run["eval"]), "--bank", str(small_run["bank"]),
+                "--model", str(small_run["model"]), "--out", str(tmp_path)]
+        timed, outputs = {}, {}
+        for level in ("error", "info"):
+            monkeypatch.setenv("OCCFILL_LOG", level)
+            caplog.clear()
+            capsys.readouterr()
+            with caplog.at_level(logging.DEBUG, logger="occfill"):
+                run_ok(argv)
+            timed[level] = [r for r in caplog.records
+                            if r.name == "occfill" and " took " in r.getMessage()]
+            outputs[level] = (capsys.readouterr().out,
+                              (tmp_path / "metrics.csv").read_bytes(),
+                              (tmp_path / "config.txt").read_bytes())
+        assert timed["error"] == []
+        [record] = timed["info"]
+        assert record.levelno == logging.INFO
+        assert re.fullmatch(r"eval took \d+\.\d\d s", record.getMessage())
+        assert outputs["info"] == outputs["error"]
 
 
 class TestExitCodes:

@@ -30,7 +30,7 @@ from occfill.completion import (
 )
 from occfill.errors import FormatError, PreconditionError, ShapeMismatchError
 from occfill.ndnum import DenseLayer, Rng, sgd_step, sigmoid
-from occfill.prototypes import FeaturePool, build_pool, kmeans
+from occfill.prototypes import FeaturePool, ProtoConfig, build_pool, kmeans
 from occfill.synth import (
     MASK_PATTERNS,
     OcclusionMask,
@@ -788,7 +788,7 @@ def build_training_world(sigma, seed, scale=105.0, n_vis=60, n_occ=40):
         mask = sample_mask(world, MASK_PATTERNS[i % len(MASK_PATTERNS)], r)
         occluded.append(gen_occluded(world, base, mask, "object", r))
     pool_vis = build_pool(vis)
-    bank = kmeans(pool_vis, k=1, seed=0)
+    bank = kmeans(pool_vis, ProtoConfig(k=1), seed=0)
     pool_occ = FeaturePool(np.array([p.features for p in occluded]),
                            np.array([p.scale for p in occluded]))
     return world, pool_vis, pool_occ, bank

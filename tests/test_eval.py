@@ -340,6 +340,22 @@ class TestProbeAccuracy:
         with pytest.raises(ShapeMismatchError):
             probe_accuracy(np.zeros((50, 2, 3, 3)), np.zeros((50, 2, 3, 4)), 0)
 
+    # (2, 3, 3) maps train in full space, (16, 7, 7) through the Gram matrix.
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (16, 7, 7)])
+    def test_rejects_negative_iterations(self, shape):
+        a, b = span_sides(66, shape=shape)
+        with pytest.raises(PreconditionError, match="iterations"):
+            probe_accuracy(a, b, seed=1, iterations=-1)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (16, 7, 7)])
+    @pytest.mark.parametrize("learn_rate", [0.0, -2e-3, np.inf, np.nan])
+    def test_rejects_bad_learn_rate(self, shape, learn_rate):
+        a, b = span_sides(67, shape=shape)
+        for iterations in (0, 10):
+            with pytest.raises(PreconditionError, match="learn rate"):
+                probe_accuracy(a, b, seed=1, iterations=iterations,
+                               learn_rate=learn_rate)
+
 
 def probe_batch(side_a, side_b, m, rng):
     """A probe step's indices into each side, from the step's stream."""
@@ -466,19 +482,47 @@ def span_sides(seed, n=60, shared=4, shape=(16, 7, 7)):
     return a, b
 
 
+def gram_calls(monkeypatch):
+    """Records each call of the probe's Gram path."""
+    calls = []
+    run = eval_module._gram_steps
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return run(*args)
+
+    monkeypatch.setattr(eval_module, "_gram_steps", spy)
+    return calls
+
+
+def first_failing_step(train, limit=10):
+    """The first iteration count at which ``train(iterations)`` raises."""
+    for iterations in range(1, limit + 1):
+        try:
+            train(iterations)
+        except PreconditionError:
+            return iterations
+    return None
+
+
 class TestProbeSpan:
+    """With fewer training rows than features the probe steps through the
+    rows' Gram matrix; it must be the full-space probe up to rounding."""
+
     def train_folds(self, a, b, seed):
         train_a, _, train_b, _ = eval_module._split_by_content(
             a, b, Rng(seed).split("fold"))
         return train_a, train_b
 
-    def test_span_training_is_full_space_training(self):
+    def test_span_training_is_full_space_training(self, monkeypatch):
         a, b = span_sides(90)
         train_a, train_b = self.train_folds(a, b, 91)
         rows = np.concatenate([train_a, train_b]).reshape(-1, a[0].size)
         assert rows.shape[0] < rows.shape[1]
         assert np.linalg.matrix_rank(rows) < rows.shape[0]
+        calls = gram_calls(monkeypatch)
         got = eval_module._train_probe(train_a, train_b, Rng(91), 300, 2e-3)
+        assert calls == [rows.shape]
         want, test_a, test_b = full_space_probe(a, b, 91, 300)
         for g, w in zip(got.params(), want.params()):
             assert g.shape == w.shape
@@ -498,15 +542,62 @@ class TestProbeSpan:
         # sides counts half right, not wrong.
         assert probe_accuracy(*span_sides(92), seed=93, iterations=0) == 0.5
 
-    def test_as_many_rows_as_features_train_in_full_space(self):
+    def test_as_many_rows_as_features_train_in_full_space(self, monkeypatch):
         a, b = span_sides(94, shape=(2, 3, 3))
         train_a, train_b = self.train_folds(a, b, 95)
         assert train_a.shape[0] + train_b.shape[0] >= a[0].size
+        calls = gram_calls(monkeypatch)
         got = eval_module._train_probe(train_a, train_b, Rng(95), 300, 2e-3)
         want, test_a, test_b = full_space_probe(a, b, 95, 300)
         assert all(np.array_equal(g, w) for g, w in zip(got.params(), want.params()))
         assert (probe_accuracy(a, b, seed=95, iterations=300)
                 == held_out_accuracy(want, test_a, test_b))
+        assert calls == []
+
+    # At scale 100 the readout's sum overflows into inf - inf; at scale
+    # 1e-150 a stepped parameter overflows. Both at step 2.
+    @pytest.mark.parametrize("scale,learn_rate", [(1e2, 1e305), (1e-150, 1e250)])
+    def test_overflowing_step_fails_where_full_space_fails(self, scale, learn_rate):
+        a, b = (side * scale for side in span_sides(96))
+        train_a, train_b = self.train_folds(a, b, 97)
+        assert train_a.shape[0] + train_b.shape[0] < a[0].size
+
+        def gram(iterations):
+            eval_module._train_probe(train_a, train_b, Rng(97), iterations,
+                                     learn_rate)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = first_failing_step(
+                lambda iterations: full_space_probe(a, b, 97, iterations, learn_rate))
+            assert step is not None and step > 1
+            gram(step - 1)
+            with pytest.raises(PreconditionError):
+                gram(step)
+
+    def test_non_finite_pre_activations_fail_at_their_step(self):
+        # Rows of 1e160 overflow the Gram matrix, so the first update of Z
+        # is inf * 0: every other value of that step stays finite.
+        a, b = span_sides(100)
+        rows = np.concatenate([a, b]).reshape(a.shape[0] + b.shape[0], -1) * 1e160
+        disc = Discriminator.init(rows.shape[1], Rng(101).split("disc"))
+        steps = [(np.arange(8), np.arange(8))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PreconditionError, match="pre-activations"):
+                eval_module._gram_steps(rows, a.shape[0], disc, steps, 2e-3)
+
+    def test_peak_above_the_inputs_holds_no_basis(self):
+        # A d x n basis of the span next to the n x d rows would exceed it.
+        a, b = span_sides(98, n=250, shared=0)
+        train_a, train_b = self.train_folds(a, b, 99)
+        n, d = train_a.shape[0] + train_b.shape[0], a[0].size
+        assert n < d
+        tracemalloc.start()
+        try:
+            eval_module._train_probe(train_a, train_b, Rng(99), 20, 2e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (n * d + n * n) * 8
 
 
 class TestMaskIoU:

@@ -16,7 +16,8 @@ from occfill.occlusion import (
     is_occluded,
     occluded_cells,
 )
-from occfill.prototypes import FeaturePool, build_pool, kmeans, nearest_prototype
+from occfill.prototypes import (FeaturePool, ProtoConfig, build_pool, kmeans,
+                                nearest_prototype)
 from occfill.synth import (
     MASK_PATTERNS,
     SCALE_MEANS,
@@ -237,7 +238,7 @@ class TestSyntheticRecovery:
                            rng.split(f"p{i}"), pid=i)
             for i in range(60)
         ])
-        bank = kmeans(pool, k=3, seed=1)
+        bank = kmeans(pool, ProtoConfig(k=3), seed=1)
         for i in range(30):
             r = rng.split(f"occ{i}")
             base = gen_pedestrian(world, sample_scale(r), r, pid=100 + i)
@@ -257,7 +258,7 @@ class TestSyntheticRecovery:
                            rng.split(f"p{i}"), pid=i)
             for i in range(300)
         ])
-        bank = kmeans(pool, k=4, seed=2)
+        bank = kmeans(pool, ProtoConfig(k=4), seed=2)
         wins = 0
         trials = 1000
         for i in range(trials):
@@ -287,7 +288,7 @@ def analysis_set():
     rng = Rng(210)
     visible = [gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
                               rng.split(f"v{i}"), pid=i) for i in range(80)]
-    bank = kmeans(build_pool(visible), k=3, seed=4)
+    bank = kmeans(build_pool(visible), ProtoConfig(k=3), seed=4)
     occluded = []
     for i in range(40):
         r = rng.split(f"o{i}")

@@ -10,6 +10,7 @@ import pytest
 from occfill import prototypes, synth
 from occfill.errors import FormatError, PreconditionError, ShapeMismatchError
 from occfill.ndnum import Rng
+from occfill.prototypes import ProtoConfig
 
 WORLD = synth.gen_world(synth.WorldConfig(), 0)
 
@@ -88,7 +89,7 @@ def test_pool_without_visible_samples_errors():
 
 
 def test_two_well_separated_pairs():
-    bank = prototypes.kmeans(scalar_pool([0.0, 1.0, 10.0, 11.0]), k=2, seed=0)
+    bank = prototypes.kmeans(scalar_pool([0.0, 1.0, 10.0, 11.0]), ProtoConfig(k=2), seed=0)
     centers = sorted(float(p.center.reshape(())) for p in bank.prototypes)
     assert centers == [0.5, 10.5]
     pool = scalar_pool([0.0, 1.0, 10.0, 11.0])
@@ -97,7 +98,7 @@ def test_two_well_separated_pairs():
 
 def test_k_equals_pool_size_gives_zero_objective():
     pool = scalar_pool([3.0, 7.0, 9.0])
-    bank = prototypes.kmeans(pool, k=3, seed=1)
+    bank = prototypes.kmeans(pool, ProtoConfig(k=3), seed=1)
     centers = sorted(float(p.center.reshape(())) for p in bank.prototypes)
     assert centers == [3.0, 7.0, 9.0]
     assert wcss(pool, bank) == 0.0
@@ -106,7 +107,7 @@ def test_k_equals_pool_size_gives_zero_objective():
 
 def test_identical_points_collapse():
     pool = scalar_pool([4.0] * 6)
-    bank = prototypes.kmeans(pool, k=3, seed=2)
+    bank = prototypes.kmeans(pool, ProtoConfig(k=3), seed=2)
     assert all(float(p.center.reshape(())) == 4.0 for p in bank.prototypes)
     assert sum(p.member_count for p in bank.prototypes) == 6
     assert all(p.member_count >= 1 for p in bank.prototypes)
@@ -115,17 +116,17 @@ def test_identical_points_collapse():
 def test_kmeans_preconditions():
     pool = scalar_pool([1.0, 2.0])
     with pytest.raises(PreconditionError):
-        prototypes.kmeans(pool, k=3)
+        prototypes.kmeans(pool, ProtoConfig(k=3))
     with pytest.raises(PreconditionError):
-        prototypes.kmeans(pool, k=0)
+        prototypes.kmeans(pool, ProtoConfig(k=0))
     with pytest.raises(PreconditionError):
-        prototypes.kmeans(pool, k=1, restarts=0)
+        prototypes.kmeans(pool, ProtoConfig(k=1, restarts=0))
 
 
 def test_kmeans_determinism():
     pool = prototypes.build_pool(_mini_dataset())
-    a = prototypes.kmeans(pool, k=3, seed=9)
-    b = prototypes.kmeans(pool, k=3, seed=9)
+    a = prototypes.kmeans(pool, ProtoConfig(k=3), seed=9)
+    b = prototypes.kmeans(pool, ProtoConfig(k=3), seed=9)
     for pa, pb in zip(a.prototypes, b.prototypes):
         assert np.array_equal(pa.center, pb.center)
         assert (pa.scale_mean, pa.scale_std, pa.member_count) == \
@@ -136,7 +137,7 @@ def test_converged_assignment_is_a_lloyd_fixed_point():
     rng = Rng(55)
     feats = rng.normal((20, 2, 3, 3))
     pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=20))
-    bank = prototypes.kmeans(pool, k=4, seed=3)
+    bank = prototypes.kmeans(pool, ProtoConfig(k=4), seed=3)
     flat = feats.reshape(20, -1)
     centers = np.stack([p.center.reshape(-1) for p in bank.prototypes])
     labels = ((flat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
@@ -150,8 +151,8 @@ def test_more_iterations_never_hurt():
     rng = Rng(66)
     feats = rng.normal((30, 1, 2, 2))
     pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=30))
-    short = prototypes.kmeans(pool, k=3, seed=4, max_iters=1, restarts=1)
-    long = prototypes.kmeans(pool, k=3, seed=4, max_iters=200, restarts=1)
+    short = prototypes.kmeans(pool, ProtoConfig(k=3, restarts=1), seed=4, max_iters=1)
+    long = prototypes.kmeans(pool, ProtoConfig(k=3, restarts=1), seed=4, max_iters=200)
     assert wcss(pool, long) <= wcss(pool, short) + 1e-12
 
 
@@ -162,7 +163,7 @@ def test_matches_brute_force_on_small_pools():
         k = 1 + trial % 3
         feats = rng.normal((n, 1, 1, 2))
         pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=n))
-        bank = prototypes.kmeans(pool, k=k, seed=trial, restarts=20)
+        bank = prototypes.kmeans(pool, ProtoConfig(k=k, restarts=20), seed=trial)
         got = wcss(pool, bank)
         want = brute_force_objective(feats.reshape(n, -1), k)
         assert got == want
@@ -189,9 +190,9 @@ def test_assign_equals_the_broadcast_reference(n, k):
 
 def test_bank_equals_the_one_the_broadcast_builds(monkeypatch):
     pool = prototypes.build_pool(_mini_dataset())
-    got = prototypes.kmeans(pool, k=3, seed=9)
+    got = prototypes.kmeans(pool, ProtoConfig(k=3), seed=9)
     monkeypatch.setattr(prototypes, "_assign", broadcast_assign)
-    want = prototypes.kmeans(pool, k=3, seed=9)
+    want = prototypes.kmeans(pool, ProtoConfig(k=3), seed=9)
     for a, b in zip(got.prototypes, want.prototypes):
         assert a.center.tobytes() == b.center.tobytes()
         assert (a.scale_mean, a.scale_std, a.member_count) == \
@@ -206,7 +207,7 @@ def test_kmeans_memory_stays_near_the_pool():
     pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=800))
     tracemalloc.start()
     try:
-        prototypes.kmeans(pool, k=5, seed=0, max_iters=5, restarts=2)
+        prototypes.kmeans(pool, ProtoConfig(k=5, restarts=2), seed=0, max_iters=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -271,7 +272,7 @@ def test_bank_validation():
 
 def _trained_bank():
     pool = prototypes.build_pool(_mini_dataset())
-    return prototypes.kmeans(pool, k=3, seed=5)
+    return prototypes.kmeans(pool, ProtoConfig(k=3), seed=5)
 
 
 def test_bank_roundtrip_bit_exact(tmp_path):
