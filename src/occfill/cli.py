@@ -22,9 +22,8 @@ import numpy as np
 from .completion import (TrainConfig, copy_paste, progressive_train, read_model,
                          rescore, train_scoring_head, write_model)
 from .errors import OccfillError, PreconditionError
-from .eval import (SUBSETS, Detection, EvalConfig, GroundTruth,
-                   PROBE_MIN_SAMPLES, compactness_ratio, log_avg_miss_rate,
-                   mask_iou, probe_accuracy, subset_of)
+from .eval import (SUBSETS, EvalConfig, PROBE_MIN_SAMPLES, compactness_ratio,
+                   in_subset, log_avg_miss_rate, mask_iou, probe_accuracy)
 from .ndnum import Rng
 from .occlusion import Analysis, OcclusionConfig, analyze, channel_correlation
 # Only analyze calls correlation_map. The name stays bound here because
@@ -192,12 +191,12 @@ def synthesize(config):
                             data.eval_background, len(eval_set))
 
     def counts(proposals):
-        tally = {"pedestrian": 0, "background": 0, "R": 0, "HO": 0, "R+HO": 0}
-        for p in proposals:
-            tally[p.label] += 1
-            if p.label == PEDESTRIAN:
-                for name in subset_of(p.visibility):
-                    tally[name] += 1
+        visibility = np.array([p.visibility for p in proposals
+                               if p.label == PEDESTRIAN])
+        tally = {name: int(in_subset(visibility, name).sum())
+                 for name in SUBSETS}
+        tally["pedestrian"] = len(visibility)
+        tally["background"] = len(proposals) - len(visibility)
         tally["total"] = len(proposals)
         return tally
 
@@ -274,23 +273,27 @@ def train_model(proposals, bank, config):
 def evaluate(proposals, bank, gen, head, config):
     """Baseline vs completed miss rates per subset, plus diagnostics.
 
-    Proposals are treated as coming from synthetic frames holding
+    One proposal is one detection, scored by the detector (baseline) or
+    after completion, and, if a pedestrian, its own ground truth; ids play
+    no part. Proposals are treated as coming from synthetic frames holding
     `proposals_per_image` candidates each, so FPPI budgets stay meaningful
     even though every background proposal is a potential false positive.
     A subset without ground truths gets NaN miss rates; the others are
     still computed.
     """
     images = -(-len(proposals) // config.data.proposals_per_image)
-    truths, baseline, completed_dets = [], [], []
+    pedestrian = np.array([p.label == PEDESTRIAN for p in proposals], dtype=bool)
+    visibility = np.array([p.visibility for p in proposals], dtype=np.float64)
+    baseline = np.array([p.score for p in proposals], dtype=np.float64)
+    completed = np.empty_like(baseline)
+    flagged = 0
     raw_occ, comp_occ, vis_feats, ious = [], [], [], []
-    for p in proposals:
+    for i, p in enumerate(proposals):
         report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
-        score = rescore(p, report.completed, head, report.occluded)
-        baseline.append(Detection(p.id, p.score))
-        completed_dets.append(Detection(p.id, float(score)))
+        completed[i] = rescore(p, report.completed, head, report.occluded)
+        flagged += report.occluded
         if p.label != PEDESTRIAN:
             continue
-        truths.append(GroundTruth(p.id, p.visibility))
         if p.true_mask is None:
             vis_feats.append(p.features)
         else:
@@ -298,6 +301,9 @@ def evaluate(proposals, bank, gen, head, config):
             raw_occ.append(p.features)
             comp_occ.append(report.completed if report.occluded else p.features)
 
+    LOG.info("eval scored %d proposals: %d flagged and completed, "
+             "%d kept their detector score", len(proposals), flagged,
+             len(proposals) - flagged)
     diagnostics = {"images": images,
                    "mean_mask_iou": float(np.mean(ious)) if ious else float("nan"),
                    "compactness_ratio": float("nan"),
@@ -312,13 +318,13 @@ def evaluate(proposals, bank, gen, head, config):
 
     rows = []
     for subset in SUBSETS:
-        members = sum(1 for t in truths if subset in subset_of(t.visibility))
+        members = int((pedestrian & in_subset(visibility, subset)).sum())
         mr_base = mr_comp = float("nan")
         if members:
-            mr_base = log_avg_miss_rate(baseline, truths, config.eval, subset,
-                                        images=images)
-            mr_comp = log_avg_miss_rate(completed_dets, truths, config.eval,
-                                        subset, images=images)
+            mr_base = log_avg_miss_rate(baseline, pedestrian, visibility,
+                                        images, config.eval, subset)
+            mr_comp = log_avg_miss_rate(completed, pedestrian, visibility,
+                                        images, config.eval, subset)
         rows.append({"subset": subset, "mr_baseline": mr_base,
                      "mr_completed": mr_comp, "delta_mr": mr_base - mr_comp,
                      "gt_count": members})

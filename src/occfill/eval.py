@@ -3,10 +3,9 @@
 The headline number is the log-average miss rate: sweep the detection
 score threshold, record the miss rate at each of `fppi_count` (nine by
 default) log-spaced false-positives-per-image budgets, and geometric-mean
-them. Ground truths and detections pair up by proposal id (each synthetic
-proposal is its own image), greedily from the highest score down.
-Ground truths outside the visibility subset under evaluation act as
-ignore regions: detections matched to them count neither way.
+them. One proposal is one detection and, if a pedestrian, its own ground
+truth; ids play no part. Pedestrians outside the visibility subset under
+evaluation act as ignore regions: they count neither way.
 
 Alongside it: a feature-space compactness ratio (how much closer
 completion moves occluded features to the visible centroid), a probe
@@ -24,7 +23,8 @@ from .ndnum import DenseLayer, Rng, check_finite, relu, sgd_step, sigmoid
 from .completion import (BATCH_SIZE, Discriminator, _ascent_pass, _ascent_upstream,
                          _flatten_batch, minibatch, planned)
 
-SUBSETS = ("R", "HO", "R+HO")
+# Each subset is the visibility band [low, high).
+SUBSETS = {"R": (0.65, np.inf), "HO": (0.20, 0.65), "R+HO": (0.20, np.inf)}
 MISS_FLOOR = 1e-4
 PROBE_MIN_SAMPLES = 40
 PROBE_TRAIN_FRACTION = 0.7
@@ -46,113 +46,63 @@ class EvalConfig:
         return self
 
 
-@dataclass(frozen=True)
-class Detection:
-    id: int
-    score: float
+def in_subset(visibility, subset):
+    """Whether each visibility falls in a subset's band, elementwise.
 
-
-@dataclass(frozen=True)
-class GroundTruth:
-    id: int
-    visibility: float
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """A detection after matching: did it claim a ground truth, and whose."""
-
-    id: int
-    score: float
-    matched: bool
-    subsets: frozenset
-
-
-def subset_of(visibility):
-    """Subset labels covering a visibility value.
-
-    The reasonable band starts at 0.65 (inclusive), heavy occlusion spans
-    [0.20, 0.65), and the combined band is their union. Below 0.20 a
-    sample belongs to no subset and is ignored by every evaluation.
+    The reasonable band R starts at 0.65 (inclusive), heavy occlusion HO
+    spans [0.20, 0.65), and R+HO is their union. Below 0.20 a sample
+    belongs to no subset and is ignored by every evaluation.
     """
-    v = float(visibility)
-    if not (0.0 <= v <= 1.0):
-        raise PreconditionError(f"visibility {v} outside [0, 1]")
-    labels = set()
-    if v >= 0.65:
-        labels.add("R")
-    elif v >= 0.20:
-        labels.add("HO")
-    if v >= 0.20:
-        labels.add("R+HO")
-    return labels
-
-
-def match_records(detections, ground_truths):
-    """Greedy id matching from the highest score down.
-
-    Each ground truth is claimed by at most one detection: the best-scoring
-    one carrying its id. Records keep the matched ground truth's subset
-    memberships so per-subset sweeps can tell hits from ignores.
-    """
-    gt_vis = {}
-    for gt in ground_truths:
-        if gt.id in gt_vis:
-            raise PreconditionError(f"duplicate ground truth id {gt.id}")
-        gt_vis[gt.id] = gt.visibility
-    records = []
-    claimed = set()
-    for det in sorted(detections, key=lambda d: (-d.score, d.id)):
-        if not np.isfinite(det.score):
-            raise PreconditionError(f"detection {det.id} has non-finite score")
-        hit = det.id in gt_vis and det.id not in claimed
-        if hit:
-            claimed.add(det.id)
-        memberships = frozenset(subset_of(gt_vis[det.id])) if hit else frozenset()
-        records.append(DetectionRecord(det.id, det.score, hit, memberships))
-    return records
-
-
-def miss_rates_at_fppi(detections, ground_truths, config=EvalConfig(),
-                       subset="R+HO", images=None):
-    """Lowest achievable miss rate at each false-positive budget.
-
-    Thresholds can only sit between distinct scores, so the achievable
-    operating points are the prefixes of the score-sorted detections at
-    tie-group boundaries, plus the empty prefix (miss rate 1, no false
-    positives). ``images`` is the dataset's image count, the denominator
-    of the false-positive rate; it defaults to one image per ground
-    truth and must not depend on what the detector emitted.
-    """
-    config.validate()
     if subset not in SUBSETS:
         raise PreconditionError(f"unknown subset {subset!r}")
-    n_gt = sum(1 for g in ground_truths if subset in subset_of(g.visibility))
+    v = np.asarray(visibility, dtype=np.float64)
+    outside = ~((v >= 0.0) & (v <= 1.0))
+    if outside.any():
+        raise PreconditionError(f"visibility {v[outside].flat[0]} outside [0, 1]")
+    low, high = SUBSETS[subset]
+    return (v >= low) & (v < high)
+
+
+def miss_rates_at_fppi(scores, pedestrian, visibility, images,
+                       config=EvalConfig(), subset="R+HO"):
+    """Lowest achievable miss rate at each false-positive budget.
+
+    Proposal i is one detection scoring ``scores[i]``. A pedestrian is also
+    its own ground truth: a hit when its visibility lies in the subset,
+    ignored otherwise. A background is a false positive. Thresholds can
+    only sit between distinct scores, so the achievable operating points
+    are the prefixes of the score-sorted proposals at tie-group ends, plus
+    the empty prefix (miss rate 1, no false positives). ``images`` is the
+    dataset's image count, the denominator of the false-positive rate.
+    """
+    config.validate()
+    scores = np.asarray(scores, dtype=np.float64)
+    pedestrian = np.asarray(pedestrian, dtype=bool)
+    if scores.ndim != 1 or not scores.shape == pedestrian.shape == np.shape(visibility):
+        raise PreconditionError(
+            "scores, pedestrian and visibility must be vectors of one length")
+    hits = pedestrian & in_subset(visibility, subset)
+    if not np.isfinite(scores).all():
+        raise PreconditionError("non-finite detection score")
+    n_gt = int(hits.sum())
     if n_gt == 0:
         raise PreconditionError(f"empty subset {subset}")
-    n_images = len(ground_truths) if images is None else int(images)
-    if n_images < 1:
+    if images < 1:
         raise PreconditionError("image count must be positive")
 
-    records = match_records(detections, ground_truths)
-    points = [(0.0, 1.0)]
-    fp = tp = 0
-    for i, rec in enumerate(records):
-        if rec.matched and subset in rec.subsets:
-            tp += 1
-        elif not rec.matched:
-            fp += 1
-        last_of_tie = i + 1 == len(records) or records[i + 1].score != rec.score
-        if last_of_tie:
-            points.append((fp / n_images, 1.0 - tp / n_gt))
-    return np.array([min(miss for reach, miss in points if reach <= budget)
-                     for budget in config.fppi_points])
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    fppi = np.append(0.0, np.cumsum(~pedestrian[order])[ends] / images)
+    miss = np.append(1.0, 1.0 - np.cumsum(hits[order])[ends] / n_gt)
+    return np.array([miss[fppi <= budget].min() for budget in config.fppi_points])
 
 
-def log_avg_miss_rate(detections, ground_truths, config=EvalConfig(),
-                      subset="R+HO", images=None):
+def log_avg_miss_rate(scores, pedestrian, visibility, images,
+                      config=EvalConfig(), subset="R+HO"):
     """Geometric mean of the miss rates over the false-positive budgets."""
-    rates = miss_rates_at_fppi(detections, ground_truths, config, subset, images)
+    rates = miss_rates_at_fppi(scores, pedestrian, visibility, images, config,
+                               subset)
     return float(np.exp(np.mean(np.log(np.maximum(rates, MISS_FLOOR)))))
 
 

@@ -142,30 +142,30 @@ def _lloyd(flat, k, rng, max_iters):
     labels = np.full(flat.shape[0], -1)
     for _ in range(max_iters):
         new_labels, d2 = _assign(flat, centers)
-        # Re-seed any emptied cluster with the point farthest from its
-        # center, never stealing a point repaired this same pass.
-        own = d2[np.arange(flat.shape[0]), new_labels]
-        for j in range(k):
-            if not (new_labels == j).any():
-                worst = int(own.argmax())
-                new_labels[worst] = j
-                own[worst] = -np.inf
+        _fill_empty(new_labels, d2[np.arange(flat.shape[0]), new_labels], k)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         for j in range(k):
-            members = labels == j
-            if members.any():
-                centers[j] = flat[members].mean(axis=0)
-    missing = [j for j in range(k) if not (labels == j).any()]
-    if missing:  # max_iters ran out mid-repair; enforce nonempty clusters
-        _, d2 = _assign(flat, centers)
-        own = d2[np.arange(flat.shape[0]), labels]
-        for j in missing:
-            worst = int(own.argmax())
-            labels[worst] = j
-            own[worst] = -np.inf
+            centers[j] = flat[labels == j].mean(axis=0)
     return labels, _objective(flat, labels, k)
+
+
+def _fill_empty(labels, own, k):
+    """Move into each empty cluster, in place, the point farthest from its
+    center, where `own` holds each point's squared distance to it.
+
+    A moved point is never moved again, so each move fills a cluster for
+    good. Emptiness is checked again after each move, so a move that
+    empties another cluster is repaired too: at most k moves.
+    """
+    while True:
+        empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+        if empty.size == 0:
+            return
+        worst = int(own.argmax())
+        labels[worst] = empty[0]
+        own[worst] = -np.inf
 
 
 def _objective(flat, labels, k):

@@ -317,13 +317,13 @@ def test_criterion_10_miss_rate_matches_threshold_sweep():
     cfg = EvalConfig()
     mismatches = 0
     for seed in range(20):
-        dets, gts = mr_oracle.random_toy_set(seed)
+        toy = mr_oracle.random_toy_set(seed)
         for subset in ("R", "HO", "R+HO"):
-            got = miss_rates_at_fppi(dets, gts, cfg, subset)
-            want = mr_oracle.oracle_miss_rates(dets, gts, cfg.fppi_points, subset)
+            got = miss_rates_at_fppi(*toy, cfg, subset)
+            want = mr_oracle.oracle_miss_rates(*toy, cfg.fppi_points, subset)
             ref = float(np.exp(np.mean(np.log(np.maximum(want, 1e-4)))))
             if not (np.array_equal(got, want)
-                    and log_avg_miss_rate(dets, gts, cfg, subset) == ref):
+                    and log_avg_miss_rate(*toy, cfg, subset) == ref):
                 mismatches += 1
     report(10, "miss rate matches an exhaustive threshold sweep",
            mismatches == 0, f"mismatches={mismatches}/60 subset evaluations")

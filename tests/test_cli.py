@@ -31,7 +31,7 @@ from occfill.ndnum import Rng
 from occfill.occlusion import (OcclusionConfig, analyze, completion_mask,
                                correlation_map)
 from occfill.prototypes import ProtoConfig, build_pool, nearest_prototype, read_bank
-from occfill.synth import PEDESTRIAN, WorldConfig, read_dataset
+from occfill.synth import PEDESTRIAN, WorldConfig, read_dataset, write_dataset
 
 SMALL = """\
 seed = 7
@@ -369,6 +369,71 @@ class TestEval:
             assert abs(score - scores[i]) <= 1e-12
 
 
+@pytest.mark.slow
+class TestEvalIgnoresIds:
+    """A proposal is scored as itself: ids play no part in the miss rates."""
+
+    @pytest.fixture(scope="class")
+    def model(self, default_run):
+        # A short training run: only eval's handling of ids is under test.
+        base = default_run["base"]
+        cfg = base / "short.txt"
+        cfg.write_text("seed = 42\ntrain1.iterations = 10\n"
+                       "train2.iterations = 10\nhead.iterations = 50\n")
+        run_ok(["train", "--config", str(cfg), "--data", str(default_run["train"]),
+                "--bank", str(default_run["bank"]), "--out", str(base / "short")])
+        return base / "short/model.fcgd"
+
+    @pytest.fixture(scope="class")
+    def want(self, default_run, model):
+        return self.metrics(default_run, model, default_run["eval"],
+                            default_run["base"] / "plain")
+
+    def metrics(self, default_run, model, data, out):
+        code = main(["eval", "--config", str(default_run["cfg"]),
+                     "--data", str(data), "--bank", str(default_run["bank"]),
+                     "--model", str(model), "--out", str(out)])
+        return code, (out / "metrics.csv").read_bytes() if code == 0 else None
+
+    def relabelled(self, default_run, tmp_path, pick):
+        """The eval set where proposal `dst` takes the id of proposal `src`,
+        for the indices `(dst, src)` that `pick` returns."""
+        proposals = read_dataset(default_run["eval"])
+        dst, src = pick(proposals)
+        proposals[dst] = dataclasses.replace(proposals[dst], id=proposals[src].id)
+        path = tmp_path / "relabelled.fcds"
+        write_dataset(proposals, path)
+        return path
+
+    def test_background_sharing_a_pedestrian_id_changes_nothing(
+            self, default_run, model, want, tmp_path):
+        def pick(proposals):
+            # The top-scoring background takes the id of the lowest-scoring
+            # visible pedestrian, which it outscores.
+            backgrounds = [i for i, p in enumerate(proposals)
+                           if p.label != PEDESTRIAN]
+            visible = [i for i, p in enumerate(proposals)
+                       if p.label == PEDESTRIAN and p.true_mask is None]
+            top = max(backgrounds, key=lambda i: proposals[i].score)
+            low = min(visible, key=lambda i: proposals[i].score)
+            assert proposals[top].score > proposals[low].score
+            return top, low
+
+        data = self.relabelled(default_run, tmp_path, pick)
+        got = self.metrics(default_run, model, data, tmp_path)
+        assert got == want and want[0] == 0
+
+    def test_two_pedestrians_sharing_an_id_are_scored(self, default_run, model,
+                                                      want, tmp_path):
+        def pick(proposals):
+            peds = [i for i, p in enumerate(proposals) if p.label == PEDESTRIAN]
+            return peds[1], peds[0]
+
+        data = self.relabelled(default_run, tmp_path, pick)
+        got = self.metrics(default_run, model, data, tmp_path)
+        assert got == want and want[0] == 0
+
+
 class TestInspect:
     def test_heatmap_files_written(self, small_run, tmp_path, capsys):
         capsys.readouterr()
@@ -526,28 +591,52 @@ class TestDeterminism:
 
 
 class TestTimingLog:
-    def test_wall_time_is_logged_and_outputs_do_not_move(
-            self, small_run, tmp_path, monkeypatch, caplog, capsys):
+    @staticmethod
+    def eval_at_each_level(small_run, out, monkeypatch, caplog, capsys):
+        """`occfill eval` at OCCFILL_LOG error and info: the `occfill` log
+        records and the outputs (stdout, metrics.csv, config.txt) of each."""
         argv = ["eval", "--config", str(small_run["cfg"]),
                 "--data", str(small_run["eval"]), "--bank", str(small_run["bank"]),
-                "--model", str(small_run["model"]), "--out", str(tmp_path)]
-        timed, outputs = {}, {}
+                "--model", str(small_run["model"]), "--out", str(out)]
+        records, outputs = {}, {}
         for level in ("error", "info"):
             monkeypatch.setenv("OCCFILL_LOG", level)
             caplog.clear()
             capsys.readouterr()
             with caplog.at_level(logging.DEBUG, logger="occfill"):
                 run_ok(argv)
-            timed[level] = [r for r in caplog.records
-                            if r.name == "occfill" and " took " in r.getMessage()]
+            records[level] = [r for r in caplog.records if r.name == "occfill"]
             outputs[level] = (capsys.readouterr().out,
-                              (tmp_path / "metrics.csv").read_bytes(),
-                              (tmp_path / "config.txt").read_bytes())
-        assert timed["error"] == []
-        [record] = timed["info"]
+                              (out / "metrics.csv").read_bytes(),
+                              (out / "config.txt").read_bytes())
+        assert outputs["info"] == outputs["error"]
+        return records
+
+    def test_wall_time_is_logged_and_outputs_do_not_move(
+            self, small_run, tmp_path, monkeypatch, caplog, capsys):
+        records = self.eval_at_each_level(small_run, tmp_path, monkeypatch,
+                                          caplog, capsys)
+        assert records["error"] == []
+        [record] = [r for r in records["info"] if " took " in r.getMessage()]
         assert record.levelno == logging.INFO
         assert re.fullmatch(r"eval took \d+\.\d\d s", record.getMessage())
-        assert outputs["info"] == outputs["error"]
+
+    def test_eval_logs_what_it_scored_and_outputs_do_not_move(
+            self, small_run, tmp_path, monkeypatch, caplog, capsys):
+        records = self.eval_at_each_level(small_run, tmp_path, monkeypatch,
+                                          caplog, capsys)
+        assert records["error"] == []
+        [record] = [r for r in records["info"] if " scored " in r.getMessage()]
+        assert record.levelno == logging.INFO
+        occ_config = config_from_mapping(parse_config_text(SMALL)).occ
+        bank = read_bank(small_run["bank"])
+        proposals = read_dataset(small_run["eval"])
+        flagged = sum(analyze(p.features, p.scale, bank, occ_config).occluded
+                      for p in proposals)
+        assert 0 < flagged < len(proposals)
+        assert record.getMessage() == (
+            f"eval scored {len(proposals)} proposals: {flagged} flagged and "
+            f"completed, {len(proposals) - flagged} kept their detector score")
 
 
 class TestExitCodes:

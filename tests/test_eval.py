@@ -12,16 +12,13 @@ from occfill.errors import PreconditionError, ShapeMismatchError
 from occfill.eval import (
     _probe_step,
     plan_probe,
-    Detection,
     EvalConfig,
-    GroundTruth,
     compactness_ratio,
+    in_subset,
     log_avg_miss_rate,
     mask_iou,
-    match_records,
     miss_rates_at_fppi,
     probe_accuracy,
-    subset_of,
 )
 from occfill.ndnum import Rng, sgd_step
 from occfill.synth import OcclusionMask
@@ -39,187 +36,206 @@ def oracle_subsets(v):
     return set()
 
 
-def oracle_miss_rates(detections, ground_truths, fppi_points, subset):
-    gt_vis = {g.id: g.visibility for g in ground_truths}
-    relevant = {i for i, v in gt_vis.items() if subset in oracle_subsets(v)}
+def oracle_miss_rates(scores, pedestrian, visibility, images, fppi_points,
+                      subset):
+    """Each proposal is its own detection; a pedestrian its own ground truth."""
+    proposals = list(zip(scores, pedestrian, visibility))
+    relevant = [s for s, ped, v in proposals if ped and subset in oracle_subsets(v)]
     points = []
-    for t in sorted({d.score for d in detections}) + [float("inf")]:
-        accepted = [d for d in detections if d.score >= t]
-        claimed = set()
-        fp = tp = 0
-        for d in sorted(accepted, key=lambda d: -d.score):
-            if d.id in gt_vis and d.id not in claimed:
-                claimed.add(d.id)
-                if d.id in relevant:
-                    tp += 1
-            else:
-                fp += 1
-        points.append((fp / len(gt_vis), 1.0 - tp / len(relevant)))
+    for t in sorted(set(scores)) + [float("inf")]:
+        fp = sum(1 for s, ped, _ in proposals if s >= t and not ped)
+        tp = sum(1 for s in relevant if s >= t)
+        points.append((fp / images, 1.0 - tp / len(relevant)))
     return np.array([min(m for f, m in points if f <= budget)
                      for budget in fppi_points])
 
 
 def random_toy_set(seed):
+    """(scores, pedestrian, visibility, images) of a small tied-score set.
+
+    Every pedestrian is detected; the false positives are background
+    proposals. There is one image per pedestrian.
+    """
     rng = Rng(seed)
     vis_choices = [0.1, 0.25, 0.4, 0.65, 0.8, 0.95]
-    gts = [GroundTruth(0, 0.9), GroundTruth(1, 0.4)]
+    visibility = [0.9, 0.4]
     for i in range(int(rng.split("n").integers(0, 5))):
-        v = vis_choices[int(rng.split(f"v{i}").integers(0, len(vis_choices)))]
-        gts.append(GroundTruth(2 + i, v))
+        visibility.append(
+            vis_choices[int(rng.split(f"v{i}").integers(0, len(vis_choices)))])
+    n_ped = len(visibility)
+    n_bg = int(rng.split("fp").integers(0, 5))
+    visibility += [1.0] * n_bg
     score_grid = [round(0.1 * k, 1) for k in range(1, 10)]
-    dets = []
-    for g in gts:
-        if rng.split(f"hit{g.id}").random() < 0.8:
-            s = score_grid[int(rng.split(f"s{g.id}").integers(0, 9))]
-            dets.append(Detection(g.id, s))
-    for j in range(int(rng.split("fp").integers(0, 5))):
-        s = score_grid[int(rng.split(f"fs{j}").integers(0, 9))]
-        dets.append(Detection(100 + j, s))
-    return dets, gts
+    scores = [score_grid[int(rng.split(f"s{i}").integers(0, 9))]
+              for i in range(n_ped + n_bg)]
+    return (np.array(scores), np.arange(n_ped + n_bg) < n_ped,
+            np.array(visibility), n_ped)
+
+
+def proposals(*entries):
+    """(scores, pedestrian, visibility) from (score, visibility or None) pairs;
+    None marks a background."""
+    return (np.array([s for s, _ in entries], dtype=np.float64),
+            np.array([v is not None for _, v in entries]),
+            np.array([1.0 if v is None else v for _, v in entries]))
+
+
+# Three R pedestrians at 0.9, 0.7 and 0.5, two backgrounds between them.
+INTERLEAVED = proposals((0.9, 0.9), (0.8, None), (0.7, 0.9), (0.6, None),
+                        (0.5, 0.9))
 
 
 class TestSubsetOf:
     def test_reasonable_sample(self):
-        assert subset_of(0.9) == {"R", "R+HO"}
+        assert [bool(in_subset(0.9, s)) for s in ("R", "HO", "R+HO")] == [
+            True, False, True]
 
     def test_heavily_occluded_sample(self):
-        assert subset_of(0.4) == {"HO", "R+HO"}
+        assert [bool(in_subset(0.4, s)) for s in ("R", "HO", "R+HO")] == [
+            False, True, True]
 
     def test_boundary_goes_to_reasonable(self):
-        assert subset_of(0.65) == {"R", "R+HO"}
+        assert in_subset(0.65, "R") and not in_subset(0.65, "HO")
 
     def test_lower_boundary_included(self):
-        assert subset_of(0.20) == {"HO", "R+HO"}
+        assert in_subset(0.20, "HO") and in_subset(0.20, "R+HO")
 
     def test_below_range_belongs_nowhere(self):
-        assert subset_of(0.1) == set()
+        assert not any(in_subset(0.1, s) for s in ("R", "HO", "R+HO"))
 
     def test_rejects_out_of_range(self):
+        for bad in (1.2, -0.05, float("nan")):
+            with pytest.raises(PreconditionError):
+                in_subset(bad, "R")
+            with pytest.raises(PreconditionError):
+                in_subset(np.array([0.5, bad, 0.9]), "R+HO")
+
+    def test_rejects_unknown_subset(self):
         with pytest.raises(PreconditionError):
-            subset_of(1.2)
-        with pytest.raises(PreconditionError):
-            subset_of(-0.05)
+            in_subset(0.5, "ALL")
 
     def test_r_and_ho_partition_combined(self):
-        for v in np.linspace(0.2, 1.0, 81):
-            labels = subset_of(float(v))
-            assert "R+HO" in labels
-            assert ("R" in labels) != ("HO" in labels)
+        v = np.linspace(0.2, 1.0, 81)
+        r, ho, both = (in_subset(v, s) for s in ("R", "HO", "R+HO"))
+        assert r.shape == v.shape and both.all()
+        assert np.array_equal(r, ~ho)
 
-
-class TestMatchRecords:
-    def test_higher_score_claims_the_ground_truth(self):
-        gts = [GroundTruth(1, 0.9)]
-        dets = [Detection(1, 0.3), Detection(1, 0.8)]
-        recs = match_records(dets, gts)
-        assert [r.score for r in recs] == [0.8, 0.3]
-        assert [r.matched for r in recs] == [True, False]
-
-    def test_membership_recorded_from_ground_truth(self):
-        recs = match_records([Detection(1, 0.5)], [GroundTruth(1, 0.4)])
-        assert recs[0].subsets == frozenset({"HO", "R+HO"})
-
-    def test_background_detection_unmatched(self):
-        recs = match_records([Detection(99, 0.5)], [GroundTruth(1, 0.9)])
-        assert not recs[0].matched and recs[0].subsets == frozenset()
-
-    def test_duplicate_ground_truth_rejected(self):
-        with pytest.raises(PreconditionError):
-            match_records([], [GroundTruth(1, 0.9), GroundTruth(1, 0.5)])
-
-    def test_non_finite_score_rejected(self):
-        with pytest.raises(PreconditionError):
-            match_records([Detection(1, float("nan"))], [GroundTruth(1, 0.9)])
+    def test_array_is_the_scalar_elementwise(self):
+        v = np.array([0.0, 0.1, 0.2, 0.4, 0.65, 0.8, 1.0])
+        for subset in ("R", "HO", "R+HO"):
+            want = [subset in oracle_subsets(x) for x in v]
+            assert in_subset(v, subset).tolist() == want
+            assert [bool(in_subset(float(x), subset)) for x in v] == want
 
 
 class TestLogAvgMissRate:
     def test_perfect_detector_hits_the_floor(self):
-        gts = [GroundTruth(i, 0.9) for i in range(5)]
-        dets = [Detection(i, 0.9) for i in range(5)]
-        dets += [Detection(100 + i, 0.1) for i in range(3)]
-        assert log_avg_miss_rate(dets, gts, subset="R") == pytest.approx(
+        dets = proposals(*[(0.9, 0.9)] * 5, *[(0.1, None)] * 3)
+        assert log_avg_miss_rate(*dets, 5, subset="R") == pytest.approx(
             1e-4, rel=1e-12)
 
-    def test_zero_detections_miss_everything(self):
-        gts = [GroundTruth(i, 0.9) for i in range(4)]
-        assert log_avg_miss_rate([], gts, subset="R") == 1.0
-
     def test_empty_subset_rejected(self):
-        gts = [GroundTruth(0, 0.9)]
         with pytest.raises(PreconditionError):
-            log_avg_miss_rate([], gts, subset="HO")
+            log_avg_miss_rate(*proposals((0.5, 0.9)), 1, subset="HO")
 
     def test_unknown_subset_rejected(self):
         with pytest.raises(PreconditionError):
-            log_avg_miss_rate([], [GroundTruth(0, 0.9)], subset="ALL")
+            log_avg_miss_rate(*proposals((0.5, 0.9)), 1, subset="ALL")
+
+    def test_non_finite_score_rejected(self):
+        for score in (float("nan"), float("inf")):
+            with pytest.raises(PreconditionError):
+                log_avg_miss_rate(*proposals((score, 0.9), (0.5, None)), 1)
+
+    def test_mismatched_lengths_rejected(self):
+        scores, pedestrian, visibility = INTERLEAVED
+        for args in ((scores[:-1], pedestrian, visibility),
+                     (scores, pedestrian[:-1], visibility),
+                     (scores, pedestrian, visibility[:-1]),
+                     (scores, pedestrian, 0.9)):
+            with pytest.raises(PreconditionError):
+                log_avg_miss_rate(*args, 3)
 
     def test_interleaved_hand_example(self):
         # Prefix points: (0, 2/3), (1/3, 2/3), (1/3, 1/3), (2/3, 1/3),
         # (2/3, 0); budgets below 1/3 can only reach miss 2/3, 0.562
         # reaches 1/3, and the full budget reaches the floor.
-        gts = [GroundTruth(1, 0.9), GroundTruth(2, 0.9), GroundTruth(3, 0.9)]
-        dets = [Detection(1, 0.9), Detection(100, 0.8), Detection(2, 0.7),
-                Detection(101, 0.6), Detection(3, 0.5)]
         want = math.exp((7 * math.log(2 / 3) + math.log(1 / 3)
                          + math.log(1e-4)) / 9)
-        got = log_avg_miss_rate(dets, gts, subset="R")
+        got = log_avg_miss_rate(*INTERLEAVED, 3, subset="R")
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_explicit_image_count_scales_budgets(self):
-        gts = [GroundTruth(1, 0.9), GroundTruth(2, 0.9), GroundTruth(3, 0.9)]
-        dets = [Detection(1, 0.9), Detection(100, 0.8), Detection(2, 0.7),
-                Detection(101, 0.6), Detection(3, 0.5)]
         # With 150 images one false positive fits the tightest budget
         # (1/150 < 0.01 < 2/150) and both fit every later one.
         want = math.exp((math.log(1 / 3) + 8 * math.log(1e-4)) / 9)
-        got = log_avg_miss_rate(dets, gts, subset="R", images=150)
+        got = log_avg_miss_rate(*INTERLEAVED, 150, subset="R")
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_rejects_bad_image_count(self):
         with pytest.raises(PreconditionError):
-            log_avg_miss_rate([], [GroundTruth(1, 0.9)], subset="R", images=0)
+            log_avg_miss_rate(*proposals((0.5, 0.9)), 0, subset="R")
 
     def test_matches_brute_force_on_20_toy_sets(self):
         cfg = EvalConfig()
         for seed in range(20):
-            dets, gts = random_toy_set(seed)
+            toy = random_toy_set(seed)
             for subset in ("R", "HO", "R+HO"):
-                got = miss_rates_at_fppi(dets, gts, cfg, subset)
-                want = oracle_miss_rates(dets, gts, cfg.fppi_points, subset)
+                got = miss_rates_at_fppi(*toy, cfg, subset)
+                want = oracle_miss_rates(*toy, cfg.fppi_points, subset)
                 assert np.array_equal(got, want), (seed, subset)
-                mr = log_avg_miss_rate(dets, gts, cfg, subset)
+                mr = log_avg_miss_rate(*toy, cfg, subset)
                 ref = float(np.exp(np.mean(np.log(np.maximum(want, 1e-4)))))
                 assert mr == ref, (seed, subset)
 
     def test_bounded_by_floor_and_one(self):
         for seed in range(10):
-            dets, gts = random_toy_set(100 + seed)
-            mr = log_avg_miss_rate(dets, gts, subset="R+HO")
+            mr = log_avg_miss_rate(*random_toy_set(100 + seed), subset="R+HO")
             assert 1e-4 * (1.0 - 1e-9) <= mr <= 1.0
 
     def test_removing_a_hit_never_improves(self):
+        # Every pedestrian is detected, so a hit is removed by scoring it
+        # below every other proposal.
         for seed in range(8):
-            dets, gts = random_toy_set(200 + seed)
-            base = log_avg_miss_rate(dets, gts, subset="R+HO")
-            gt_ids = {g.id for g in gts}
-            for drop in [d for d in dets if d.id in gt_ids]:
-                rest = [d for d in dets if d is not drop]
-                assert log_avg_miss_rate(rest, gts, subset="R+HO") >= base
+            scores, pedestrian, visibility, images = random_toy_set(200 + seed)
+            base = log_avg_miss_rate(scores, pedestrian, visibility, images)
+            for i in np.flatnonzero(pedestrian):
+                demoted = scores.copy()
+                demoted[i] = 0.0
+                assert log_avg_miss_rate(demoted, pedestrian, visibility,
+                                         images) >= base
 
     def test_adding_a_false_positive_never_improves(self):
         for seed in range(8):
-            dets, gts = random_toy_set(300 + seed)
-            base = log_avg_miss_rate(dets, gts, subset="R+HO")
+            scores, pedestrian, visibility, images = random_toy_set(300 + seed)
+            base = log_avg_miss_rate(scores, pedestrian, visibility, images)
             for score in (0.05, 0.45, 0.95):
-                more = dets + [Detection(999, score)]
-                assert log_avg_miss_rate(more, gts, subset="R+HO") >= base
+                more = log_avg_miss_rate(
+                    np.append(scores, score), np.append(pedestrian, False),
+                    np.append(visibility, 1.0), images)
+                assert more >= base
 
     def test_ignored_ground_truths_do_not_count(self):
-        # id 2 is below every subset: its detection is neither hit nor miss
-        gts = [GroundTruth(1, 0.9), GroundTruth(2, 0.1)]
-        dets = [Detection(1, 0.9), Detection(2, 0.8)]
-        assert log_avg_miss_rate(dets, gts, subset="R") == pytest.approx(
+        # the second pedestrian is below every subset: neither hit nor miss
+        dets = proposals((0.9, 0.9), (0.8, 0.1))
+        assert log_avg_miss_rate(*dets, 2, subset="R") == pytest.approx(
             1e-4, rel=1e-12)
+
+    def test_tie_order_does_not_move_the_rates(self):
+        # Only tie-group ends are operating points, so permuting the
+        # proposals, ties included, gives the same bits.
+        cfg = EvalConfig()
+        for seed in range(10):
+            scores, pedestrian, visibility, images = random_toy_set(400 + seed)
+            order = Rng(seed).split("perm").permutation(len(scores))
+            for subset in ("R", "HO", "R+HO"):
+                if not (pedestrian & in_subset(visibility, subset)).any():
+                    continue
+                assert np.array_equal(
+                    miss_rates_at_fppi(scores, pedestrian, visibility, images,
+                                       cfg, subset),
+                    miss_rates_at_fppi(scores[order], pedestrian[order],
+                                       visibility[order], images, cfg, subset))
 
 
 class TestEvalConfig:

@@ -147,6 +147,16 @@ def test_converged_assignment_is_a_lloyd_fixed_point():
         assert np.allclose(flat[members].mean(axis=0), centers[j])
 
 
+def test_a_repair_that_empties_a_cluster_repairs_it_too():
+    # Cluster 2 is empty and cluster 0's only point is the farthest from its
+    # center: filling cluster 2 with it empties cluster 0, which then takes
+    # the next farthest point. No point moves twice.
+    labels = np.array([0, 1, 1, 1])
+    own = np.array([9.0, 1.0, 2.0, 3.0])
+    prototypes._fill_empty(labels, own, 3)
+    assert labels.tolist() == [2, 1, 1, 0]
+
+
 def test_more_iterations_never_hurt():
     rng = Rng(66)
     feats = rng.normal((30, 1, 2, 2))
