@@ -475,7 +475,10 @@ def cmd_inspect(args):
     matches = [p for p in proposals if p.id == args.id]
     if not matches:
         raise PreconditionError(f"no proposal with id {args.id}")
-    proposal = matches[0]
+    if len(matches) > 1:
+        raise PreconditionError(
+            f"id {args.id} is ambiguous: {len(matches)} proposals carry it")
+    [proposal] = matches
     found = analyze(proposal.features, proposal.scale, bank, config.occ)
     proto, mask = found.prototype, found.mask
     _write_pgm(out / "corr_map.pgm", _gray_scale(found.cmap.grid))

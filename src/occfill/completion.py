@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, PreconditionError, ShapeMismatchError
-from .ndnum import DenseLayer, check_finite, clamp_prob, sgd_step, sigmoid
+from .ndnum import (DenseLayer, RekeyedGenerator, check_finite, clamp_prob, sgd_step,
+                    sigmoid)
 from .occlusion import OcclusionConfig, analyze
 # Only analyze calls correlation_map. The name stays bound here because
 # bench/test_tracer.py counts its calls by patching it in this module.
@@ -245,13 +246,25 @@ def _ascent_pass(disc, positives, negatives):
 
 def _ascent_upstream(p, m):
     """Gradient of mean log p[:m] + mean log(1 - p[m:]) wrt p, along the
-    last axis, with p clamped away from 0 and 1 as in the losses."""
-    return np.concatenate([1.0 / (m * clamp_prob(p[..., :m])),
-                           -1.0 / (m * (1.0 - clamp_prob(p[..., m:])))], axis=-1)
+    last axis, with p clamped away from 0 and 1 as in the losses.
+
+    Computed in place on one clamped copy: 1 / (m·c) on the first m
+    entries and -1 / (m·(1 - c)) on the rest.
+    """
+    up = clamp_prob(p)
+    neg = up[..., m:]
+    np.subtract(1.0, neg, out=neg)
+    up *= m
+    np.divide(1.0, up[..., :m], out=up[..., :m])
+    np.divide(-1.0, neg, out=neg)
+    return up
 
 
 def minibatch(rng, n, m):
-    """m distinct indices below n, drawn uniformly from ``rng`` and sorted."""
+    """m distinct indices below n, drawn uniformly from ``rng`` and sorted.
+
+    ``rng`` is an `Rng` or the numpy generator of one: both draw alike.
+    """
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
@@ -276,18 +289,21 @@ def plan_minibatches(rng, first, count, n_occ, n_vis, m, paired):
     step's occluded and visible indices and the generator step's. Iteration
     t draws from stream ``iter-{t}``: the discriminator step takes its
     occluded and then, unless ``paired``, its visible indices from
-    ``disc-0``, and the generator step takes its indices from ``gen``.
+    ``disc-0``, and the generator step takes its indices from ``gen``. One
+    generator is re-keyed to each stream in turn (`RekeyedGenerator`), so
+    the draws are those of the streams' own generators.
     """
     disc_occ = np.empty((count, m), dtype=np.int64)
     disc_vis = disc_occ if paired else np.empty_like(disc_occ)
     gen = np.empty((count, m), dtype=np.int64)
+    draws = RekeyedGenerator()
     for i in range(count):
         it_rng = rng.split(f"iter-{first + i}")
-        step_rng = it_rng.split("disc-0")
-        disc_occ[i] = minibatch(step_rng, n_occ, m)
+        step = draws.start(it_rng.split("disc-0"))
+        disc_occ[i] = minibatch(step, n_occ, m)
         if not paired:
-            disc_vis[i] = minibatch(step_rng, n_vis, m)
-        gen[i] = minibatch(it_rng.split("gen"), n_occ, m)
+            disc_vis[i] = minibatch(step, n_vis, m)
+        gen[i] = minibatch(draws.start(it_rng.split("gen")), n_occ, m)
     return disc_occ, disc_vis, gen
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ShapeMismatchError
-from .ndnum import DenseLayer, Rng, check_finite, relu, sgd_step, sigmoid
-from .completion import (BATCH_SIZE, Discriminator, _ascent_pass, _ascent_upstream,
-                         _flatten_batch, minibatch, planned)
+from .ndnum import DenseLayer, RekeyedGenerator, Rng, check_finite, sigmoid
+from .completion import (BATCH_SIZE, Discriminator, _ascent_upstream, _flatten_batch,
+                         minibatch, planned)
 
 # Each subset is the visibility band [low, high).
 SUBSETS = {"R": (0.65, np.inf), "HO": (0.20, 0.65), "R+HO": (0.20, np.inf)}
@@ -151,23 +151,23 @@ def compactness_ratio(raw_occluded, completed_occluded, visible):
 
 
 def plan_probe(rng, first, count, n_a, n_b, m):
-    """Minibatch indices of probe steps first .. first + count - 1.
+    """Whole-batch row indices of probe steps first .. first + count - 1.
 
-    Returns (idx_a, idx_b), each (count, m). Step t draws side a's indices
-    from stream ``step-{t}/a`` and side b's from ``step-{t}/b``.
+    Returns a (count, 2m) array. Row i is step first + i's batch: m rows of
+    side a, then m rows of side b offset by ``n_a``, so they index the two
+    sides' training rows stacked a over b. Step t draws side a's indices
+    from stream ``step-{t}/a`` and side b's from ``step-{t}/b``. One
+    generator is re-keyed to each stream in turn (`RekeyedGenerator`), so
+    the draws are those of the streams' own generators.
     """
-    idx_a = np.empty((count, m), dtype=np.int64)
-    idx_b = np.empty((count, m), dtype=np.int64)
+    batch = np.empty((count, 2 * m), dtype=np.int64)
+    draws = RekeyedGenerator()
     for i in range(count):
         step_rng = rng.split(f"step-{first + i}")
-        idx_a[i] = minibatch(step_rng.split("a"), n_a, m)
-        idx_b[i] = minibatch(step_rng.split("b"), n_b, m)
-    return idx_a, idx_b
-
-
-def _probe_step(side_a, side_b, disc, idx_a, idx_b):
-    """One supervised ascent step telling side a (label 1) from side b."""
-    return _ascent_pass(disc, side_a[idx_a], side_b[idx_b])[2]
+        batch[i, :m] = minibatch(draws.start(step_rng.split("a")), n_a, m)
+        batch[i, m:] = minibatch(draws.start(step_rng.split("b")), n_b, m)
+    batch[:, m:] += n_a
+    return batch
 
 
 def _split_by_content(a, b, rng):
@@ -202,8 +202,9 @@ def _train_probe(train_a, train_b, rng, iterations, learn_rate):
     the rows' Gram matrix (`_gram_steps`) and W is formed once at the end:
     the same classifier up to rounding, from one n-row product per step
     instead of two d-wide ones. With n >= d the hidden weights step in full
-    space, where the n x n Gram matrix would cost more memory than it
-    saves. W0 and every minibatch are drawn as in full space either way.
+    space (`_full_space_steps`), where the n x n Gram matrix would cost more
+    memory than it saves; so do they when the Gram matrix overflows. W0 and
+    every minibatch are drawn as in full space either way.
     """
     n_a, n_b = train_a.shape[0], train_b.shape[0]
     n, d = n_a + n_b, int(np.prod(train_a.shape[1:]))
@@ -211,23 +212,61 @@ def _train_probe(train_a, train_b, rng, iterations, learn_rate):
     m = min(BATCH_SIZE, n_a, n_b)
 
     def plan(first, count):
-        return plan_probe(rng, first, count, n_a, n_b, m)
+        return (plan_probe(rng, first, count, n_a, n_b, m),)
 
-    steps = planned(plan, iterations)
-    if n >= d:
-        for idx_a, idx_b in steps:
-            grads = _probe_step(train_a, train_b, disc, idx_a, idx_b)
-            disc.set_params(sgd_step(disc.params(), grads, learn_rate, "ascend"))
-        return disc
-    rows = np.concatenate([train_a, train_b]).reshape(n, d)
-    moves, head = _gram_steps(rows, n_a, disc, steps, learn_rate)
-    width = disc.hidden.out_dim
-    return Discriminator(
-        DenseLayer(disc.hidden.weights + moves.T @ rows, head[:width], "relu"),
-        DenseLayer(head[None, width:-1], head[-1:], "sigmoid"))
+    steps = (batch for batch, in planned(plan, iterations))
+    if n < d:
+        rows = np.concatenate([train_a, train_b]).reshape(n, d)
+        # Squared row norms beyond float64 leave K inf; full space copes.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = rows @ rows.T
+        if np.isfinite(gram).all():
+            moves, head = _gram_steps(rows, gram, disc, steps, m, learn_rate)
+            width = disc.hidden.out_dim
+            return Discriminator(
+                DenseLayer(disc.hidden.weights + moves.T @ rows, head[:width], "relu"),
+                DenseLayer(head[None, width:-1], head[-1:], "sigmoid"))
+    return _full_space_steps(train_a.reshape(n_a, d), train_b.reshape(n_b, d),
+                             disc, steps, m, learn_rate)
 
 
-def _gram_steps(rows, n_a, disc, steps, learn_rate):
+def _full_space_steps(side_a, side_b, disc, steps, m, learn_rate):
+    """Run the probe's steps on the hidden weights themselves.
+
+    ``side_a`` and ``side_b`` are the (n, d) training rows of each side and
+    every step is a whole-batch row of `plan_probe`. A step is one forward
+    of the 2m gathered rows and one parameter-only backward, as in
+    `completion._ascent_pass`, with the same products in the same layouts,
+    so the bits are those of the `DenseLayer` chain. Each parameter steps
+    in place as p + g·η, the arithmetic of `sgd_step`. Activations,
+    probabilities and every stepped parameter are checked finite at the
+    step that made them. Updates ``disc`` in place and returns it.
+    """
+    n_a = side_a.shape[0]
+    w, b = disc.hidden.weights, disc.hidden.bias
+    w_read, b_read = disc.readout.weights, disc.readout.bias
+    x = np.empty((2 * m, w.shape[1]))
+    z = np.empty((w.shape[0], 2 * m))
+    h = np.empty_like(z)
+    for batch in steps:
+        np.concatenate([side_a[batch[:m]], side_b[batch[m:] - n_a]], out=x)
+        np.matmul(w, x.T, out=z)
+        z += b[:, None]
+        check_finite(np.maximum(z, 0.0, out=h), "probe hidden output")
+        s = w_read @ h
+        s += b_read[:, None]
+        p = check_finite(sigmoid(s), "probe output")
+        dz_read = _ascent_upstream(p, m) * p * (1.0 - p)
+        dz = (w_read.T @ dz_read) * (z > 0)
+        grads = (dz @ x, dz.sum(axis=1), dz_read @ h.T, dz_read.sum(axis=1))
+        for param, grad in zip((w, b, w_read, b_read), grads):
+            grad *= learn_rate
+            param += grad
+            check_finite(param, "probe parameters")
+    return disc
+
+
+def _gram_steps(rows, gram, disc, steps, m, learn_rate):
     """Run the probe's steps on the hidden pre-activations of its rows.
 
     With dz the (2m, width) pre-activation gradient of a step's batch b and
@@ -235,36 +274,46 @@ def _gram_steps(rows, n_a, disc, steps, learn_rate):
     So W = W0 + Cᵀ·X for the (n, d) training rows X and an (n, width)
     table C that gains η·dz on the rows b. The steps need W only through
     Z = X·Wᵀ, the pre-activations of every row, and the Gram matrix
-    K = X·Xᵀ updates it: Z += K[:, b]·η·dz, one n x 2m x width product
-    per step where full space takes two of width x 2m x d. K is symmetric,
-    so K[:, b] is read as the rows K[b].
+    ``gram`` K = X·Xᵀ updates it: Z += K[:, b]·η·dz, one n x 2m x width
+    product per step where full space takes two of width x 2m x d. K is
+    symmetric, so K[:, b] is read as the rows K[b].
 
-    Starts from the parameters of ``disc``. Returns C and one vector of
-    the stepped hidden bias, readout weights and readout bias, which takes
-    one `sgd_step` per step. Z and C are row-major, so every gather and
-    scatter is a row operation. Activations, probabilities, the stepped
-    parameters and Z are checked finite at the step that made them.
+    Starts from the parameters of ``disc``; every step is a whole-batch
+    row of `plan_probe`. Returns C and one vector of the stepped hidden
+    bias, readout weights and readout bias, which steps in place as
+    p + g·η, the arithmetic of `sgd_step`. Z and C are row-major, so every
+    gather and scatter is a row operation. The step's products and
+    gradients of fixed shape go to buffers made once. Activations,
+    probabilities, the stepped parameters and Z are checked finite at the
+    step that made them.
     """
-    gram = rows @ rows.T
     hidden = rows @ disc.hidden.weights.T
     moves = np.zeros_like(hidden)
     width = hidden.shape[1]
     head = np.concatenate([disc.hidden.bias, disc.readout.weights[0],
                            disc.readout.bias])
-    for idx_a, idx_b in steps:
-        batch = np.concatenate([idx_a, idx_b + n_a])
-        readout = head[width:-1]
+    bias, readout, grads = head[:width], head[width:-1], np.empty_like(head)
+    h, dz = np.empty((2 * m, width)), np.empty((2 * m, width))
+    update = np.empty_like(hidden)
+    for batch in steps:
         z = hidden[batch]
-        z += head[:width]
-        h = check_finite(relu(z), "probe hidden output")
-        p = check_finite(sigmoid(h @ readout + head[-1]), "probe output")
-        dz_read = _ascent_upstream(p, idx_a.shape[0]) * p * (1.0 - p)
-        dz = dz_read[:, None] * readout * (z > 0)
-        grads = np.concatenate([dz.sum(axis=0), dz_read @ h, [dz_read.sum()]])
-        [head] = sgd_step([head], [grads], learn_rate, "ascend")
+        z += bias
+        check_finite(np.maximum(z, 0.0, out=h), "probe hidden output")
+        s = h @ readout
+        s += head[-1]
+        p = check_finite(sigmoid(s), "probe output")
+        dz_read = _ascent_upstream(p, m) * p * (1.0 - p)
+        np.multiply(dz_read[:, None], readout, out=dz)
+        dz *= z > 0
+        dz.sum(axis=0, out=grads[:width])
+        np.matmul(dz_read, h, out=grads[width:-1])
+        grads[-1] = dz_read.sum()
+        grads *= learn_rate
+        head += grads
+        check_finite(head, "probe parameters")
         dz *= learn_rate
         moves[batch] += dz
-        hidden += gram[batch].T @ dz
+        hidden += np.matmul(gram[batch].T, dz, out=update)
         check_finite(hidden, "probe hidden pre-activations")
     return moves, head
 

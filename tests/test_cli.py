@@ -491,6 +491,24 @@ class TestInspect:
         assert code == 2
         assert "no proposal with id 999999" in capsys.readouterr().err
 
+    def test_ambiguous_id_fails_cleanly(self, default_run, tmp_path, capsys):
+        # Background 683 takes the id of pedestrian 256: eval scores both
+        # (TestEvalIgnoresIds), but inspect cannot tell which one is meant.
+        proposals = read_dataset(default_run["eval"])
+        ped, background = proposals[256], proposals[683]
+        assert ped.label == PEDESTRIAN and background.label != PEDESTRIAN
+        proposals[683] = dataclasses.replace(background, id=ped.id)
+        data = tmp_path / "relabelled.fcds"
+        write_dataset(proposals, data)
+        capsys.readouterr()
+        code = main(["inspect", "--config", str(default_run["cfg"]),
+                     "--data", str(data), "--bank", str(default_run["bank"]),
+                     "--id", str(ped.id), "--out", str(tmp_path / "i")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert f"id {ped.id} is ambiguous: 2 proposals carry it" in err
+        assert out == ""
+
     def test_flagged_count_is_the_written_mask(self, default_run, tmp_path,
                                                capsys):
         # The printed flagged count and mask.pgm both come from the one

@@ -613,6 +613,24 @@ class TestPlannedMinibatches:
         assert_same_indices([v for _, v in seen_disc], [v for _, v in want_disc])
         assert_same_indices(seen_gen, want_gen)
 
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_planned_rows_equal_reference_draws_across_a_chunk(self, paired):
+        # The default training pools: 300 occluded and 800 visible, or 300
+        # pairs, in minibatches of 32, from an offset start.
+        iterations = completion.PLAN_CHUNK + 44
+        n_vis = 300 if paired else 800
+
+        def plan(first, count):
+            return completion.plan_minibatches(Rng(5).split("t"), 17 + first, count,
+                                               300, n_vis, 32, paired)
+
+        rows = list(completion.planned(plan, iterations))
+        want_disc, want_gen = reference_training_draws(
+            Rng(5).split("t"), iterations, 300, n_vis, 32, paired, start_iteration=17)
+        assert_same_indices([o for o, _, _ in rows], [o for o, _ in want_disc])
+        assert_same_indices([v for _, v, _ in rows], [v for _, v in want_disc])
+        assert_same_indices([g for _, _, g in rows], want_gen)
+
     def test_planned_yields_every_row_in_order(self):
         calls = []
 

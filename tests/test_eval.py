@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import occfill.eval as eval_module
-from occfill.completion import PLAN_CHUNK, Discriminator, minibatch
+from occfill.completion import PLAN_CHUNK, Discriminator, _ascent_pass, minibatch, planned
 from occfill.errors import PreconditionError, ShapeMismatchError
 from occfill.eval import (
-    _probe_step,
     plan_probe,
     EvalConfig,
     compactness_ratio,
@@ -20,8 +19,9 @@ from occfill.eval import (
     miss_rates_at_fppi,
     probe_accuracy,
 )
-from occfill.ndnum import Rng, sgd_step
+from occfill.ndnum import DenseLayer, Rng, sgd_step
 from occfill.synth import OcclusionMask
+from test_completion import stable_sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +398,28 @@ def probe_setup(seed, n=50, shape=(16, 7, 7)):
     return a, b, disc
 
 
+def full_space_run(side_a, side_b, disc, idx_a, idx_b, learn_rate=2e-3):
+    """`_full_space_steps` on the one step (idx_a, idx_b)."""
+    m = len(idx_a)
+    batch = np.concatenate([idx_a, idx_b + side_a.shape[0]])
+    return eval_module._full_space_steps(
+        side_a.reshape(side_a.shape[0], -1), side_b.reshape(side_b.shape[0], -1),
+        disc, [batch], m, learn_rate)
+
+
 class TestProbeStep:
     @pytest.mark.parametrize("seed,m", [(70, 32), (71, 5), (72, 50)])
     def test_batched_step_matches_two_passes(self, seed, m):
+        # At rate 1 a step adds the gradient itself to each parameter.
         a, b, disc = probe_setup(seed)
-        got = _probe_step(a, b, disc, *probe_batch(a, b, m, Rng(seed).split("step")))
+        start = [p.copy() for p in disc.params()]
         want = two_pass_probe_step(a, b, disc,
                                    *probe_batch(a, b, m, Rng(seed).split("step")))
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+        stepped = full_space_run(a, b, disc, *probe_batch(a, b, m, Rng(seed).split("step")),
+                                 learn_rate=1.0)
+        for p, s, w in zip(stepped.params(), start, want):
+            assert p.shape == w.shape
+            assert np.max(np.abs((p - s) - w)) <= 1e-12 * np.max(np.abs(w))
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_nan_in_one_side_raises(self, side):
@@ -416,12 +428,19 @@ class TestProbeStep:
         sides[side][3, 1, 2, 0] = np.nan
         a, b, disc = sides
         with pytest.raises(PreconditionError):
-            _probe_step(a, b, disc, *probe_batch(a, b, 8, Rng(0)))
+            full_space_run(a, b, disc, *probe_batch(a, b, 8, Rng(0)))
+
+
+# ---------------------------------------------------------------------------
+# The probe as it ran before its plans were re-keyed and its steps ran in
+# place: the references every planned draw and trained parameter must equal
+# bit for bit.
 
 
 def reference_probe_draws(rng, iterations, n_a, n_b, m):
     """The probe's draws as it made them before minibatches were planned
-    ahead: step by step, between the updates."""
+    ahead: step by step, between the updates, each stream on its own
+    generator."""
     draws = []
     for t in range(iterations):
         step_rng = rng.split(f"step-{t}")
@@ -430,38 +449,56 @@ def reference_probe_draws(rng, iterations, n_a, n_b, m):
     return draws
 
 
-def assert_same_draws(got, want):
-    assert len(got) == len(want)
-    for (ga, gb), (wa, wb) in zip(got, want):
-        assert np.array_equal(ga, wa) and np.array_equal(gb, wb)
+def clip_upstream(p, m):
+    """Gradient of mean log p[:m] + mean log(1 - p[m:]) wrt p, clipped."""
+    c = np.clip(p, 1e-7, 1.0 - 1e-7)
+    return np.concatenate([1.0 / (m * c[:m]), -1.0 / (m * (1.0 - c[m:]))])
 
 
-class TestProbePlan:
-    def test_plan_equals_reference_draws(self):
-        idx_a, idx_b = plan_probe(Rng(4), 7, 5, 30, 25, 6)
-        assert idx_a.shape == idx_b.shape == (5, 6)
-        want = reference_probe_draws(Rng(4), 12, 30, 25, 6)[7:]
-        assert_same_draws(list(zip(idx_a, idx_b)), want)
+def reference_probe_step(side_a, side_b, disc, idx_a, idx_b):
+    """One full-space step's gradients: one batched pass through `disc`."""
+    return _ascent_pass(disc, side_a[idx_a], side_b[idx_b])[2]
 
-    def test_probe_steps_get_the_reference_draws_across_chunks(self, monkeypatch):
-        rng = Rng(80)
-        a = rng.split("a").normal(shape=(50, 2, 2, 2))
-        b = rng.split("b").normal(shape=(45, 2, 2, 2)) + 0.5
-        seen = []
 
-        def spy(side_a, side_b, disc, idx_a, idx_b):
-            seen.append((idx_a.copy(), idx_b.copy()))
-            return _probe_step(side_a, side_b, disc, idx_a, idx_b)
+def reference_gram_steps(rows, n_a, disc, draws, learn_rate):
+    """The Gram-path loop with per-step arrays and `sgd_step`; returns
+    (C, head) as `_gram_steps` does."""
+    gram = rows @ rows.T
+    hidden = rows @ disc.hidden.weights.T
+    moves = np.zeros_like(hidden)
+    width = hidden.shape[1]
+    head = np.concatenate([disc.hidden.bias, disc.readout.weights[0],
+                           disc.readout.bias])
+    for idx_a, idx_b in draws:
+        batch = np.concatenate([idx_a, idx_b + n_a])
+        readout = head[width:-1]
+        z = hidden[batch]
+        z += head[:width]
+        h = np.maximum(z, 0.0)
+        p = stable_sigmoid(h @ readout + head[-1])
+        dz_read = clip_upstream(p, idx_a.shape[0]) * p * (1.0 - p)
+        dz = dz_read[:, None] * readout * (z > 0)
+        grads = np.concatenate([dz.sum(axis=0), dz_read @ h, [dz_read.sum()]])
+        [head] = sgd_step([head], [grads], learn_rate, "ascend")
+        dz *= learn_rate
+        moves[batch] += dz
+        hidden += gram[batch].T @ dz
+    return moves, head
 
-        monkeypatch.setattr(eval_module, "_probe_step", spy)
-        iterations = PLAN_CHUNK + 3
-        probe_accuracy(a, b, seed=81, iterations=iterations)
-        train_a, _, train_b, _ = eval_module._split_by_content(
-            a, b, Rng(81).split("fold"))
-        m = min(32, train_a.shape[0], train_b.shape[0])
-        want = reference_probe_draws(Rng(81), iterations, train_a.shape[0],
-                                     train_b.shape[0], m)
-        assert_same_draws(seen, want)
+
+def reference_gram_probe(train_a, train_b, seed, iterations, learn_rate=2e-3):
+    """The probe trained through the Gram matrix of its train folds."""
+    rng = Rng(seed)
+    n_a, n = train_a.shape[0], train_a.shape[0] + train_b.shape[0]
+    rows = np.concatenate([train_a, train_b]).reshape(n, -1)
+    disc = Discriminator.init(rows.shape[1], rng.split("disc"))
+    m = min(32, n_a, train_b.shape[0])
+    draws = reference_probe_draws(rng, iterations, n_a, train_b.shape[0], m)
+    moves, head = reference_gram_steps(rows, n_a, disc, draws, learn_rate)
+    width = disc.hidden.out_dim
+    return Discriminator(
+        DenseLayer(disc.hidden.weights + moves.T @ rows, head[:width], "relu"),
+        DenseLayer(head[None, width:-1], head[-1:], "sigmoid"))
 
 
 def full_space_probe(a, b, seed, iterations, learn_rate=2e-3):
@@ -473,12 +510,66 @@ def full_space_probe(a, b, seed, iterations, learn_rate=2e-3):
         a, b, rng.split("fold"))
     disc = Discriminator.init(int(np.prod(a.shape[1:])), rng.split("disc"))
     m = min(32, train_a.shape[0], train_b.shape[0])
-    idx_a, idx_b = plan_probe(rng, 0, iterations, train_a.shape[0],
-                              train_b.shape[0], m)
-    for ia, ib in zip(idx_a, idx_b):
-        grads = _probe_step(train_a, train_b, disc, ia, ib)
+    for ia, ib in reference_probe_draws(rng, iterations, train_a.shape[0],
+                                        train_b.shape[0], m):
+        grads = reference_probe_step(train_a, train_b, disc, ia, ib)
         disc.set_params(sgd_step(disc.params(), grads, learn_rate, "ascend"))
     return disc, test_a, test_b
+
+
+def assert_same_draws(got, want):
+    assert len(got) == len(want)
+    for (ga, gb), (wa, wb) in zip(got, want):
+        assert np.array_equal(ga, wa) and np.array_equal(gb, wb)
+
+
+def split_batches(batches, n_a, m):
+    """(side a, side b) indices of whole-batch plan rows."""
+    return [(batch[:m], batch[m:] - n_a) for batch in batches]
+
+
+class TestProbePlan:
+    def test_plan_equals_reference_draws(self):
+        batch = plan_probe(Rng(4), 7, 5, 30, 25, 6)
+        assert batch.shape == (5, 12)
+        want = reference_probe_draws(Rng(4), 12, 30, 25, 6)[7:]
+        assert_same_draws(split_batches(batch, 30, 6), want)
+
+    def test_planned_rows_equal_reference_draws_across_a_chunk(self):
+        # The default eval's train folds: 175 rows a side, minibatches of 32.
+        iterations = PLAN_CHUNK + 44
+        rng = Rng(12)
+
+        def plan(first, count):
+            return (plan_probe(rng, first, count, 175, 175, 32),)
+
+        rows = [batch for batch, in planned(plan, iterations)]
+        assert_same_draws(split_batches(rows, 175, 32),
+                          reference_probe_draws(Rng(12), iterations, 175, 175, 32))
+
+    def test_probe_steps_get_the_reference_draws_across_chunks(self, monkeypatch):
+        rng = Rng(80)
+        a = rng.split("a").normal(shape=(50, 2, 2, 2))
+        b = rng.split("b").normal(shape=(45, 2, 2, 2)) + 0.5
+        seen = []
+        run = eval_module._full_space_steps
+
+        def spy(side_a, side_b, disc, steps, m, learn_rate):
+            def recorded():
+                for batch in steps:
+                    seen.append(batch.copy())
+                    yield batch
+            return run(side_a, side_b, disc, recorded(), m, learn_rate)
+
+        monkeypatch.setattr(eval_module, "_full_space_steps", spy)
+        iterations = PLAN_CHUNK + 3
+        probe_accuracy(a, b, seed=81, iterations=iterations)
+        train_a, _, train_b, _ = eval_module._split_by_content(
+            a, b, Rng(81).split("fold"))
+        m = min(32, train_a.shape[0], train_b.shape[0])
+        want = reference_probe_draws(Rng(81), iterations, train_a.shape[0],
+                                     train_b.shape[0], m)
+        assert_same_draws(split_batches(seen, train_a.shape[0], m), want)
 
 
 def held_out_accuracy(disc, test_a, test_b):
@@ -521,6 +612,11 @@ def first_failing_step(train, limit=10):
     return None
 
 
+def assert_same_params(got, want):
+    for g, w in zip(got.params(), want.params()):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
 class TestProbeSpan:
     """With fewer training rows than features the probe steps through the
     rows' Gram matrix; it must be the full-space probe up to rounding."""
@@ -548,6 +644,14 @@ class TestProbeSpan:
         assert (probe_accuracy(a, b, seed=91, iterations=300)
                 == held_out_accuracy(want, test_a, test_b))
 
+    def test_gram_steps_are_the_reference_loop_bit_for_bit(self, monkeypatch):
+        a, b = span_sides(90)
+        train_a, train_b = self.train_folds(a, b, 91)
+        calls = gram_calls(monkeypatch)
+        got = eval_module._train_probe(train_a, train_b, Rng(91), 300, 2e-3)
+        assert len(calls) == 1
+        assert_same_params(got, reference_gram_probe(train_a, train_b, 91, 300))
+
     def test_zero_iterations_score_the_untrained_probe(self):
         a, b = span_sides(92)
         want = held_out_accuracy(*full_space_probe(a, b, 93, 0))
@@ -565,10 +669,34 @@ class TestProbeSpan:
         calls = gram_calls(monkeypatch)
         got = eval_module._train_probe(train_a, train_b, Rng(95), 300, 2e-3)
         want, test_a, test_b = full_space_probe(a, b, 95, 300)
-        assert all(np.array_equal(g, w) for g, w in zip(got.params(), want.params()))
+        assert_same_params(got, want)
         assert (probe_accuracy(a, b, seed=95, iterations=300)
                 == held_out_accuracy(want, test_a, test_b))
         assert calls == []
+
+    def test_full_space_at_the_default_map_size_is_the_reference_loop(self):
+        # 16 x 7 x 7 maps, as in the default world, with 840 training rows.
+        a, b = span_sides(94, n=600, shared=0)
+        train_a, train_b = self.train_folds(a, b, 95)
+        assert train_a.shape[0] + train_b.shape[0] >= a[0].size
+        got = eval_module._train_probe(train_a, train_b, Rng(95), 300, 2e-3)
+        assert_same_params(got, full_space_probe(a, b, 95, 300)[0])
+
+    def test_overflowing_gram_matrix_trains_in_full_space(self, monkeypatch):
+        # Entries of 1e153 square beyond float64, so K = X·Xᵀ is inf, while
+        # the full-space steps stay finite.
+        a, b = (side * 1e153 for side in span_sides(96))
+        train_a, train_b = self.train_folds(a, b, 97)
+        assert train_a.shape[0] + train_b.shape[0] < a[0].size
+        calls = gram_calls(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = eval_module._train_probe(train_a, train_b, Rng(97), 50, 2e-3)
+        assert calls == []
+        want, test_a, test_b = full_space_probe(a, b, 97, 50)
+        assert_same_params(got, want)
+        # No floating-point warning escapes: pytest turns one into an error.
+        assert (probe_accuracy(a, b, seed=97, iterations=50)
+                == held_out_accuracy(want, test_a, test_b))
 
     # At scale 100 the readout's sum overflows into inf - inf; at scale
     # 1e-150 a stepped parameter overflows. Both at step 2.
@@ -590,16 +718,30 @@ class TestProbeSpan:
             with pytest.raises(PreconditionError):
                 gram(step)
 
+    @pytest.mark.parametrize("scale,learn_rate", [(1e2, 1e305), (1e-150, 1e250)])
+    def test_overflowing_full_space_step_fails_where_the_reference_fails(
+            self, scale, learn_rate):
+        a, b = (side * scale for side in span_sides(96, shape=(2, 3, 3)))
+        train_a, train_b = self.train_folds(a, b, 97)
+        assert train_a.shape[0] + train_b.shape[0] >= a[0].size
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = first_failing_step(
+                lambda iterations: full_space_probe(a, b, 97, iterations, learn_rate))
+            got = first_failing_step(
+                lambda iterations: eval_module._train_probe(
+                    train_a, train_b, Rng(97), iterations, learn_rate))
+        assert want is not None and got == want
+
     def test_non_finite_pre_activations_fail_at_their_step(self):
         # Rows of 1e160 overflow the Gram matrix, so the first update of Z
         # is inf * 0: every other value of that step stays finite.
         a, b = span_sides(100)
         rows = np.concatenate([a, b]).reshape(a.shape[0] + b.shape[0], -1) * 1e160
         disc = Discriminator.init(rows.shape[1], Rng(101).split("disc"))
-        steps = [(np.arange(8), np.arange(8))]
+        steps = [np.concatenate([np.arange(8), a.shape[0] + np.arange(8)])]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PreconditionError, match="pre-activations"):
-                eval_module._gram_steps(rows, a.shape[0], disc, steps, 2e-3)
+                eval_module._gram_steps(rows, rows @ rows.T, disc, steps, 8, 2e-3)
 
     def test_peak_above_the_inputs_holds_no_basis(self):
         # A d x n basis of the span next to the n x d rows would exceed it.

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from occfill import ndnum
 from occfill.errors import PreconditionError, ShapeMismatchError
+from test_completion import stable_sigmoid
 
 
 # Gradient-check oracles: a plain layer stack and central differences.
@@ -356,3 +358,58 @@ def test_sigmoid_extremes_stay_finite():
     p = ndnum.sigmoid(z)
     assert np.all((p >= 0.0) & (p <= 1.0))
     assert p[2] == 0.5
+
+
+EDGES = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308,
+                  np.inf, -np.inf, np.nan, 5e-324, -5e-324, 36.7, -36.7])
+
+
+def same_bits(got, want):
+    """Equal bit for bit, the sign of zero included; NaN matches NaN."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+def test_sigmoid_is_the_two_mask_form_bit_for_bit():
+    # stable_sigmoid is the form ndnum computed with two boolean masks.
+    z = np.concatenate([EDGES, ndnum.Rng(3).normal(100_000) * 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ndnum.sigmoid(z)
+        assert float(ndnum.sigmoid(np.array(-0.75))) == float(stable_sigmoid(np.array(-0.75)))
+    assert same_bits(got, stable_sigmoid(z))
+    assert got[0] == got[1] == 0.5
+
+
+def test_clamp_prob_is_clip_bit_for_bit():
+    p = np.concatenate([EDGES, [1e-7, 1e-7 * (1 - 1e-16), 1.0 - 1e-7, 1.0, 0.5],
+                        ndnum.Rng(4).random(1000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ndnum.clamp_prob(p)
+    assert same_bits(got, np.clip(p, 1e-7, 1.0 - 1e-7))
+
+
+def test_rekeyed_generator_draws_what_each_stream_draws():
+    shared = ndnum.RekeyedGenerator()
+    root = ndnum.Rng(42)
+    x, y = root.split("step-3").split("a"), root.split("step-3").split("b")
+    drawn = shared.start(x)
+    first = drawn.choice(175, size=32, replace=False)
+    drawn.random(1)
+    # x's draws leave a part-used buffer and a held 32-bit half behind.
+    state = drawn.bit_generator.state
+    assert state["buffer_pos"] not in (0, 4) and state["has_uint32"] == 1
+    # A bounded draw rejects a zero word, so a stale buffer of zeros would
+    # hide behind one; a uniform draw comes first and shows it.
+    on_y = shared.start(y)
+    want = oracle_stream(42, "step-3", "b")
+    assert np.array_equal(on_y.random(3), want.random(size=3))
+    assert np.array_equal(on_y.choice(175, size=32, replace=False),
+                          want.choice(175, size=32, replace=False))
+    assert np.array_equal(on_y.integers(0, 1000, size=5), want.integers(0, 1000, size=5))
+    # Re-keyed to x again, the stream starts over.
+    assert np.array_equal(shared.start(x).choice(175, size=32, replace=False), first)
+    assert np.array_equal(first, oracle_stream(42, "step-3", "a").choice(
+        175, size=32, replace=False))
