@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, PreconditionError, ShapeMismatchError
-from .ndnum import (DenseLayer, RekeyedGenerator, check_finite, clamp_prob, sgd_step,
-                    sigmoid)
+from .ndnum import (DenseLayer, RekeyedGenerator, check_finite, clamp_prob, relu,
+                    sgd_step, sigmoid)
 from .occlusion import OcclusionConfig, analyze
 # Only analyze calls correlation_map. The name stays bound here because
 # bench/test_tracer.py counts its calls by patching it in this module.
@@ -107,10 +107,6 @@ class Generator:
     def params(self):
         return self.mix.params() + self.out.params()
 
-    def set_params(self, params):
-        self.mix.set_params(params[:2])
-        self.out.set_params(params[2:])
-
 
 class Discriminator:
     """Flattened feature map -> hidden relu layer -> sigmoid probability."""
@@ -145,21 +141,12 @@ class Discriminator:
         g_hidden, d_in = self.hidden.backward(d_mid)
         return [g_hidden[0], g_hidden[1], g_read[0], g_read[1]], d_in
 
-    def param_grads(self, upstream):
-        """Parameter gradients only; the input gradient is never formed."""
-        g_read, d_mid = self.readout.backward(upstream)
-        return [*self.hidden.param_grads(d_mid), *g_read]
-
     def input_grad(self, upstream):
         """Gradient wrt the input only; no parameter gradient is formed."""
         return self.hidden.input_grad(self.readout.input_grad(upstream))
 
     def params(self):
         return self.hidden.params() + self.readout.params()
-
-    def set_params(self, params):
-        self.hidden.set_params(params[:2])
-        self.readout.set_params(params[2:])
 
 
 @dataclass(frozen=True)
@@ -232,16 +219,28 @@ def _flatten_batch(batch):
     return batch.reshape(batch.shape[0], -1).T
 
 
-def _ascent_pass(disc, positives, negatives):
-    """Gradient of mean log D(positives) + mean log(1 - D(negatives)).
+def _ascent_pass(disc, rows, m):
+    """Gradient of mean log D(rows[:m]) + mean log(1 - D(rows[m:])).
 
-    Both (m, ...) sample batches go through the discriminator as one
-    2m-column batch: one forward, one parameter-only backward. Returns
-    (p_positives, p_negatives, parameter gradients).
+    ``rows`` is a (2m, d) matrix of flattened maps, positives first. It goes
+    through the discriminator as one batch: one forward and one
+    parameter-only backward, with the products and layouts of the
+    `DenseLayer` chain (W·rowsᵀ, W_read·h, dz·rows and dz_read·hᵀ), so the
+    bits are the chain's. The hidden output and the probabilities are
+    checked finite. Returns the (1, 2m) probabilities and the gradients of
+    the parameters in `Discriminator.params` order.
     """
-    m = positives.shape[0]
-    p = disc.forward(_flatten_batch(np.concatenate([positives, negatives])))
-    return p[:, :m], p[:, m:], disc.param_grads(_ascent_upstream(p, m))
+    w, b = disc.hidden.weights, disc.hidden.bias
+    w_read, b_read = disc.readout.weights, disc.readout.bias
+    z = w @ rows.T
+    z += b[:, None]
+    h = check_finite(relu(z), "discriminator hidden output")
+    s = w_read @ h
+    s += b_read[:, None]
+    p = check_finite(sigmoid(s), "discriminator output")
+    dz_read = _ascent_upstream(p, m) * p * (1.0 - p)
+    dz = (w_read.T @ dz_read) * (z > 0)
+    return p, [dz @ rows, dz.sum(axis=1), dz_read @ h.T, dz_read.sum(axis=1)]
 
 
 def _ascent_upstream(p, m):
@@ -308,10 +307,13 @@ def plan_minibatches(rng, first, count, n_occ, n_vis, m, paired):
 
 
 def _disc_step(pools, gen, disc, idx_occ, idx_vis):
-    """One discriminator ascent step; returns (objective, accuracy) pre-update."""
-    vis = pools.visible[idx_vis]
+    """One discriminator ascent step; returns (objective, accuracy, gradients),
+    the first two measured before the update."""
+    m = len(idx_occ)
     fake = gen.forward(pools.occluded[idx_occ])
-    p_vis, p_fake, grads = _ascent_pass(disc, vis, fake)
+    rows = np.concatenate([pools.visible[idx_vis], fake]).reshape(2 * m, -1)
+    p, grads = _ascent_pass(disc, rows, m)
+    p_vis, p_fake = p[:, :m], p[:, m:]
     objective, _ = adversarial_losses(p_vis, p_fake)
     accuracy = 0.5 * (float(np.mean(p_vis > 0.5)) + float(np.mean(p_fake < 0.5)))
     return objective, accuracy, grads
@@ -360,9 +362,9 @@ def train_adversarial(pools, gen, disc, config, rng, paired=False, start_iterati
     steps = planned(plan, config.iterations)
     for t, (idx_occ, idx_vis, gen_idx) in enumerate(steps, start_iteration + 1):
         disc_obj, accuracy, grads = _disc_step(pools, gen, disc, idx_occ, idx_vis)
-        disc.set_params(sgd_step(disc.params(), grads, config.learn_rate, "ascend"))
+        sgd_step(disc.params(), grads, config.learn_rate, "ascend")
         gen_obj, grads = _gen_step(pools, gen, disc, gen_idx)
-        gen.set_params(sgd_step(gen.params(), grads, config.learn_rate, "descend"))
+        sgd_step(gen.params(), grads, config.learn_rate, "descend")
         history.append((t, disc_obj, gen_obj, accuracy))
         if t % PROGRESS_EVERY == 0:
             LOG.info("iteration %d: disc objective %.4f, gen objective %.4f, "
@@ -479,9 +481,6 @@ class ScoringHead:
     def params(self):
         return self.layer.params()
 
-    def set_params(self, params):
-        self.layer.set_params(params)
-
 
 def _unit_rms_columns(flat):
     """Scale the columns of a (d, n) matrix to unit rms, in place.
@@ -525,8 +524,7 @@ def train_scoring_head(positives, negatives, rng, config):
         err = ((p - labels) / n)[None, :]
         dw = err @ flat.T
         db = err.sum(axis=1)
-        head.layer.set_params(sgd_step(head.layer.params(), [dw, db],
-                                       config.learn_rate, "descend"))
+        sgd_step(head.params(), [dw, db], config.learn_rate, "descend")
     head.trained = True
     return head
 
@@ -594,7 +592,11 @@ def read_model(path):
     head = ScoringHead(
         DenseLayer(r.floats((1, flat_dim), "head weights"),
                    r.floats((1,), "head bias"), "sigmoid"))
-    head.trained = bool(r.unpack("<B", "head flag")[0])
+    flag_pos = r.pos
+    flag = r.unpack("<B", "head flag")[0]
+    if flag not in (0, 1):
+        raise FormatError(flag_pos, f"bad head flag {flag}")
+    head.trained = flag == 1
 
     count_pos = r.pos
     n_cfg = r.unpack("<I", "config count")[0]

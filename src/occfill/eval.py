@@ -14,14 +14,15 @@ features from visible ones), and plain mask IoU for occlusion
 localization.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, ShapeMismatchError
-from .ndnum import DenseLayer, RekeyedGenerator, Rng, check_finite, sigmoid
-from .completion import (BATCH_SIZE, Discriminator, _ascent_upstream, _flatten_batch,
-                         minibatch, planned)
+from .ndnum import DenseLayer, RekeyedGenerator, Rng, check_finite, sgd_step, sigmoid
+from .completion import (BATCH_SIZE, Discriminator, _ascent_pass, _ascent_upstream,
+                         _flatten_batch, minibatch, planned)
 
 # Each subset is the visibility band [low, high).
 SUBSETS = {"R": (0.65, np.inf), "HO": (0.20, 0.65), "R+HO": (0.20, np.inf)}
@@ -175,22 +176,25 @@ def _split_by_content(a, b, rng):
 
     Byte-identical samples land in the same fold no matter which side or
     position they occupy, so a sample can never be trained on under one
-    label and then graded under the other.
+    label and then graded under the other. Contents are numbered in order
+    of first appearance, side a first, and keyed by a 16-byte BLAKE2b
+    digest of each sample's bytes, taken once per sample, so the split
+    holds no byte copy of the sides.
     """
     fold_of = {}
+    contents = []
     for side in (a, b):
-        for sample in side:
-            fold_of.setdefault(sample.tobytes(), len(fold_of))
+        keys = (hashlib.blake2b(s.tobytes(), digest_size=16).digest() for s in side)
+        contents.append(np.array([fold_of.setdefault(k, len(fold_of)) for k in keys]))
     order = rng.permutation(len(fold_of))
     cut = int(len(fold_of) * PROBE_TRAIN_FRACTION)
     in_train = np.zeros(len(fold_of), dtype=bool)
     in_train[order[:cut]] = True
-
-    def split(side):
-        picks = np.array([in_train[fold_of[s.tobytes()]] for s in side])
-        return side[picks], side[~picks]
-
-    return split(a) + split(b)
+    folds = ()
+    for side, content in zip((a, b), contents):
+        picks = in_train[content]
+        folds += (side[picks], side[~picks])
+    return folds
 
 
 def _train_probe(train_a, train_b, rng, iterations, learn_rate):
@@ -234,35 +238,18 @@ def _full_space_steps(side_a, side_b, disc, steps, m, learn_rate):
     """Run the probe's steps on the hidden weights themselves.
 
     ``side_a`` and ``side_b`` are the (n, d) training rows of each side and
-    every step is a whole-batch row of `plan_probe`. A step is one forward
-    of the 2m gathered rows and one parameter-only backward, as in
-    `completion._ascent_pass`, with the same products in the same layouts,
-    so the bits are those of the `DenseLayer` chain. Each parameter steps
-    in place as p + g·η, the arithmetic of `sgd_step`. Activations,
-    probabilities and every stepped parameter are checked finite at the
-    step that made them. Updates ``disc`` in place and returns it.
+    every step is a whole-batch row of `plan_probe`. A step gathers its 2m
+    rows into one buffer, made once, takes their gradients with
+    `completion._ascent_pass`, the discriminator step of adversarial
+    training, and ascends in place with `sgd_step`. Both check every value
+    they make finite. Updates ``disc`` in place and returns it.
     """
     n_a = side_a.shape[0]
-    w, b = disc.hidden.weights, disc.hidden.bias
-    w_read, b_read = disc.readout.weights, disc.readout.bias
-    x = np.empty((2 * m, w.shape[1]))
-    z = np.empty((w.shape[0], 2 * m))
-    h = np.empty_like(z)
+    rows = np.empty((2 * m, side_a.shape[1]))
+    params = disc.params()
     for batch in steps:
-        np.concatenate([side_a[batch[:m]], side_b[batch[m:] - n_a]], out=x)
-        np.matmul(w, x.T, out=z)
-        z += b[:, None]
-        check_finite(np.maximum(z, 0.0, out=h), "probe hidden output")
-        s = w_read @ h
-        s += b_read[:, None]
-        p = check_finite(sigmoid(s), "probe output")
-        dz_read = _ascent_upstream(p, m) * p * (1.0 - p)
-        dz = (w_read.T @ dz_read) * (z > 0)
-        grads = (dz @ x, dz.sum(axis=1), dz_read @ h.T, dz_read.sum(axis=1))
-        for param, grad in zip((w, b, w_read, b_read), grads):
-            grad *= learn_rate
-            param += grad
-            check_finite(param, "probe parameters")
+        np.concatenate([side_a[batch[:m]], side_b[batch[m:] - n_a]], out=rows)
+        sgd_step(params, _ascent_pass(disc, rows, m)[1], learn_rate, "ascend")
     return disc
 
 
@@ -280,12 +267,11 @@ def _gram_steps(rows, gram, disc, steps, m, learn_rate):
 
     Starts from the parameters of ``disc``; every step is a whole-batch
     row of `plan_probe`. Returns C and one vector of the stepped hidden
-    bias, readout weights and readout bias, which steps in place as
-    p + g·η, the arithmetic of `sgd_step`. Z and C are row-major, so every
-    gather and scatter is a row operation. The step's products and
-    gradients of fixed shape go to buffers made once. Activations,
-    probabilities, the stepped parameters and Z are checked finite at the
-    step that made them.
+    bias, readout weights and readout bias, which `sgd_step` ascends in
+    place. Z and C are row-major, so every gather and scatter is a row
+    operation. The step's products and gradients of fixed shape go to
+    buffers made once. Activations, probabilities, the stepped parameters
+    and Z are checked finite at the step that made them.
     """
     hidden = rows @ disc.hidden.weights.T
     moves = np.zeros_like(hidden)
@@ -308,9 +294,7 @@ def _gram_steps(rows, gram, disc, steps, m, learn_rate):
         dz.sum(axis=0, out=grads[:width])
         np.matmul(dz_read, h, out=grads[width:-1])
         grads[-1] = dz_read.sum()
-        grads *= learn_rate
-        head += grads
-        check_finite(head, "probe parameters")
+        sgd_step([head], [grads], learn_rate, "ascend")
         dz *= learn_rate
         moves[batch] += dz
         hidden += np.matmul(gram[batch].T, dz, out=update)

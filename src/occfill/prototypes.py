@@ -137,7 +137,11 @@ def _assign(flat, centers):
 
 
 def _lloyd(flat, k, rng, max_iters):
-    """One seeded Lloyd run; returns (labels, objective)."""
+    """One seeded Lloyd run; returns (labels, centers, objective).
+
+    The loop ends on centers that are the means of the labels it returns,
+    and the objective is the sum of squared distances to them.
+    """
     centers = _plus_plus_seed(flat, k, rng)
     labels = np.full(flat.shape[0], -1)
     for _ in range(max_iters):
@@ -148,7 +152,7 @@ def _lloyd(flat, k, rng, max_iters):
         labels = new_labels
         for j in range(k):
             centers[j] = flat[labels == j].mean(axis=0)
-    return labels, _objective(flat, labels, k)
+    return labels, centers, float(np.sum((flat - centers[labels]) ** 2))
 
 
 def _fill_empty(labels, own, k):
@@ -168,13 +172,6 @@ def _fill_empty(labels, own, k):
         own[worst] = -np.inf
 
 
-def _objective(flat, labels, k):
-    centers = np.empty((k, flat.shape[1]))
-    for j in range(k):
-        centers[j] = flat[labels == j].mean(axis=0)
-    return float(np.sum((flat - centers[labels]) ** 2))
-
-
 def kmeans(pool, config=ProtoConfig(), seed=0, max_iters=100):
     """Cluster the pool into `config.k` clusters; the best of
     `config.restarts` seeded runs wins."""
@@ -187,17 +184,16 @@ def kmeans(pool, config=ProtoConfig(), seed=0, max_iters=100):
     flat = pool.features.reshape(pool.size, -1).astype(np.float64, copy=False)
     check_finite(flat, "pool features")
     root = Rng(seed)
-    best_labels, best_obj = None, np.inf
-    for r in range(config.restarts):
-        labels, obj = _lloyd(flat, k, root.split(f"restart-{r}"), max_iters)
-        if obj < best_obj:
-            best_labels, best_obj = labels, obj
+    # min keeps the earliest of equal objectives and holds one run besides it.
+    runs = (_lloyd(flat, k, root.split(f"restart-{r}"), max_iters)
+            for r in range(config.restarts))
+    best_labels, best_centers, _ = min(runs, key=lambda run: run[2])
+    best_centers.setflags(write=False)
     shape = pool.features.shape[1:]
     protos = []
     for j in range(k):
         members = best_labels == j
-        center = pool.features[members].mean(axis=0).reshape(shape)
-        center.setflags(write=False)
+        center = best_centers[j].reshape(shape)
         scales = pool.scales[members]
         protos.append(Prototype(center, float(scales.mean()),
                                 float(scales.std()), int(members.sum())))

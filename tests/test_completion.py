@@ -130,13 +130,18 @@ class TestGenerator:
         with pytest.raises(PreconditionError, match="before forward"):
             gen.backward(np.zeros((1, 2, 2, 2)))
 
-    def test_params_roundtrip_preserves_output(self):
+    def test_a_step_on_params_moves_the_layers_in_place(self):
+        # params() hands out the layers' own arrays, so an in-place
+        # `sgd_step` on them is the generator's update.
         rng = Rng(5)
         gen = random_generator(3, rng)
         x = rng.split("x").normal(shape=(3, 3, 3))[None]
-        before = gen.forward(x)
-        gen.set_params(gen.params())
-        assert np.array_equal(gen.forward(x), before)
+        grads = [rng.split(f"g{i}").normal(shape=p.shape) for i, p in enumerate(gen.params())]
+        want = [p - g * 0.1 for p, g in zip(gen.params(), grads)]
+        sgd_step(gen.params(), grads, 0.1, "descend")
+        assert all(np.array_equal(p, w) for p, w in zip(gen.params(), want))
+        mix, out = DenseLayer(*want[:2], "relu"), DenseLayer(*want[2:], "identity")
+        assert np.array_equal(gen.forward(x), Generator(mix, out).forward(x))
 
     def test_rejects_single_map(self):
         # One map is a batch of one, (1, c, x, y); a bare (c, x, y) is refused.
@@ -415,6 +420,23 @@ def gen_batch(pools, m, rng):
     return completion.minibatch(rng, pools.occluded.shape[0], m)
 
 
+def chain_ascent_pass(disc, rows, m):
+    """`completion._ascent_pass` through the `DenseLayer` chain: one
+    `Discriminator.forward` of the (2m, d) rows and one full backward, whose
+    input gradient is discarded. Returns (probabilities, gradients)."""
+    p = disc.forward(rows.T)
+    c = np.clip(p, 1e-7, 1.0 - 1e-7)
+    up = np.concatenate([1.0 / (m * c[:, :m]), -1.0 / (m * (1.0 - c[:, m:]))], axis=1)
+    grads, _ = disc.backward(up)
+    return p, grads
+
+
+def ascent_rows(pools, gen, idx_occ, idx_vis):
+    """A discriminator step's rows: visible maps, then generated ones."""
+    fake = gen.forward(pools.occluded[idx_occ])
+    return np.concatenate([pools.visible[idx_vis], fake]).reshape(2 * len(idx_occ), -1)
+
+
 def two_pass_disc_step(pools, gen, disc, idx_occ, idx_vis):
     """The discriminator step as one forward and one full backward per side,
     with the two gradient lists summed afterwards."""
@@ -498,9 +520,33 @@ class TestLeanSteps:
         flat = rng.split("x").normal(shape=(20, 5))
         up = rng.split("up").normal(shape=(1, 5))
         disc.forward(flat)
-        grads, d_in = disc.backward(up)
-        assert all(np.array_equal(g, w) for g, w in zip(disc.param_grads(up), grads))
+        _, d_in = disc.backward(up)
         assert np.array_equal(disc.input_grad(up), d_in)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_ascent_pass_is_the_dense_layer_chain_bit_for_bit(self, paired):
+        for seed, (gen, disc, pools, m) in lean_step_setups():
+            rows = ascent_rows(pools, gen, *disc_batch(pools, m, Rng(seed).split("d"), paired))
+            p, grads = completion._ascent_pass(disc, rows, m)
+            want_p, want = chain_ascent_pass(disc, rows, m)
+            assert np.array_equal(p, want_p)
+            assert len(grads) == len(want)
+            assert all(g.shape == w.shape and np.array_equal(g, w)
+                       for g, w in zip(grads, want))
+
+    def test_hidden_overflow_fails_at_the_hidden_output(self):
+        # Positive maps under hidden weights of 1e308 give +inf hidden
+        # outputs. Without their own check the readout would meet them and
+        # fail under another name.
+        rng = Rng(82)
+        pools = FeaturePools(np.abs(rng.split("occ").normal(shape=(8, 2, 3, 3))) + 1.0,
+                             np.abs(rng.split("vis").normal(shape=(8, 2, 3, 3))) + 1.0)
+        disc = random_discriminator(18, 6, rng.split("d"))
+        disc.hidden.weights = np.full((6, 18), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PreconditionError, match="discriminator hidden output"):
+                completion._disc_step(pools, Generator.init(2, rng.split("g")), disc,
+                                      np.arange(8), np.arange(8))
 
     @pytest.mark.parametrize("side", ["visible", "occluded"])
     def test_nan_in_one_side_raises(self, side):
@@ -1054,9 +1100,8 @@ def reference_scoring_head(positives, negatives, rng, iterations, learn_rate=0.5
     for _ in range(iterations):
         p = sigmoid(head.layer.weights @ flat + head.layer.bias[:, None])[0]
         err = ((p - labels) / labels.size)[None, :]
-        head.layer.set_params(sgd_step(
-            head.layer.params(), [err @ flat.T, err.sum(axis=1)], learn_rate,
-            "descend"))
+        sgd_step(head.layer.params(), [err @ flat.T, err.sum(axis=1)], learn_rate,
+                 "descend")
     head.trained = True
     return head
 
@@ -1232,6 +1277,16 @@ class TestModelFile:
         with pytest.raises(FormatError) as err:
             read_model(path)
         assert err.value.offset == self.layout()["end"]
+
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_bad_head_flag_offset(self, tmp_path, flag):
+        path, data = self.written(tmp_path)
+        off = self.layout()["flag"]
+        data[off] = flag
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"bad head flag {flag}") as err:
+            read_model(path)
+        assert err.value.offset == off
 
     def test_magic_is_first_bytes(self, tmp_path):
         path, data = self.written(tmp_path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import occfill.eval as eval_module
-from occfill.completion import PLAN_CHUNK, Discriminator, _ascent_pass, minibatch, planned
+from occfill.completion import PLAN_CHUNK, Discriminator, minibatch, planned
 from occfill.errors import PreconditionError, ShapeMismatchError
 from occfill.eval import (
     plan_probe,
@@ -21,7 +21,7 @@ from occfill.eval import (
 )
 from occfill.ndnum import DenseLayer, Rng, sgd_step
 from occfill.synth import OcclusionMask
-from test_completion import stable_sigmoid
+from test_completion import chain_ascent_pass, stable_sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +430,16 @@ class TestProbeStep:
         with pytest.raises(PreconditionError):
             full_space_run(a, b, disc, *probe_batch(a, b, 8, Rng(0)))
 
+    def test_hidden_overflow_fails_at_the_hidden_output(self):
+        # Positive maps under hidden weights of 1e308 give +inf hidden
+        # outputs, which the random readout would otherwise meet first.
+        a, b, disc = probe_setup(74, n=8, shape=(2, 3, 3))
+        a, b = np.abs(a) + 1.0, np.abs(b) + 1.0
+        disc.hidden.weights = np.full(disc.hidden.weights.shape, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PreconditionError, match="discriminator hidden output"):
+                full_space_run(a, b, disc, *probe_batch(a, b, 8, Rng(0)))
+
 
 # ---------------------------------------------------------------------------
 # The probe as it ran before its plans were re-keyed and its steps ran in
@@ -456,8 +466,11 @@ def clip_upstream(p, m):
 
 
 def reference_probe_step(side_a, side_b, disc, idx_a, idx_b):
-    """One full-space step's gradients: one batched pass through `disc`."""
-    return _ascent_pass(disc, side_a[idx_a], side_b[idx_b])[2]
+    """One full-space step's gradients: one batched pass through the
+    `DenseLayer` chain of `disc`."""
+    m = len(idx_a)
+    rows = np.concatenate([side_a[idx_a], side_b[idx_b]]).reshape(2 * m, -1)
+    return chain_ascent_pass(disc, rows, m)[1]
 
 
 def reference_gram_steps(rows, n_a, disc, draws, learn_rate):
@@ -479,7 +492,7 @@ def reference_gram_steps(rows, n_a, disc, draws, learn_rate):
         dz_read = clip_upstream(p, idx_a.shape[0]) * p * (1.0 - p)
         dz = dz_read[:, None] * readout * (z > 0)
         grads = np.concatenate([dz.sum(axis=0), dz_read @ h, [dz_read.sum()]])
-        [head] = sgd_step([head], [grads], learn_rate, "ascend")
+        sgd_step([head], [grads], learn_rate, "ascend")
         dz *= learn_rate
         moves[batch] += dz
         hidden += gram[batch].T @ dz
@@ -513,7 +526,7 @@ def full_space_probe(a, b, seed, iterations, learn_rate=2e-3):
     for ia, ib in reference_probe_draws(rng, iterations, train_a.shape[0],
                                         train_b.shape[0], m):
         grads = reference_probe_step(train_a, train_b, disc, ia, ib)
-        disc.set_params(sgd_step(disc.params(), grads, learn_rate, "ascend"))
+        sgd_step(disc.params(), grads, learn_rate, "ascend")
     return disc, test_a, test_b
 
 
@@ -732,6 +745,19 @@ class TestProbeSpan:
                     train_a, train_b, Rng(97), iterations, learn_rate))
         assert want is not None and got == want
 
+    def test_overflowing_head_fails_in_its_sgd_step(self):
+        # Rows of 100 give readout gradients beyond 2, which a rate of 1e308
+        # steps past float64 in the first step. The zero readout keeps the
+        # step's hidden gradients, and so Z, at zero: without the check of the
+        # stepped head, nothing else would fail.
+        a, b = span_sides(100)
+        rows = np.concatenate([a, b]).reshape(a.shape[0] + b.shape[0], -1) * 100.0
+        disc = Discriminator.init(rows.shape[1], Rng(101).split("disc"))
+        steps = [np.concatenate([np.arange(8), a.shape[0] + np.arange(8)])]
+        with np.errstate(over="ignore"):
+            with pytest.raises(PreconditionError, match="sgd step"):
+                eval_module._gram_steps(rows, rows @ rows.T, disc, steps, 8, 1e308)
+
     def test_non_finite_pre_activations_fail_at_their_step(self):
         # Rows of 1e160 overflow the Gram matrix, so the first update of Z
         # is inf * 0: every other value of that step stays finite.
@@ -756,6 +782,47 @@ class TestProbeSpan:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * (n * d + n * n) * 8
+
+
+def byte_keyed_split(a, b, rng):
+    """The 70/30 fold split keyed by every sample's full bytes."""
+    fold_of = {}
+    for side in (a, b):
+        for sample in side:
+            fold_of.setdefault(sample.tobytes(), len(fold_of))
+    order = rng.permutation(len(fold_of))
+    in_train = np.zeros(len(fold_of), dtype=bool)
+    in_train[order[:int(len(fold_of) * 0.7)]] = True
+
+    def split(side):
+        picks = np.array([in_train[fold_of[s.tobytes()]] for s in side])
+        return side[picks], side[~picks]
+
+    return split(a) + split(b)
+
+
+class TestFoldSplit:
+    def test_folds_equal_the_byte_keyed_split(self):
+        # Samples shared by both sides, and repeated within side a.
+        a, b = span_sides(110, n=80, shared=10)
+        a = np.concatenate([a, a[5:8], a[-2:]])
+        got = eval_module._split_by_content(a, b, Rng(111).split("fold"))
+        want = byte_keyed_split(a, b, Rng(111).split("fold"))
+        assert len(got) == len(want) == 4
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_peak_is_the_fold_copies(self):
+        # Keying the folds by each sample's bytes held a second copy of
+        # both sides while splitting.
+        a, b = span_sides(114, n=400, shared=50)
+        tracemalloc.start()
+        try:
+            folds = eval_module._split_by_content(a, b, Rng(115).split("fold"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(f.nbytes for f in folds) == a.nbytes + b.nbytes
+        assert peak <= 1.1 * (a.nbytes + b.nbytes)
 
 
 class TestMaskIoU:

@@ -241,31 +241,40 @@ def test_finite_diff_epsilon_validation():
 def test_sgd_step_hand_values():
     p = [np.array([1.0])]
     g = [np.array([2.0])]
-    assert ndnum.sgd_step(p, g, 0.1, "descend")[0][0] == pytest.approx(0.8, abs=1e-15)
-    assert ndnum.sgd_step(p, g, 0.1, "ascend")[0][0] == pytest.approx(1.2, abs=1e-15)
+    ndnum.sgd_step(p, g, 0.1, "descend")
+    assert p[0][0] == pytest.approx(0.8, abs=1e-15)
+    ndnum.sgd_step(p, g, 0.1, "ascend")
+    assert p[0][0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sgd_step_zero_grads_identity():
     p = [np.array([0.3, -0.7]), np.array([[1.5]])]
+    kept = [a.copy() for a in p]
     g = [np.zeros(2), np.zeros((1, 1))]
-    out = ndnum.sgd_step(p, g, 0.5, "descend")
-    for a, b in zip(out, p):
+    ndnum.sgd_step(p, g, 0.5, "descend")
+    for a, b in zip(p, kept):
         assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("direction", ["ascend", "descend"])
-def test_sgd_step_is_exact_and_leaves_inputs_untouched(direction):
+def test_sgd_step_is_exact_in_place_and_leaves_grads_untouched(direction):
+    # Small layers, and parameters of more than SGD_BLOCK values: a long
+    # vector and a transposed (non-contiguous) matrix, stepped in blocks.
     rng = ndnum.Rng(5)
-    params = [rng.split("w").normal((6, 4)), rng.split("b").normal(6)]
-    grads = [rng.split("dw").normal((6, 4)), rng.split("db").normal(6)]
-    kept = [a.copy() for a in params + grads]
+    shapes = [(6, 4), (6,), (3 * ndnum.SGD_BLOCK + 5,)]
+    params = [rng.split(f"p{i}").normal(s) for i, s in enumerate(shapes)]
+    params.append(rng.split("wide").normal((300, 50)).T)
+    grads = [rng.split(f"g{i}").normal(p.shape) for i, p in enumerate(params)]
+    assert not params[-1].flags.c_contiguous and params[-1].size > ndnum.SGD_BLOCK
+    arrays = list(params)
+    start = [p.copy() for p in params]
+    kept = [g.copy() for g in grads]
     rate = 2e-3
-    out = ndnum.sgd_step(params, grads, rate, direction)
-    for new, p, g in zip(out, params, grads):
-        want = p + rate * g if direction == "ascend" else p - rate * g
-        assert np.array_equal(new, want)
-        assert not np.shares_memory(new, p) and not np.shares_memory(new, g)
-    assert all(np.array_equal(a, k) for a, k in zip(params + grads, kept))
+    assert ndnum.sgd_step(params, grads, rate, direction) is None
+    for new, array, p, g in zip(params, arrays, start, grads):
+        want = p + g * rate if direction == "ascend" else p - g * rate
+        assert new is array and np.array_equal(new, want)
+    assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
 
 
 def test_sgd_step_validates_inputs():
@@ -275,6 +284,35 @@ def test_sgd_step_validates_inputs():
         ndnum.sgd_step([np.zeros(2)], [np.zeros(2)], -0.1, "descend")
     with pytest.raises(PreconditionError):
         ndnum.sgd_step([np.zeros(2)], [np.zeros(2)], 0.1, "sideways")
+
+
+@pytest.mark.parametrize("param", [np.zeros(2, dtype=np.int64),
+                                   np.zeros(2, dtype=np.float32), [0.0, 0.0],
+                                   np.array(0.0)])
+def test_sgd_step_refuses_params_it_cannot_step_in_place(param):
+    with pytest.raises(PreconditionError, match="writable float64"):
+        ndnum.sgd_step([param], [np.ones(np.shape(param))], 0.1, "ascend")
+
+
+def test_sgd_step_refuses_read_only_params():
+    p = np.zeros(2)
+    p.setflags(write=False)
+    with pytest.raises(PreconditionError, match="writable float64"):
+        ndnum.sgd_step([p], [np.ones(2)], 0.1, "ascend")
+
+
+def test_sgd_step_checks_every_shape_before_moving_a_param():
+    first = np.zeros(2)
+    with pytest.raises(ShapeMismatchError):
+        ndnum.sgd_step([first, np.zeros(2)], [np.ones(2), np.ones(3)], 0.1, "ascend")
+    assert np.array_equal(first, np.zeros(2))
+
+
+def test_sgd_step_checks_the_stepped_params_finite():
+    p = [np.array([1e308])]
+    with np.errstate(over="ignore"):
+        with pytest.raises(PreconditionError, match="sgd step"):
+            ndnum.sgd_step(p, [np.array([1.0])], 1e308, "ascend")
 
 
 # Dyadic rationals keep every product and sum exact in float64, which is what
@@ -289,9 +327,10 @@ def test_sgd_ascend_then_descend_restores_exactly(pvals, gvals, rate):
     n = min(len(pvals), len(gvals))
     p = [np.array(pvals[:n])]
     g = [np.array(gvals[:n])]
-    up = ndnum.sgd_step(p, g, rate, "ascend")
-    down = ndnum.sgd_step(up, g, rate, "descend")
-    assert np.array_equal(down[0], p[0])
+    start = p[0].copy()
+    ndnum.sgd_step(p, g, rate, "ascend")
+    ndnum.sgd_step(p, g, rate, "descend")
+    assert np.array_equal(p[0], start)
 
 
 def test_rng_same_seed_same_sequence():
