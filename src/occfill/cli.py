@@ -167,9 +167,9 @@ def synthesize(config):
             base = gen_pedestrian(world, sample_scale(pr), pr,
                                   pid=start_id + i)
             if occlude == "always" or (occlude == "half" and i % 2 == 1):
-                pattern = MASK_PATTERNS[int(pr.integers(0, len(MASK_PATTERNS)))]
+                pattern = MASK_PATTERNS[int(pr.gen.integers(0, len(MASK_PATTERNS)))]
                 mask = sample_mask(world, pattern, pr)
-                kind = "object" if pr.random() < 0.5 else "pedestrian"
+                kind = "object" if pr.gen.random() < 0.5 else "pedestrian"
                 base = gen_occluded(world, base, mask, kind, pr)
             out.append(base)
         return out
@@ -294,10 +294,11 @@ def evaluate(proposals, bank, gen, head, config):
         flagged += report.occluded
         if p.label != PEDESTRIAN:
             continue
-        if p.true_mask is None:
+        if p.true_mask is not None:
+            ious.append(mask_iou(report.mask, p.true_mask))
+        if p.visibility >= FULLY_VISIBLE:
             vis_feats.append(p.features)
         else:
-            ious.append(mask_iou(report.mask, p.true_mask))
             raw_occ.append(p.features)
             comp_occ.append(report.completed if report.occluded else p.features)
 

@@ -259,12 +259,21 @@ def _ascent_upstream(p, m):
     return up
 
 
-def minibatch(rng, n, m):
-    """m distinct indices below n, drawn uniformly from ``rng`` and sorted.
+def two_way_accuracy(p_pos, p_neg):
+    """Share of right calls: p_pos above 0.5 and p_neg below it.
 
-    ``rng`` is an `Rng` or the numpy generator of one: both draw alike.
+    A tie at p = 0.5 says neither side, so it counts half right: a
+    discriminator whose zero readout gives exactly 0.5 reads chance.
     """
-    return np.sort(rng.choice(n, size=m, replace=False))
+    right = (np.sum(p_pos > 0.5) + np.sum(p_neg < 0.5)
+             + 0.5 * (np.sum(p_pos == 0.5) + np.sum(p_neg == 0.5)))
+    return float(right) / (p_pos.size + p_neg.size)
+
+
+def minibatch(gen, n, m):
+    """m distinct indices below n, drawn uniformly from the numpy generator
+    ``gen`` and sorted."""
+    return np.sort(gen.choice(n, size=m, replace=False))
 
 
 def planned(plan, count):
@@ -315,8 +324,7 @@ def _disc_step(pools, gen, disc, idx_occ, idx_vis):
     p, grads = _ascent_pass(disc, rows, m)
     p_vis, p_fake = p[:, :m], p[:, m:]
     objective, _ = adversarial_losses(p_vis, p_fake)
-    accuracy = 0.5 * (float(np.mean(p_vis > 0.5)) + float(np.mean(p_fake < 0.5)))
-    return objective, accuracy, grads
+    return objective, two_way_accuracy(p_vis, p_fake), grads
 
 
 def _gen_step(pools, gen, disc, idx):
@@ -430,7 +438,7 @@ def progressive_train(visible_pool, real_occluded_pool, bank, stage_configs, rng
     pick = rng.split("stage1-masks")
     synthetic = np.empty_like(visible_pool.features)
     for i, (feats, scale) in enumerate(zip(visible_pool.features, visible_pool.scales)):
-        mask = lib[int(pick.integers(0, len(lib)))]
+        mask = lib[int(pick.gen.integers(0, len(lib)))]
         proto = nearest_prototype(bank, float(scale))
         synthetic[i] = copy_paste(feats, proto.center, mask)
     stage1 = FeaturePools(occluded=synthetic, visible=visible_pool.features)

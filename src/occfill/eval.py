@@ -22,7 +22,7 @@ import numpy as np
 from .errors import PreconditionError, ShapeMismatchError
 from .ndnum import DenseLayer, RekeyedGenerator, Rng, check_finite, sgd_step, sigmoid
 from .completion import (BATCH_SIZE, Discriminator, _ascent_pass, _ascent_upstream,
-                         _flatten_batch, minibatch, planned)
+                         _flatten_batch, minibatch, planned, two_way_accuracy)
 
 # Each subset is the visibility band [low, high).
 SUBSETS = {"R": (0.65, np.inf), "HO": (0.20, 0.65), "R+HO": (0.20, np.inf)}
@@ -186,7 +186,7 @@ def _split_by_content(a, b, rng):
     for side in (a, b):
         keys = (hashlib.blake2b(s.tobytes(), digest_size=16).digest() for s in side)
         contents.append(np.array([fold_of.setdefault(k, len(fold_of)) for k in keys]))
-    order = rng.permutation(len(fold_of))
+    order = rng.gen.permutation(len(fold_of))
     cut = int(len(fold_of) * PROBE_TRAIN_FRACTION)
     in_train = np.zeros(len(fold_of), dtype=bool)
     in_train[order[:cut]] = True
@@ -336,13 +336,8 @@ def probe_accuracy(features_a, features_b, seed, iterations=2000,
             raise PreconditionError(f"degenerate probe split: empty {name} fold")
 
     disc = _train_probe(train_a, train_b, rng, iterations, learn_rate)
-    p_a = disc.forward(_flatten_batch(test_a))
-    p_b = disc.forward(_flatten_batch(test_b))
-    # A tie at p = 0.5 says neither side: half right, so an untrained probe
-    # reads chance.
-    correct = (np.sum(p_a > 0.5) + np.sum(p_b < 0.5)
-               + 0.5 * (np.sum(p_a == 0.5) + np.sum(p_b == 0.5)))
-    return float(correct) / (test_a.shape[0] + test_b.shape[0])
+    return two_way_accuracy(disc.forward(_flatten_batch(test_a)),
+                            disc.forward(_flatten_batch(test_b)))
 
 
 def mask_iou(predicted, truth):

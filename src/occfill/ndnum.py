@@ -12,9 +12,9 @@ the pipeline never shifts what existing consumers draw.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import sys
 
 import numpy as np
 
@@ -61,68 +61,54 @@ def clamp_prob(p):
     return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
+def philox_key(key):
+    """The two Philox key words of a stream key: its first 16 bytes, read
+    as native-endian uint64."""
+    return np.frombuffer(key[:16], dtype=np.uint64)
+
+
 class Rng:
     """Deterministic counter-based random stream with labelled splitting.
 
     Identical seed and call sequence give bit-identical draws. `split`
     derives an independent child stream from a text label; two children of
-    the same parent with different labels never share output.
+    the same parent with different labels never share output. Draws go
+    through `gen`, the stream's numpy generator.
     """
 
     def __init__(self, seed, _key=None):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise PreconditionError("seed must be non-negative")
         if _key is None:
-            _key = hashlib.sha256(b"occfill:" + self.seed.to_bytes(16, "little")).digest()
+            seed = int(seed)
+            if seed < 0:
+                raise PreconditionError("seed must be non-negative")
+            _key = hashlib.sha256(b"occfill:" + seed.to_bytes(16, "little")).digest()
         self._key = _key
-        self._generator = None
 
-    @property
-    def _gen(self):
-        # Built on first draw: streams that are only ever split, such as the
-        # per-iteration parents of a training loop, skip the Philox set-up.
-        if self._generator is None:
-            philox_key = np.frombuffer(self._key[:16], dtype=np.uint64)
-            self._generator = np.random.Generator(np.random.Philox(key=philox_key))
-        return self._generator
+    @functools.cached_property
+    def gen(self):
+        """The stream's Philox generator, keyed by `philox_key`.
+
+        Built on first use: streams that are only ever split, such as the
+        per-iteration parents of a training loop, skip the Philox set-up.
+        """
+        return np.random.Generator(np.random.Philox(key=philox_key(self._key)))
 
     def split(self, label):
         """Child stream fully determined by (parent key, label)."""
         if not label:
             raise PreconditionError("split label must be non-empty")
         child = hashlib.sha256(self._key + b"/" + label.encode("utf-8")).digest()
-        return Rng(self.seed, _key=child)
-
-    # Draw helpers delegate to the underlying generator.
-
-    def normal(self, shape=None, loc=0.0, scale=1.0):
-        return self._gen.normal(loc=loc, scale=scale, size=shape)
-
-    def uniform(self, low=0.0, high=1.0, shape=None):
-        return self._gen.uniform(low, high, size=shape)
-
-    def random(self, shape=None):
-        return self._gen.random(size=shape)
-
-    def integers(self, low, high, shape=None):
-        return self._gen.integers(low, high, size=shape)
-
-    def choice(self, n, size=None, replace=True, p=None):
-        return self._gen.choice(n, size=size, replace=replace, p=p)
-
-    def permutation(self, n):
-        return self._gen.permutation(n)
+        return Rng(None, _key=child)
 
 
 class RekeyedGenerator:
     """One Philox generator, re-keyed to the start of stream after stream.
 
-    ``start(rng)`` returns the generator in the state ``rng``'s own
-    generator starts in: the stream's 16-byte key, with the counter, the
-    buffer and the 32-bit carry at zero. So the draws that follow are
-    exactly those ``rng`` would make, whatever was drawn before on another
-    stream. Assigning that state took 1.4 µs where setting up a new Philox
+    ``start(rng)`` returns the generator in the state ``rng.gen`` starts
+    in: the stream's `philox_key`, with the counter, the buffer and the
+    32-bit carry at zero. So the draws that follow are exactly those
+    ``rng.gen`` would make, whatever was drawn before on another stream.
+    Assigning that state took 1.4 µs where setting up a new Philox
     generator took 18 (2-vCPU x86 host, numpy 2.4), so a loop that draws a
     few values from each of many streams keeps one of these.
     """
@@ -135,10 +121,7 @@ class RekeyedGenerator:
                        "has_uint32": 0, "uinteger": 0}
 
     def start(self, rng):
-        # The two key words as np.frombuffer reads them in Rng._gen.
-        key = rng._key
-        self._key["key"] = (int.from_bytes(key[:8], sys.byteorder),
-                            int.from_bytes(key[8:16], sys.byteorder))
+        self._key["key"] = philox_key(rng._key)
         self._generator.bit_generator.state = self._state
         return self._generator
 
@@ -172,7 +155,7 @@ class DenseLayer:
     @classmethod
     def init(cls, in_dim, out_dim, rng, activation="identity"):
         """Random small-weight initialization with scale 1/sqrt(in_dim)."""
-        w = rng.normal((out_dim, in_dim)) * (1.0 / np.sqrt(in_dim))
+        w = rng.gen.normal(size=(out_dim, in_dim)) * (1.0 / np.sqrt(in_dim))
         b = np.zeros(out_dim)
         return cls(w, b, activation)
 

@@ -10,6 +10,7 @@ what the scale statistics are stored for.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -101,14 +102,14 @@ def build_pool(proposals):
 def _plus_plus_seed(flat, k, rng):
     """K-means++ seeding: spread initial centers by squared distance."""
     n = flat.shape[0]
-    chosen = [int(rng.integers(0, n))]
+    chosen = [int(rng.gen.integers(0, n))]
     d2 = ((flat - flat[chosen[0]]) ** 2).sum(axis=1)
     while len(chosen) < k:
         total = d2.sum()
         if total <= 0.0:
-            pick = int(rng.integers(0, n))
+            pick = int(rng.gen.integers(0, n))
         else:
-            pick = int(rng.choice(n, p=d2 / total))
+            pick = int(rng.gen.choice(n, p=d2 / total))
         chosen.append(pick)
         d2 = np.minimum(d2, ((flat - flat[pick]) ** 2).sum(axis=1))
     return flat[chosen].copy()
@@ -205,8 +206,8 @@ def nearest_prototype(bank, scale):
     """The prototype whose scale mean is closest; ties go to the smaller."""
     if not bank.prototypes:
         raise PreconditionError("bank is empty")
-    if scale <= 0:
-        raise PreconditionError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise PreconditionError(f"scale must be positive and finite, got {scale}")
     best = 0
     for i, p in enumerate(bank.prototypes):
         if abs(scale - p.scale_mean) < abs(scale - bank.prototypes[best].scale_mean):
@@ -251,6 +252,10 @@ def read_bank(path):
         at = r.pos
         r.need(20 + c * x * y * 8, f"prototype {i}")
         mean, std, count = r.unpack("<ddI", f"prototype {i}")
+        if not math.isfinite(mean):
+            raise FormatError(at, f"prototype {i} has scale mean {mean}")
+        if not math.isfinite(std):
+            raise FormatError(at + 8, f"prototype {i} has scale std {std}")
         if count < 1:
             raise FormatError(at + 16, f"prototype {i} has no members")
         center = r.floats((c, x, y), f"center of prototype {i}")

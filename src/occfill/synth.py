@@ -195,8 +195,8 @@ class Proposal:
     def validate(self):
         if self.label not in (PEDESTRIAN, BACKGROUND):
             raise PreconditionError(f"unknown label {self.label!r}")
-        if self.scale <= 0:
-            raise PreconditionError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise PreconditionError("scale must be positive and finite")
         if not (0.0 <= self.score <= 1.0):
             raise PreconditionError("score must lie in [0, 1]")
         if not (0.0 <= self.visibility <= 1.0):
@@ -241,11 +241,11 @@ def _draw_templates(config, rng):
     if c & (c - 1) == 0:
         basis = _hadamard(c)
     else:
-        q, _ = np.linalg.qr(rng.split("basis").normal((c, c)))
+        q, _ = np.linalg.qr(rng.split("basis").gen.normal(size=(c, c)))
         basis = np.sqrt(c) * q
-    signs = np.where(rng.random(c) < 0.5, -1.0, 1.0)
-    cols = rng.permutation(c)
-    rows = rng.permutation(c)
+    signs = np.where(rng.gen.random(c) < 0.5, -1.0, 1.0)
+    cols = rng.gen.permutation(c)
+    rows = rng.gen.permutation(c)
     basis = (basis * signs)[:, cols][rows]
     n_parts = len(PART_NAMES)
     return _freeze(basis[:n_parts]), _freeze(basis[n_parts:])
@@ -274,15 +274,15 @@ def sample_scale(rng):
     stds = np.array(SCALE_STDS)
     weights = np.array(SCALE_WEIGHTS)
     for _ in range(MAX_SCALE_DRAWS):
-        comp = int(rng.choice(len(means), p=weights))
+        comp = int(rng.gen.choice(len(means), p=weights))
         if comp == 0:
-            s = means[0] + stds[0] * rng.normal()
+            s = means[0] + stds[0] * rng.gen.normal()
         else:
             floor = 0.5 * (means[comp - 1] + means[comp]) + 0.01 * means[comp]
             body = means[comp] - floor
             var_log = np.log1p((stds[comp] / body) ** 2)
             mu_log = np.log(body) - 0.5 * var_log
-            s = floor + np.exp(mu_log + np.sqrt(var_log) * rng.normal())
+            s = floor + np.exp(mu_log + np.sqrt(var_log) * rng.gen.normal())
         if MIN_SCALE <= s <= means[comp] + SCALE_CEILING_STDS * stds[comp]:
             return float(s)
     raise PreconditionError(f"no pedestrian height accepted in {MAX_SCALE_DRAWS} draws")
@@ -295,11 +295,11 @@ def _identity_field(world, rng):
     field = np.moveaxis(field, -1, 0).astype(np.float64)  # (C, X, Y)
     sigma = world.config.sigma_id
     if sigma > 0:
-        field = field + rng.normal((c, x, y)) * sigma
+        field = field + rng.gen.normal(size=(c, x, y)) * sigma
         # At least one attenuated cell per sample; the rest Binomial.
         n = x * y
-        extra = int(np.sum(rng.random(n - 1) < CELL_DROPOUT))
-        cells = rng.choice(n, size=1 + extra, replace=False)
+        extra = int(np.sum(rng.gen.random(n - 1) < CELL_DROPOUT))
+        cells = rng.gen.choice(n, size=1 + extra, replace=False)
         w = np.ones(n)
         w[cells] = DROPOUT_SCALE
         field = field * w.reshape(x, y)[None, :, :]
@@ -309,9 +309,9 @@ def _identity_field(world, rng):
 def detector_score(label, visibility, rng):
     """Baseline detector confidence before any completion runs."""
     if label == PEDESTRIAN:
-        logit = SCORE_VIS_GAIN * visibility + SCORE_VIS_BIAS + SCORE_PED_NOISE * rng.normal()
+        logit = SCORE_VIS_GAIN * visibility + SCORE_VIS_BIAS + SCORE_PED_NOISE * rng.gen.normal()
     else:
-        logit = SCORE_BG_BIAS + SCORE_BG_NOISE * rng.normal()
+        logit = SCORE_BG_BIAS + SCORE_BG_NOISE * rng.gen.normal()
     return float(sigmoid(np.array(logit)))
 
 
@@ -338,27 +338,27 @@ def sample_mask(world, pattern, rng):
         grid = np.zeros((gx, gy), dtype=bool)
         shift = None
         if pattern == "left-half":
-            cols = gx // 2 + int(rng.integers(0, 2)) if gx % 2 else gx // 2
+            cols = gx // 2 + int(rng.gen.integers(0, 2)) if gx % 2 else gx // 2
             grid[:cols, :] = True
         elif pattern == "right-half":
-            cols = gx // 2 + int(rng.integers(0, 2)) if gx % 2 else gx // 2
+            cols = gx // 2 + int(rng.gen.integers(0, 2)) if gx % 2 else gx // 2
             grid[gx - cols:, :] = True
         elif pattern == "bottom":
             lo = max(1, int(np.ceil(MASK_MIN_FRACTION * gy)))
             hi = max(lo, int(np.floor(MASK_MAX_FRACTION * gy)))
-            rows = int(rng.integers(lo, hi + 1))
+            rows = int(rng.gen.integers(lo, hi + 1))
             grid[:, gy - rows:] = True
         elif pattern == "rect":
-            x0 = int(rng.integers(0, gx))
-            y0 = int(rng.integers(0, gy))
-            w = int(rng.integers(1, gx - x0 + 1))
-            h = int(rng.integers(1, gy - y0 + 1))
+            x0 = int(rng.gen.integers(0, gx))
+            y0 = int(rng.gen.integers(0, gy))
+            w = int(rng.gen.integers(1, gx - x0 + 1))
+            h = int(rng.gen.integers(1, gy - y0 + 1))
             grid[x0:x0 + w, y0:y0 + h] = True
         else:  # person-shape: another body's part regions, shifted onto the grid
-            n_parts = int(rng.integers(2, 5))
-            parts = rng.choice(len(PART_NAMES), size=n_parts, replace=False)
-            dx = int(rng.integers(-(gx // 2), gx // 2 + 1))
-            dy = int(rng.integers(-(gy // 2), gy // 2 + 1))
+            n_parts = int(rng.gen.integers(2, 5))
+            parts = rng.gen.choice(len(PART_NAMES), size=n_parts, replace=False)
+            dx = int(rng.gen.integers(-(gx // 2), gx // 2 + 1))
+            dy = int(rng.gen.integers(-(gy // 2), gy // 2 + 1))
             shift = (dx, dy)
             member = np.isin(world.part_grid, parts)
             xs, ys = np.nonzero(member)
@@ -374,8 +374,8 @@ def sample_mask(world, pattern, rng):
 
 def draw_occluder_template(world, rng):
     """A template distinct from (and orthogonal to) every part template."""
-    idx = int(rng.integers(0, world.spare_templates.shape[0]))
-    sign = -1.0 if rng.random() < 0.5 else 1.0
+    idx = int(rng.gen.integers(0, world.spare_templates.shape[0]))
+    sign = -1.0 if rng.gen.random() < 0.5 else 1.0
     return sign * world.spare_templates[idx]
 
 
@@ -404,18 +404,18 @@ def gen_occluded(world, base, mask, occluder, rng):
             s = base.scale / SCALE_NORM
             block = np.repeat(template[:, None], m.sum(), axis=1)
             if world.config.sigma_id > 0:
-                block = block + rng.normal(block.shape) * world.config.sigma_id
-                drop = rng.random(m.sum()) < CELL_DROPOUT
+                block = block + rng.gen.normal(size=block.shape) * world.config.sigma_id
+                drop = rng.gen.random(m.sum()) < CELL_DROPOUT
                 block = block * np.where(drop, DROPOUT_SCALE, 1.0)[None, :]
             feats[:, m] = s * block
         else:
-            other_scale = base.scale * float(rng.uniform(0.8, 1.25))
+            other_scale = base.scale * float(rng.gen.uniform(0.8, 1.25))
             other = gen_pedestrian(world, other_scale, rng)
             if mask.shift is not None:
                 dx, dy = mask.shift
             else:
-                dx = int(rng.integers(-(gx // 2), gx // 2 + 1))
-                dy = int(rng.integers(-(gy // 2), gy // 2 + 1))
+                dx = int(rng.gen.integers(-(gx // 2), gx // 2 + 1))
+                dy = int(rng.gen.integers(-(gy // 2), gy // 2 + 1))
             xs, ys = np.nonzero(m)
             feats[:, xs, ys] = other.features[:, (xs - dx) % gx, (ys - dy) % gy]
 
@@ -445,24 +445,24 @@ def _bg_cell_permutation(world, rng, n_aligned):
 def _bg_cell_draw(parts, rng, n_aligned):
     """One attempt of `_bg_cell_permutation`; None when its swap search stalls."""
     n = parts.size
-    order = rng.permutation(n)
+    order = rng.gen.permutation(n)
     aligned, rest = order[:n_aligned], order[n_aligned:]
     src = np.full(n, -1, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
     for a in aligned:
         cand = np.flatnonzero((parts == parts[a]) & ~used)
-        pick = cand[int(rng.integers(0, len(cand)))]
+        pick = cand[int(rng.gen.integers(0, len(cand)))]
         src[a] = pick
         used[pick] = True
     pool = np.flatnonzero(~used)
-    src[rest] = pool[rng.permutation(pool.size)]
+    src[rest] = pool[rng.gen.permutation(pool.size)]
     # Swap away accidental within-part matches among the rest.
     for t in range(BG_SWAPS):
         bad = rest[parts[src[rest]] == parts[rest]]
         if bad.size == 0:
             return src
         i = bad[0]
-        j = rest[int(rng.integers(0, rest.size))]
+        j = rest[int(rng.gen.integers(0, rest.size))]
         if parts[src[j]] != parts[i] and parts[src[i]] != parts[j]:
             src[i], src[j] = src[j], src[i]
         elif not ((parts[src[rest]] != parts[i])
@@ -470,7 +470,7 @@ def _bg_cell_draw(parts, rng, n_aligned):
             # No cell of the rest can ever trade with i, so src stays as it
             # is. Make the draws the remaining swaps would, so the stream
             # moves on exactly as if they had run, and give up now.
-            rng.integers(0, rest.size, shape=BG_SWAPS - 1 - t)
+            rng.gen.integers(0, rest.size, size=BG_SWAPS - 1 - t)
             return None
     return None
 
@@ -487,18 +487,18 @@ def gen_background(world, rng, pid=0):
     sigma_id = world.config.sigma_id
     c, gx, gy = world.dims
     n = gx * gy
-    n_aligned = int(rng.integers(3, 5))
+    n_aligned = int(rng.gen.integers(3, 5))
     src = _bg_cell_permutation(world, rng, n_aligned)
     parts = world.part_grid.reshape(-1)
     src_parts = parts[src]
     field = world.templates[src_parts].T.reshape(c, gx, gy).astype(np.float64)
     if sigma_id > 0:
-        field = field + rng.normal((c, gx, gy)) * (3.0 * sigma_id)
-    amp = np.where(rng.random(n) < BG_STRONG_FRAC,
-                   rng.uniform(*BG_AMP_STRONG, shape=n),
-                   rng.uniform(*BG_AMP_WEAK, shape=n))
+        field = field + rng.gen.normal(size=(c, gx, gy)) * (3.0 * sigma_id)
+    amp = np.where(rng.gen.random(n) < BG_STRONG_FRAC,
+                   rng.gen.uniform(*BG_AMP_STRONG, size=n),
+                   rng.gen.uniform(*BG_AMP_WEAK, size=n))
     aligned = src_parts == parts
-    amp[aligned] = rng.uniform(*BG_AMP_ALIGNED, shape=int(aligned.sum()))
+    amp[aligned] = rng.gen.uniform(*BG_AMP_ALIGNED, size=int(aligned.sum()))
     field = field * amp.reshape(gx, gy)[None, :, :]
     scale = sample_scale(rng)
     feats = (scale / SCALE_NORM) * field
@@ -611,6 +611,8 @@ def read_dataset(path):
             "<QBdddB", f"proposal {i} header")
         if label_code not in _LABEL_NAME:
             raise FormatError(at + 8, f"bad label byte {label_code}")
+        if not 0 < scale < math.inf:
+            raise FormatError(at + 9, f"scale {scale} is not positive and finite")
         if has_mask not in (0, 1):
             raise FormatError(at + 33, f"bad mask flag {has_mask}")
         mask = None

@@ -147,8 +147,8 @@ def test_criterion_02_kmeans_matches_exhaustive_partitioning():
     for trial in range(50):
         n = 3 + trial % 6
         k = 1 + trial % 3
-        feats = rng.split(f"f{trial}").normal((n, 1, 1, 2))
-        pool = FeaturePool(feats, rng.split(f"s{trial}").uniform(50, 200, shape=n))
+        feats = rng.split(f"f{trial}").gen.normal(size=(n, 1, 1, 2))
+        pool = FeaturePool(feats, rng.split(f"s{trial}").gen.uniform(50, 200, size=n))
         bank = kmeans(pool, ProtoConfig(k=k, restarts=20), seed=trial)
         got = km_oracle.wcss(pool, bank)
         want = km_oracle.brute_force_objective(feats.reshape(n, -1), k)
@@ -195,9 +195,9 @@ def _localization_ious(sigma, kinds, bank_k, count=500):
     for i in range(count):
         pr = rng.split(f"o{i}")
         base = gen_pedestrian(world, sample_scale(pr), pr, pid=1000 + i)
-        pattern = MASK_PATTERNS[int(pr.integers(0, len(MASK_PATTERNS)))]
+        pattern = MASK_PATTERNS[int(pr.gen.integers(0, len(MASK_PATTERNS)))]
         mask = sample_mask(world, pattern, pr)
-        kind = kinds[int(pr.random() < 0.5)] if len(kinds) == 2 else kinds[0]
+        kind = kinds[int(pr.gen.random() < 0.5)] if len(kinds) == 2 else kinds[0]
         p = gen_occluded(world, base, mask, kind, pr)
         proto = nearest_prototype(bank, p.scale)
         cmap = correlation_map(p.features, proto.center)
@@ -230,9 +230,9 @@ def test_criterion_05_occlusion_classification(flagging_bench):
         drawn += 1
         assert drawn < 5000, "occluded sampling failed to reach 500 samples"
         base = gen_pedestrian(world, sample_scale(pr), pr, pid=6000 + drawn)
-        pattern = MASK_PATTERNS[int(pr.integers(0, len(MASK_PATTERNS)))]
+        pattern = MASK_PATTERNS[int(pr.gen.integers(0, len(MASK_PATTERNS)))]
         mask = sample_mask(world, pattern, pr)
-        kind = "object" if pr.random() < 0.5 else "pedestrian"
+        kind = "object" if pr.gen.random() < 0.5 else "pedestrian"
         p = gen_occluded(world, base, mask, kind, pr)
         if p.visibility < 0.65:
             samples.append((p, True))

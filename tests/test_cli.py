@@ -20,18 +20,21 @@ from occfill.cli import (
     complete_proposal,
     config_from_mapping,
     config_to_text,
+    evaluate,
     main,
     parse_config_text,
     synthesize,
 )
 from occfill.completion import TrainConfig, copy_paste, read_model, rescore
 from occfill.errors import PreconditionError
-from occfill.eval import EvalConfig, mask_iou
+from occfill.eval import EvalConfig, compactness_ratio, mask_iou
 from occfill.ndnum import Rng
 from occfill.occlusion import (OcclusionConfig, analyze, completion_mask,
                                correlation_map)
-from occfill.prototypes import ProtoConfig, build_pool, nearest_prototype, read_bank
-from occfill.synth import PEDESTRIAN, WorldConfig, read_dataset, write_dataset
+from occfill.prototypes import (FULLY_VISIBLE, ProtoConfig, build_pool, nearest_prototype,
+                                read_bank)
+from occfill.synth import (PEDESTRIAN, OcclusionMask, WorldConfig, read_dataset,
+                           write_dataset)
 
 SMALL = """\
 seed = 7
@@ -298,7 +301,7 @@ class TestTrain:
                 "--data", str(small_run["train"]),
                 "--bank", str(small_run["bank"]), "--out", str(tmp_path)])
         gen, _, head, grid, _ = read_model(tmp_path / "model.fcgd")
-        x = Rng(3).normal(shape=(8, 5, 5))[None] ** 2
+        x = Rng(3).gen.normal(size=(8, 5, 5))[None] ** 2
         assert np.array_equal(gen.forward(x), x)
         assert head.trained
         assert tuple(grid) == (5, 5)
@@ -367,6 +370,42 @@ class TestEval:
             assert np.array_equal(report.completed, completed[i])
             score = rescore(p, report.completed, head, occluded=True)
             assert abs(score - scores[i]) <= 1e-12
+
+    def test_visibility_alone_says_fully_visible(self, small_run, tmp_path):
+        # An occluded pedestrian loses its mask and a fully visible one gains
+        # an empty mask. Eval splits pedestrians by visibility, as training
+        # does, and scores mask IoU wherever a true mask exists.
+        config = config_from_mapping(parse_config_text(SMALL))
+        bank = read_bank(small_run["bank"])
+        gen, _, head, _, _ = read_model(small_run["model"])
+        proposals = read_dataset(small_run["eval"])
+        peds = [i for i, p in enumerate(proposals) if p.label == PEDESTRIAN]
+        unmasked = next(i for i in peds if proposals[i].true_mask is not None)
+        emptied = next(i for i in peds if proposals[i].true_mask is None)
+        proposals[unmasked] = dataclasses.replace(proposals[unmasked], visibility=0.5,
+                                                  true_mask=None)
+        proposals[emptied] = dataclasses.replace(
+            proposals[emptied], true_mask=OcclusionMask(np.zeros((5, 5), dtype=bool)))
+        path = tmp_path / "edited.fcds"
+        write_dataset(proposals, path)
+        proposals = read_dataset(path)
+
+        _, diagnostics = evaluate(proposals, bank, gen, head, config)
+        raw, completed, visible, ious = [], [], [], []
+        for p in proposals:
+            if p.label != PEDESTRIAN:
+                continue
+            report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
+            if p.true_mask is not None:
+                ious.append(mask_iou(report.mask, p.true_mask))
+            if p.visibility >= FULLY_VISIBLE:
+                visible.append(p.features)
+            else:
+                raw.append(p.features)
+                completed.append(report.completed if report.occluded else p.features)
+        assert diagnostics["compactness_ratio"] == compactness_ratio(
+            np.stack(raw), np.stack(completed), np.stack(visible))
+        assert diagnostics["mean_mask_iou"] == float(np.mean(ious))
 
 
 @pytest.mark.slow

@@ -48,15 +48,15 @@ HEAD_FIT = TrainConfig(500, 0.5)
 def random_generator(channels, rng):
     """A generator whose second layer is non-zero, for exercising gradients."""
     gen = Generator.init(channels, rng.split("gen"))
-    gen.out.weights = rng.split("w").normal(shape=(channels, channels)) * 0.5
-    gen.out.bias = rng.split("b").normal(shape=(channels,)) * 0.1
+    gen.out.weights = rng.split("w").gen.normal(size=(channels, channels)) * 0.5
+    gen.out.bias = rng.split("b").gen.normal(size=(channels,)) * 0.1
     return gen
 
 
 def random_discriminator(in_dim, width, rng):
     disc = Discriminator.init(in_dim, rng.split("disc"), width=width)
-    disc.readout.weights = rng.split("w").normal(shape=(1, width)) * 0.5
-    disc.readout.bias = rng.split("b").normal(shape=(1,)) * 0.1
+    disc.readout.weights = rng.split("w").gen.normal(size=(1, width)) * 0.5
+    disc.readout.bias = rng.split("b").gen.normal(size=(1,)) * 0.1
     return disc
 
 
@@ -72,18 +72,18 @@ def stable_sigmoid(z):
 class TestGenerator:
     def test_zero_init_is_exact_identity(self):
         gen = Generator.init(4, Rng(0))
-        x = Rng(1).normal(shape=(4, 5, 3))[None]
+        x = Rng(1).gen.normal(size=(4, 5, 3))[None]
         assert np.array_equal(gen.forward(x), x)
 
     def test_zero_init_identity_on_batches(self):
         gen = Generator.init(3, Rng(0))
-        x = Rng(2).normal(shape=(6, 3, 4, 4))
+        x = Rng(2).gen.normal(size=(6, 3, 4, 4))
         assert np.array_equal(gen.forward(x), x)
 
     def test_forward_matches_per_cell_arithmetic(self):
         rng = Rng(3)
         gen = random_generator(3, rng)
-        x = rng.split("x").normal(shape=(3, 4, 2))
+        x = rng.split("x").gen.normal(size=(3, 4, 2))
         got = gen.forward(x[None])[0]
         w1, b1 = gen.mix.weights, gen.mix.bias
         w2, b2 = gen.out.weights, gen.out.bias
@@ -96,7 +96,7 @@ class TestGenerator:
     def test_batch_matches_sample_loop(self):
         rng = Rng(4)
         gen = random_generator(2, rng)
-        batch = rng.split("x").normal(shape=(5, 2, 3, 3))
+        batch = rng.split("x").gen.normal(size=(5, 2, 3, 3))
         got = gen.forward(batch)
         for i in range(5):
             assert np.max(np.abs(got[i] - gen.forward(batch[i][None])[0])) <= 1e-12
@@ -135,8 +135,8 @@ class TestGenerator:
         # `sgd_step` on them is the generator's update.
         rng = Rng(5)
         gen = random_generator(3, rng)
-        x = rng.split("x").normal(shape=(3, 3, 3))[None]
-        grads = [rng.split(f"g{i}").normal(shape=p.shape) for i, p in enumerate(gen.params())]
+        x = rng.split("x").gen.normal(size=(3, 3, 3))[None]
+        grads = [rng.split(f"g{i}").gen.normal(size=p.shape) for i, p in enumerate(gen.params())]
         want = [p - g * 0.1 for p, g in zip(gen.params(), grads)]
         sgd_step(gen.params(), grads, 0.1, "descend")
         assert all(np.array_equal(p, w) for p, w in zip(gen.params(), want))
@@ -153,13 +153,13 @@ class TestGenerator:
 class TestDiscriminator:
     def test_fresh_readout_outputs_exactly_half(self):
         disc = Discriminator.init(12, Rng(0), width=6)
-        flat = Rng(1).normal(shape=(12, 7))
+        flat = Rng(1).gen.normal(size=(12, 7))
         assert np.array_equal(disc.forward(flat), np.full((1, 7), 0.5))
 
     def test_forward_matches_straight_line(self):
         rng = Rng(6)
         disc = random_discriminator(8, 5, rng)
-        flat = rng.split("x").normal(shape=(8, 4))
+        flat = rng.split("x").gen.normal(size=(8, 4))
         got = disc.forward(flat)
         h = np.maximum(disc.hidden.weights @ flat + disc.hidden.bias[:, None], 0.0)
         want = stable_sigmoid(disc.readout.weights @ h + disc.readout.bias[:, None])
@@ -168,7 +168,7 @@ class TestDiscriminator:
     def test_outputs_stay_in_unit_interval(self):
         rng = Rng(7)
         disc = random_discriminator(6, 4, rng)
-        flat = rng.split("x").normal(shape=(6, 50)) * 10.0
+        flat = rng.split("x").gen.normal(size=(6, 50)) * 10.0
         p = disc.forward(flat)
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
@@ -190,23 +190,23 @@ class TestDiscriminator:
 class TestCopyPaste:
     def test_empty_mask_returns_input_exactly(self):
         rng = Rng(8)
-        occ = rng.split("a").normal(shape=(2, 3, 3))
-        proto = rng.split("b").normal(shape=(2, 3, 3))
+        occ = rng.split("a").gen.normal(size=(2, 3, 3))
+        proto = rng.split("b").gen.normal(size=(2, 3, 3))
         mask = OcclusionMask(np.zeros((3, 3), dtype=bool))
         assert np.array_equal(copy_paste(occ, proto, mask), occ)
 
     def test_full_mask_returns_prototype(self):
         rng = Rng(9)
-        occ = rng.split("a").normal(shape=(2, 3, 3))
-        proto = rng.split("b").normal(shape=(2, 3, 3))
+        occ = rng.split("a").gen.normal(size=(2, 3, 3))
+        proto = rng.split("b").gen.normal(size=(2, 3, 3))
         mask = OcclusionMask(np.ones((3, 3), dtype=bool))
         assert np.array_equal(copy_paste(occ, proto, mask), proto)
 
     def test_mixed_mask_matches_cell_loop(self):
         rng = Rng(10)
-        occ = rng.split("a").normal(shape=(3, 4, 5))
-        proto = rng.split("b").normal(shape=(3, 4, 5))
-        grid = rng.split("m").random(shape=(4, 5)) < 0.5
+        occ = rng.split("a").gen.normal(size=(3, 4, 5))
+        proto = rng.split("b").gen.normal(size=(3, 4, 5))
+        grid = rng.split("m").gen.random(size=(4, 5)) < 0.5
         got = copy_paste(occ, proto, OcclusionMask(grid))
         for i in range(4):
             for j in range(5):
@@ -217,9 +217,9 @@ class TestCopyPaste:
     @given(st.integers(0, 10**6))
     def test_idempotent(self, seed):
         rng = Rng(seed)
-        occ = rng.split("a").normal(shape=(2, 4, 4))
-        proto = rng.split("b").normal(shape=(2, 4, 4))
-        grid = rng.split("m").random(shape=(4, 4)) < 0.4
+        occ = rng.split("a").gen.normal(size=(2, 4, 4))
+        proto = rng.split("b").gen.normal(size=(2, 4, 4))
+        grid = rng.split("m").gen.random(size=(4, 4)) < 0.4
         mask = OcclusionMask(grid)
         once = copy_paste(occ, proto, mask)
         assert np.array_equal(copy_paste(once, proto, mask), once)
@@ -289,15 +289,15 @@ def build_gradcheck_config(seed):
     the training step runs.
     """
     rng = Rng(seed)
-    c = int(rng.split("c").integers(1, 4))
-    gx = int(rng.split("gx").integers(1, 4))
-    gy = int(rng.split("gy").integers(1, 4))
-    width = int(rng.split("w").integers(3, 9))
-    m = int(rng.split("m").integers(2, 4))
+    c = int(rng.split("c").gen.integers(1, 4))
+    gx = int(rng.split("gx").gen.integers(1, 4))
+    gy = int(rng.split("gy").gen.integers(1, 4))
+    width = int(rng.split("w").gen.integers(3, 9))
+    m = int(rng.split("m").gen.integers(2, 4))
     gen = random_generator(c, rng.split("gen"))
     disc = random_discriminator(c * gx * gy, width, rng.split("disc"))
-    pools = FeaturePools(rng.split("occ").normal(shape=(m, c, gx, gy)),
-                         rng.split("vis").normal(shape=(m, c, gx, gy)))
+    pools = FeaturePools(rng.split("occ").gen.normal(size=(m, c, gx, gy)),
+                         rng.split("vis").gen.normal(size=(m, c, gx, gy)))
 
     def margins_ok(batch):
         cols = np.moveaxis(batch, 1, 0).reshape(c, -1)
@@ -410,14 +410,14 @@ class TestTrainingGradients:
 def disc_batch(pools, m, rng, paired=False):
     """A discriminator step's (occluded, visible) indices from one stream,
     in the order the training loop draws them."""
-    idx_occ = completion.minibatch(rng, pools.occluded.shape[0], m)
-    idx_vis = idx_occ if paired else completion.minibatch(rng, pools.visible.shape[0], m)
+    idx_occ = completion.minibatch(rng.gen, pools.occluded.shape[0], m)
+    idx_vis = idx_occ if paired else completion.minibatch(rng.gen, pools.visible.shape[0], m)
     return idx_occ, idx_vis
 
 
 def gen_batch(pools, m, rng):
     """A generator step's occluded indices from one stream."""
-    return completion.minibatch(rng, pools.occluded.shape[0], m)
+    return completion.minibatch(rng.gen, pools.occluded.shape[0], m)
 
 
 def chain_ascent_pass(disc, rows, m):
@@ -447,8 +447,10 @@ def two_pass_disc_step(pools, gen, disc, idx_occ, idx_vis):
     p_fake = disc.forward(fake.reshape(m, -1).T)
     g_fake, _ = disc.backward(-1.0 / (m * (1.0 - np.clip(p_fake, 1e-7, 1.0 - 1e-7))))
     objective, _ = adversarial_losses(p_vis, p_fake)
-    accuracy = 0.5 * (float(np.mean(p_vis > 0.5)) + float(np.mean(p_fake < 0.5)))
-    return objective, accuracy, [a + b for a, b in zip(g_vis, g_fake)]
+    # Each sample scores 1 when called right, 0.5 on a tie at p = 0.5.
+    right = np.concatenate([np.where(p_vis == 0.5, 0.5, p_vis > 0.5),
+                            np.where(p_fake == 0.5, 0.5, p_fake < 0.5)], axis=1)
+    return objective, float(np.mean(right)), [a + b for a, b in zip(g_vis, g_fake)]
 
 
 def full_backward_gen_step(pools, gen, disc, idx):
@@ -488,8 +490,8 @@ def lean_step_setups():
         disc = random_discriminator(16 * 49, 64, rng.split("disc"))
         if readout_bias is not None:
             disc.readout.bias = np.array([readout_bias])
-        pools = FeaturePools(rng.split("occ").normal(shape=(90, 16, 7, 7)),
-                             rng.split("vis").normal(shape=(90, 16, 7, 7)))
+        pools = FeaturePools(rng.split("occ").gen.normal(size=(90, 16, 7, 7)),
+                             rng.split("vis").gen.normal(size=(90, 16, 7, 7)))
         yield seed, (gen, disc, pools, 32)
 
 
@@ -505,6 +507,18 @@ class TestLeanSteps:
             assert acc == want_acc
             assert_grads_close(grads, want)
 
+    def test_a_zero_readout_reads_chance(self):
+        # Discriminator.init's zero readout puts every probability at exactly
+        # 0.5. Each call is then a tie and counts half right, so the first
+        # history row reads chance.
+        rng = Rng(80)
+        pools = FeaturePools(rng.split("occ").gen.normal(size=(40, 2, 3, 3)),
+                             rng.split("vis").gen.normal(size=(40, 2, 3, 3)))
+        _, _, history = train_adversarial(
+            pools, Generator.init(2, rng.split("g")), Discriminator.init(18, rng.split("d")),
+            TrainConfig(iterations=1), rng.split("t"))
+        assert history[0][3] == 0.5
+
     def test_gen_step_is_bit_identical_to_full_backward(self):
         for seed, (gen, disc, pools, m) in lean_step_setups():
             obj, grads = completion._gen_step(
@@ -517,8 +531,8 @@ class TestLeanSteps:
     def test_split_gradients_equal_full_backward(self):
         rng = Rng(78)
         disc = random_discriminator(20, 6, rng.split("disc"))
-        flat = rng.split("x").normal(shape=(20, 5))
-        up = rng.split("up").normal(shape=(1, 5))
+        flat = rng.split("x").gen.normal(size=(20, 5))
+        up = rng.split("up").gen.normal(size=(1, 5))
         disc.forward(flat)
         _, d_in = disc.backward(up)
         assert np.array_equal(disc.input_grad(up), d_in)
@@ -539,8 +553,8 @@ class TestLeanSteps:
         # outputs. Without their own check the readout would meet them and
         # fail under another name.
         rng = Rng(82)
-        pools = FeaturePools(np.abs(rng.split("occ").normal(shape=(8, 2, 3, 3))) + 1.0,
-                             np.abs(rng.split("vis").normal(shape=(8, 2, 3, 3))) + 1.0)
+        pools = FeaturePools(np.abs(rng.split("occ").gen.normal(size=(8, 2, 3, 3))) + 1.0,
+                             np.abs(rng.split("vis").gen.normal(size=(8, 2, 3, 3))) + 1.0)
         disc = random_discriminator(18, 6, rng.split("d"))
         disc.hidden.weights = np.full((6, 18), 1e308)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -563,8 +577,8 @@ class TestLeanSteps:
 
     def test_nan_raises_in_the_iteration_that_meets_it(self, monkeypatch):
         rng = Rng(79)
-        pools = FeaturePools(rng.split("occ").normal(shape=(12, 2, 3, 3)),
-                             rng.split("vis").normal(shape=(12, 2, 3, 3)))
+        pools = FeaturePools(rng.split("occ").gen.normal(size=(12, 2, 3, 3)),
+                             rng.split("vis").gen.normal(size=(12, 2, 3, 3)))
         gen = random_generator(2, rng.split("g"))
         disc = random_discriminator(18, 6, rng.split("d"))
         updates = []
@@ -595,11 +609,11 @@ def reference_training_draws(rng, iterations, n_occ, n_vis, m, paired,
     for t in range(iterations):
         it_rng = rng.split(f"iter-{start_iteration + t}")
         step_rng = it_rng.split("disc-0")
-        idx_occ = np.sort(step_rng.choice(n_occ, size=m, replace=False))
+        idx_occ = np.sort(step_rng.gen.choice(n_occ, size=m, replace=False))
         idx_vis = (idx_occ if paired
-                   else np.sort(step_rng.choice(n_vis, size=m, replace=False)))
+                   else np.sort(step_rng.gen.choice(n_vis, size=m, replace=False)))
         disc.append((idx_occ, idx_vis))
-        gen.append(np.sort(it_rng.split("gen").choice(n_occ, size=m, replace=False)))
+        gen.append(np.sort(it_rng.split("gen").gen.choice(n_occ, size=m, replace=False)))
     return disc, gen
 
 
@@ -632,8 +646,8 @@ class TestPlannedMinibatches:
         m = completion.BATCH_SIZE
         rng = Rng(19)
         n_vis = m + 8 if paired else m + 11
-        pools = FeaturePools(rng.split("occ").normal(shape=(m + 8, 2, 2, 2)),
-                             rng.split("vis").normal(shape=(n_vis, 2, 2, 2)))
+        pools = FeaturePools(rng.split("occ").gen.normal(size=(m + 8, 2, 2, 2)),
+                             rng.split("vis").gen.normal(size=(n_vis, 2, 2, 2)))
         gen = random_generator(2, rng.split("g"))
         disc = random_discriminator(8, 4, rng.split("d"))
         seen_disc, seen_gen = [], []
@@ -695,7 +709,7 @@ class TestPlannedMinibatches:
 
 class TestTrainAdversarial:
     def make_pools(self, seed, n=64, offset=0.0):
-        base = Rng(seed).normal(shape=(n, 2, 3, 3))
+        base = Rng(seed).gen.normal(size=(n, 2, 3, 3))
         return FeaturePools(base - offset, base + offset)
 
     def test_zero_iterations_change_nothing(self):
@@ -713,7 +727,7 @@ class TestTrainAdversarial:
 
     def test_separable_pools_reach_high_accuracy(self):
         rng = Rng(4)
-        base = rng.normal(shape=(200, 2, 3, 3))
+        base = rng.gen.normal(size=(200, 2, 3, 3))
         pools = FeaturePools(base + 3.0, base - 3.0)
         gen = Generator.init(2, rng.split("g"))
         disc = Discriminator.init(18, rng.split("d"), width=16)
@@ -724,7 +738,7 @@ class TestTrainAdversarial:
 
     def test_identical_pools_stay_near_chance(self):
         rng = Rng(5)
-        base = rng.normal(shape=(300, 2, 3, 3))
+        base = rng.gen.normal(size=(300, 2, 3, 3))
         pools = FeaturePools(base.copy(), base.copy())
         gen = Generator.init(2, rng.split("g"))
         disc = Discriminator.init(18, rng.split("d"), width=16)
@@ -807,8 +821,8 @@ class TestTrainAdversarial:
         monkeypatch.setattr(completion, "_gen_step", gen_spy)
         for n_occ, n_vis, want in ((8, 50, 8), (50, 9, 9), (40, 40, 32), (32, 33, 32)):
             rng = Rng(19)
-            pools = FeaturePools(rng.split("occ").normal(shape=(n_occ, 2, 3, 3)),
-                                 rng.split("vis").normal(shape=(n_vis, 2, 3, 3)))
+            pools = FeaturePools(rng.split("occ").gen.normal(size=(n_occ, 2, 3, 3)),
+                                 rng.split("vis").gen.normal(size=(n_vis, 2, 3, 3)))
             gen = Generator.init(2, rng.split("g"))
             disc = Discriminator.init(18, rng.split("d"), width=6)
             sizes.clear()
@@ -817,8 +831,8 @@ class TestTrainAdversarial:
 
     def test_paired_needs_equal_pool_sizes(self):
         rng = Rng(21)
-        pools = FeaturePools(Rng(1).normal(shape=(8, 2, 3, 3)),
-                             Rng(2).normal(shape=(9, 2, 3, 3)))
+        pools = FeaturePools(Rng(1).gen.normal(size=(8, 2, 3, 3)),
+                             Rng(2).gen.normal(size=(9, 2, 3, 3)))
         gen = Generator.init(2, rng.split("g"))
         disc = Discriminator.init(18, rng.split("d"), width=6)
         cfg = TrainConfig(iterations=1)
@@ -878,7 +892,7 @@ class TestProgressiveTrain:
         gen, _, history = progressive_train(
             pool_vis, pool_occ, bank, self.small_configs(0, 0), Rng(1), world)
         assert history == []
-        x = Rng(2).normal(shape=(16, 7, 7))[None]
+        x = Rng(2).gen.normal(size=(16, 7, 7))[None]
         assert np.array_equal(gen.forward(x), x)
 
     def test_stage_two_skipped_when_zero(self, noisy_setup):
@@ -966,7 +980,7 @@ class TestProgressiveTrain:
 class TestScoringHead:
     def test_zero_weights_score_half(self):
         head = ScoringHead(DenseLayer(np.zeros((1, 18)), np.zeros(1), "sigmoid"))
-        x = Rng(1).normal(shape=(2, 3, 3))[None]
+        x = Rng(1).gen.normal(size=(2, 3, 3))[None]
         assert head.probability(x) == 0.5
 
     def test_all_zero_features_are_safe(self):
@@ -983,13 +997,13 @@ class TestScoringHead:
     def test_scale_invariance_from_normalization(self):
         rng = Rng(24)
         head = ScoringHead.init(18, rng.split("h"))
-        x = rng.split("x").normal(shape=(2, 3, 3))[None]
+        x = rng.split("x").gen.normal(size=(2, 3, 3))[None]
         assert head.probability(x * 37.0) == pytest.approx(
             head.probability(x), abs=1e-12)
 
     def test_training_separates_offset_pools(self):
         rng = Rng(25)
-        base = rng.normal(shape=(80, 2, 3, 3))
+        base = rng.gen.normal(size=(80, 2, 3, 3))
         head = train_scoring_head(base + 4.0, base - 4.0, rng.split("t"), HEAD_FIT)
         assert head.trained
         p_pos = head.probability(base[:10] + 4.0)
@@ -1033,8 +1047,8 @@ class TestScoringHead:
         # 2, 128 and 247 columns against the 64-column rms block, with an
         # all-zero map among them for the rms = 0 branch
         rng = Rng(31)
-        pos = rng.split("p").normal(shape=(n_pos, 3, 4, 4)) * 2.0 + 1.0
-        neg = rng.split("n").normal(shape=(n_neg, 3, 4, 4))
+        pos = rng.split("p").gen.normal(size=(n_pos, 3, 4, 4)) * 2.0 + 1.0
+        neg = rng.split("n").gen.normal(size=(n_neg, 3, 4, 4))
         neg[0] = 0.0
         got = train_scoring_head(pos, neg, rng.split("t"), TrainConfig(40, 0.5))
         want = reference_scoring_head(pos, neg, rng.split("t"), iterations=40)
@@ -1047,7 +1061,7 @@ class TestScoringHead:
         # `probability` normalizes a copy of the maps: a batch of one as
         # `rescore` passes it, a batch across the rms block in both memory
         # orders, and an all-zero map
-        x = Rng(34).normal(shape=shape) * 3.0
+        x = Rng(34).gen.normal(size=shape) * 3.0
         x[0] = 0.0
         head = ScoringHead.init(int(np.prod(shape[1:])), Rng(35))
         for feats in (x, np.asfortranarray(x)):
@@ -1060,8 +1074,8 @@ class TestScoringHead:
 
     def test_fit_leaves_its_inputs_alone(self):
         rng = Rng(32)
-        pos = rng.normal(shape=(20, 2, 3, 3)) + 1.0
-        neg = rng.normal(shape=(30, 2, 3, 3))
+        pos = rng.gen.normal(size=(20, 2, 3, 3)) + 1.0
+        neg = rng.gen.normal(size=(30, 2, 3, 3))
         before = pos.copy(), neg.copy()
         train_scoring_head(pos, neg, rng.split("t"), TrainConfig(3, 0.5))
         assert np.array_equal(pos, before[0]) and np.array_equal(neg, before[1])
@@ -1070,8 +1084,8 @@ class TestScoringHead:
         # The fit's own feature matrix is one copy of its inputs; the former
         # concatenate-then-normalize path held two (about 2.0x).
         rng = Rng(33)
-        pos = rng.normal(shape=(300, 16, 7, 7))
-        neg = rng.normal(shape=(300, 16, 7, 7))
+        pos = rng.gen.normal(size=(300, 16, 7, 7))
+        neg = rng.gen.normal(size=(300, 16, 7, 7))
         tracemalloc.start()
         try:
             train_scoring_head(pos, neg, rng.split("t"), TrainConfig(2, 0.5))
@@ -1124,7 +1138,7 @@ class TestRescore:
 
     def test_occluded_proposal_uses_head(self):
         rng = Rng(26)
-        base = rng.normal(shape=(40, 2, 3, 3))
+        base = rng.gen.normal(size=(40, 2, 3, 3))
         head = train_scoring_head(base + 4.0, base - 4.0, rng.split("t"), HEAD_FIT)
         completed = base[0] + 4.0
         got = rescore(FakeProposal(0.1), completed, head, occluded=True)

@@ -59,14 +59,14 @@ def random_toy_set(seed):
     rng = Rng(seed)
     vis_choices = [0.1, 0.25, 0.4, 0.65, 0.8, 0.95]
     visibility = [0.9, 0.4]
-    for i in range(int(rng.split("n").integers(0, 5))):
+    for i in range(int(rng.split("n").gen.integers(0, 5))):
         visibility.append(
-            vis_choices[int(rng.split(f"v{i}").integers(0, len(vis_choices)))])
+            vis_choices[int(rng.split(f"v{i}").gen.integers(0, len(vis_choices)))])
     n_ped = len(visibility)
-    n_bg = int(rng.split("fp").integers(0, 5))
+    n_bg = int(rng.split("fp").gen.integers(0, 5))
     visibility += [1.0] * n_bg
     score_grid = [round(0.1 * k, 1) for k in range(1, 10)]
-    scores = [score_grid[int(rng.split(f"s{i}").integers(0, 9))]
+    scores = [score_grid[int(rng.split(f"s{i}").gen.integers(0, 9))]
               for i in range(n_ped + n_bg)]
     return (np.array(scores), np.arange(n_ped + n_bg) < n_ped,
             np.array(visibility), n_ped)
@@ -227,7 +227,7 @@ class TestLogAvgMissRate:
         cfg = EvalConfig()
         for seed in range(10):
             scores, pedestrian, visibility, images = random_toy_set(400 + seed)
-            order = Rng(seed).split("perm").permutation(len(scores))
+            order = Rng(seed).split("perm").gen.permutation(len(scores))
             for subset in ("R", "HO", "R+HO"):
                 if not (pedestrian & in_subset(visibility, subset)).any():
                     continue
@@ -261,12 +261,12 @@ class TestEvalConfig:
 class TestCompactnessRatio:
     def test_identity_is_exactly_one(self):
         rng = Rng(60)
-        raw = rng.split("r").normal(shape=(10, 2, 3, 3))
-        vis = rng.split("v").normal(shape=(12, 2, 3, 3))
+        raw = rng.split("r").gen.normal(size=(10, 2, 3, 3))
+        vis = rng.split("v").gen.normal(size=(12, 2, 3, 3))
         assert compactness_ratio(raw, raw, vis) == 1.0
 
     def test_halved_offsets_quarter_the_ratio(self):
-        u = Rng(61).normal(shape=(1, 2, 3, 3))
+        u = Rng(61).gen.normal(size=(1, 2, 3, 3))
         vis = np.concatenate([u, -u])
         raw = np.concatenate([2.0 * u, -2.0 * u])
         completed = np.concatenate([u, -u])
@@ -275,7 +275,7 @@ class TestCompactnessRatio:
 
     def test_completed_as_visible_shrinks_ratio(self):
         rng = Rng(62)
-        vis = rng.split("v").normal(shape=(30, 2, 3, 3))
+        vis = rng.split("v").gen.normal(size=(30, 2, 3, 3))
         raw = vis[:15] + 5.0
         assert compactness_ratio(raw, vis[:15], vis) < 1.0
 
@@ -302,7 +302,7 @@ class TestCompactnessRatio:
     def test_blocks_give_the_bits_of_one_full_pass(self):
         rng = Rng(67)
         n = 2 * eval_module.COMPACTNESS_BLOCK + 5
-        raw, completed, vis = (rng.split(k).normal(shape=(n, 16, 7, 7)) for k in "rcv")
+        raw, completed, vis = (rng.split(k).gen.normal(size=(n, 16, 7, 7)) for k in "rcv")
         centroid = vis.mean(axis=0)
 
         def scatter(feats):
@@ -314,7 +314,7 @@ class TestCompactnessRatio:
         rng = Rng(68)
         shape = (16, 7, 7)
         n = 8 * eval_module.COMPACTNESS_BLOCK
-        raw, completed, vis = (rng.split(k).normal(shape=(n,) + shape) for k in "rcv")
+        raw, completed, vis = (rng.split(k).gen.normal(size=(n,) + shape) for k in "rcv")
         block = eval_module.COMPACTNESS_BLOCK * int(np.prod(shape)) * 8
         tracemalloc.start()
         try:
@@ -328,23 +328,23 @@ class TestCompactnessRatio:
 class TestProbeAccuracy:
     def test_shuffled_copy_scores_chance(self):
         rng = Rng(63)
-        base = rng.normal(shape=(120, 2, 3, 3))
-        perm = rng.split("p").permutation(120)
+        base = rng.gen.normal(size=(120, 2, 3, 3))
+        perm = rng.split("p").gen.permutation(120)
         assert 0.35 <= probe_accuracy(base, base[perm], seed=0, iterations=300) <= 0.65
 
     def test_disjoint_offsets_score_high(self):
-        base = Rng(64).normal(shape=(100, 2, 3, 3))
+        base = Rng(64).gen.normal(size=(100, 2, 3, 3))
         assert probe_accuracy(base + 2.0, base - 2.0, seed=0, iterations=300) > 0.9
 
     def test_deterministic_given_seed(self):
         rng = Rng(65)
-        a = rng.split("a").normal(shape=(60, 2, 3, 3))
-        b = rng.split("b").normal(shape=(60, 2, 3, 3))
+        a = rng.split("a").gen.normal(size=(60, 2, 3, 3))
+        b = rng.split("b").gen.normal(size=(60, 2, 3, 3))
         assert (probe_accuracy(a, b, seed=9, iterations=300)
                 == probe_accuracy(a, b, seed=9, iterations=300))
 
     def test_rejects_small_sets(self):
-        a = Rng(66).normal(shape=(39, 2, 3, 3))
+        a = Rng(66).gen.normal(size=(39, 2, 3, 3))
         with pytest.raises(PreconditionError):
             probe_accuracy(a, a, seed=0)
 
@@ -375,8 +375,8 @@ class TestProbeAccuracy:
 
 def probe_batch(side_a, side_b, m, rng):
     """A probe step's indices into each side, from the step's stream."""
-    return (minibatch(rng.split("a"), side_a.shape[0], m),
-            minibatch(rng.split("b"), side_b.shape[0], m))
+    return (minibatch(rng.split("a").gen, side_a.shape[0], m),
+            minibatch(rng.split("b").gen, side_b.shape[0], m))
 
 
 def two_pass_probe_step(side_a, side_b, disc, idx_a, idx_b):
@@ -391,10 +391,10 @@ def two_pass_probe_step(side_a, side_b, disc, idx_a, idx_b):
 
 def probe_setup(seed, n=50, shape=(16, 7, 7)):
     rng = Rng(seed)
-    a = rng.split("a").normal(shape=(n,) + shape)
-    b = rng.split("b").normal(shape=(n,) + shape) + 0.3
+    a = rng.split("a").gen.normal(size=(n,) + shape)
+    b = rng.split("b").gen.normal(size=(n,) + shape) + 0.3
     disc = Discriminator.init(int(np.prod(shape)), rng.split("disc"))
-    disc.readout.weights = rng.split("w").normal(shape=disc.readout.weights.shape)
+    disc.readout.weights = rng.split("w").gen.normal(size=disc.readout.weights.shape)
     return a, b, disc
 
 
@@ -454,8 +454,8 @@ def reference_probe_draws(rng, iterations, n_a, n_b, m):
     draws = []
     for t in range(iterations):
         step_rng = rng.split(f"step-{t}")
-        draws.append((np.sort(step_rng.split("a").choice(n_a, size=m, replace=False)),
-                      np.sort(step_rng.split("b").choice(n_b, size=m, replace=False))))
+        draws.append((np.sort(step_rng.split("a").gen.choice(n_a, size=m, replace=False)),
+                      np.sort(step_rng.split("b").gen.choice(n_b, size=m, replace=False))))
     return draws
 
 
@@ -562,8 +562,8 @@ class TestProbePlan:
 
     def test_probe_steps_get_the_reference_draws_across_chunks(self, monkeypatch):
         rng = Rng(80)
-        a = rng.split("a").normal(shape=(50, 2, 2, 2))
-        b = rng.split("b").normal(shape=(45, 2, 2, 2)) + 0.5
+        a = rng.split("a").gen.normal(size=(50, 2, 2, 2))
+        b = rng.split("b").gen.normal(size=(45, 2, 2, 2)) + 0.5
         seen = []
         run = eval_module._full_space_steps
 
@@ -596,9 +596,9 @@ def held_out_accuracy(disc, test_a, test_b):
 def span_sides(seed, n=60, shared=4, shape=(16, 7, 7)):
     """Two sides with ``shared`` byte-identical samples in both."""
     rng = Rng(seed)
-    common = rng.split("common").normal(shape=(shared,) + shape)
-    a = np.concatenate([rng.split("a").normal(shape=(n,) + shape), common])
-    b = np.concatenate([rng.split("b").normal(shape=(n,) + shape) + 0.3, common])
+    common = rng.split("common").gen.normal(size=(shared,) + shape)
+    a = np.concatenate([rng.split("a").gen.normal(size=(n,) + shape), common])
+    b = np.concatenate([rng.split("b").gen.normal(size=(n,) + shape) + 0.3, common])
     return a, b
 
 
@@ -790,7 +790,7 @@ def byte_keyed_split(a, b, rng):
     for side in (a, b):
         for sample in side:
             fold_of.setdefault(sample.tobytes(), len(fold_of))
-    order = rng.permutation(len(fold_of))
+    order = rng.gen.permutation(len(fold_of))
     in_train = np.zeros(len(fold_of), dtype=bool)
     in_train[order[:int(len(fold_of) * 0.7)]] = True
 
@@ -860,8 +860,8 @@ class TestMaskIoU:
     @given(st.integers(0, 10**6))
     def test_symmetric_and_tight(self, seed):
         rng = Rng(seed)
-        a = OcclusionMask(rng.split("a").random(shape=(5, 5)) < 0.4)
-        b = OcclusionMask(rng.split("b").random(shape=(5, 5)) < 0.4)
+        a = OcclusionMask(rng.split("a").gen.random(size=(5, 5)) < 0.4)
+        b = OcclusionMask(rng.split("b").gen.random(size=(5, 5)) < 0.4)
         assert mask_iou(a, b) == mask_iou(b, a)
         if a.count or b.count:
             same = np.array_equal(a.grid, b.grid)

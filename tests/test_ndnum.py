@@ -128,7 +128,7 @@ def test_dense_backward_before_forward_errors():
 def test_dense_backward_zero_upstream_gives_zero_grads():
     rng = ndnum.Rng(7)
     layer = ndnum.DenseLayer.init(4, 3, rng, "relu")
-    layer.forward(rng.normal((4, 1)))
+    layer.forward(rng.gen.normal(size=(4, 1)))
     (dw, db), dx = layer.backward(np.zeros((3, 1)))
     assert not dw.any() and not db.any() and not dx.any()
 
@@ -145,7 +145,7 @@ def test_dense_backward_single_weight_linear_grad_is_input():
 
 def scaled_layer(in_dim, out_dim, rng, activation, scale):
     """A layer drawn like `DenseLayer.init`, with weights at `scale`."""
-    w = rng.normal((out_dim, in_dim)) * scale
+    w = rng.gen.normal(size=(out_dim, in_dim)) * scale
     return ndnum.DenseLayer(w, np.zeros(out_dim), activation)
 
 
@@ -154,8 +154,8 @@ def scaled_layer(in_dim, out_dim, rng, activation, scale):
 def test_split_gradients_equal_the_parts_of_backward(activation, batch):
     rng = ndnum.Rng(13)
     layer = scaled_layer(5, 3, rng.split("layer"), activation, scale=0.8)
-    layer.forward(rng.split("x").normal((5, batch)))
-    up = rng.split("up").normal((3, batch))
+    layer.forward(rng.split("x").gen.normal(size=(5, batch)))
+    up = rng.split("up").gen.normal(size=(3, batch))
     (dw, db), dx = layer.backward(up)
     pw, pb = layer.param_grads(up)
     assert np.array_equal(pw, dw) and np.array_equal(pb, db)
@@ -174,7 +174,7 @@ def test_dense_backward_matches_central_differences():
     rng = ndnum.Rng(11)
     layer = scaled_layer(5, 4, rng, "sigmoid", scale=0.7)
     net = Network([layer])
-    err = finite_diff_check(net, rng.normal((5, 1)), 1e-6)
+    err = finite_diff_check(net, rng.gen.normal(size=(5, 1)), 1e-6)
     assert err < 1e-5
 
 
@@ -202,16 +202,16 @@ def test_network_gradient_check_100_random_configs():
     while checked < 100:
         r = rng.split(f"cfg{attempt}")
         attempt += 1
-        dims = [int(d) for d in r.integers(1, 17, 3)]
+        dims = [int(d) for d in r.gen.integers(1, 17, 3)]
         acts = ["relu", "sigmoid", "identity"]
         layers = [
             scaled_layer(dims[0], dims[1], r.split("l1"),
-                         acts[int(r.integers(0, 3))], scale=0.6),
+                         acts[int(r.gen.integers(0, 3))], scale=0.6),
             scaled_layer(dims[1], dims[2], r.split("l2"),
-                         acts[int(r.integers(0, 3))], scale=0.6),
+                         acts[int(r.gen.integers(0, 3))], scale=0.6),
         ]
         net = Network(layers)
-        x = r.normal((dims[0], 1))
+        x = r.gen.normal(size=(dims[0], 1))
         if not _fd_oracle_valid(net, x):
             continue
         err = finite_diff_check(net, x, 1e-5)
@@ -262,9 +262,9 @@ def test_sgd_step_is_exact_in_place_and_leaves_grads_untouched(direction):
     # vector and a transposed (non-contiguous) matrix, stepped in blocks.
     rng = ndnum.Rng(5)
     shapes = [(6, 4), (6,), (3 * ndnum.SGD_BLOCK + 5,)]
-    params = [rng.split(f"p{i}").normal(s) for i, s in enumerate(shapes)]
-    params.append(rng.split("wide").normal((300, 50)).T)
-    grads = [rng.split(f"g{i}").normal(p.shape) for i, p in enumerate(params)]
+    params = [rng.split(f"p{i}").gen.normal(size=s) for i, s in enumerate(shapes)]
+    params.append(rng.split("wide").gen.normal(size=(300, 50)).T)
+    grads = [rng.split(f"g{i}").gen.normal(size=p.shape) for i, p in enumerate(params)]
     assert not params[-1].flags.c_contiguous and params[-1].size > ndnum.SGD_BLOCK
     arrays = list(params)
     start = [p.copy() for p in params]
@@ -334,24 +334,24 @@ def test_sgd_ascend_then_descend_restores_exactly(pvals, gvals, rate):
 
 
 def test_rng_same_seed_same_sequence():
-    a = ndnum.Rng(42).normal(16)
-    b = ndnum.Rng(42).normal(16)
+    a = ndnum.Rng(42).gen.normal(size=16)
+    b = ndnum.Rng(42).gen.normal(size=16)
     assert np.array_equal(a, b)
 
 
 def test_rng_split_streams_are_independent_of_sibling_order():
     root = ndnum.Rng(5)
-    first = root.split("synth").normal(8)
+    first = root.split("synth").gen.normal(size=8)
     root2 = ndnum.Rng(5)
-    _ = root2.split("train").normal(8)  # unrelated sibling drawn first
-    second = root2.split("synth").normal(8)
+    _ = root2.split("train").gen.normal(size=8)  # unrelated sibling drawn first
+    second = root2.split("synth").gen.normal(size=8)
     assert np.array_equal(first, second)
 
 
 def test_rng_distinct_labels_differ():
     root = ndnum.Rng(9)
-    a = root.split("a").normal(32)
-    b = root.split("b").normal(32)
+    a = root.split("a").gen.normal(size=32)
+    b = root.split("b").gen.normal(size=32)
     assert not np.array_equal(a, b)
 
 
@@ -366,22 +366,22 @@ def oracle_stream(seed, *labels):
 
 def test_rng_streams_draw_what_the_key_chain_gives():
     root = ndnum.Rng(42)
-    assert np.array_equal(root.normal(6), oracle_stream(42).normal(size=6))
+    assert np.array_equal(root.gen.normal(size=6), oracle_stream(42).normal(size=6))
     # a parent that is only ever split, as per-iteration streams are
     step = root.split("step-7")
     child = step.split("a")
-    assert np.array_equal(child.choice(300, size=32, replace=False),
+    assert np.array_equal(child.gen.choice(300, size=32, replace=False),
                           oracle_stream(42, "step-7", "a").choice(
                               300, size=32, replace=False))
     # a parent drawn from before and after a split keeps its own sequence
     parent = root.split("iter-3")
     want = oracle_stream(42, "iter-3")
-    assert np.array_equal(parent.random(4), want.random(size=4))
+    assert np.array_equal(parent.gen.random(4), want.random(size=4))
     grandchild = parent.split("disc-0").split("x")
-    assert np.array_equal(parent.integers(0, 1000, 5), want.integers(0, 1000, size=5))
+    assert np.array_equal(parent.gen.integers(0, 1000, 5), want.integers(0, 1000, size=5))
     want = oracle_stream(42, "iter-3", "disc-0", "x")
-    assert np.array_equal(grandchild.permutation(20), want.permutation(20))
-    assert np.array_equal(grandchild.uniform(-1.0, 2.0, 3),
+    assert np.array_equal(grandchild.gen.permutation(20), want.permutation(20))
+    assert np.array_equal(grandchild.gen.uniform(-1.0, 2.0, 3),
                           want.uniform(-1.0, 2.0, size=3))
 
 
@@ -412,7 +412,7 @@ def same_bits(got, want):
 
 def test_sigmoid_is_the_two_mask_form_bit_for_bit():
     # stable_sigmoid is the form ndnum computed with two boolean masks.
-    z = np.concatenate([EDGES, ndnum.Rng(3).normal(100_000) * 40.0])
+    z = np.concatenate([EDGES, ndnum.Rng(3).gen.normal(size=100_000) * 40.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = ndnum.sigmoid(z)
@@ -423,7 +423,7 @@ def test_sigmoid_is_the_two_mask_form_bit_for_bit():
 
 def test_clamp_prob_is_clip_bit_for_bit():
     p = np.concatenate([EDGES, [1e-7, 1e-7 * (1 - 1e-16), 1.0 - 1e-7, 1.0, 0.5],
-                        ndnum.Rng(4).random(1000)])
+                        ndnum.Rng(4).gen.random(1000)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = ndnum.clamp_prob(p)

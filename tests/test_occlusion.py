@@ -78,8 +78,8 @@ def xor_toy_check(seed=0, trials=20):
         return False
     for t in range(trials):
         r = rng.split(f"mask-{t}")
-        count = int(r.integers(1, gx * gy))
-        cells = r.choice(gx * gy, size=count, replace=False)
+        count = int(r.gen.integers(1, gx * gy))
+        cells = r.gen.choice(gx * gy, size=count, replace=False)
         grid = np.zeros(gx * gy, dtype=bool)
         grid[cells] = True
         mask = OcclusionMask(grid.reshape(gx, gy))
@@ -145,8 +145,8 @@ class TestChannelCorrelation:
 class TestCorrelationMap:
     def test_single_channel_matches_channel_correlation(self):
         rng = Rng(3)
-        a = rng.normal((1, 4, 4))
-        b = rng.normal((1, 4, 4))
+        a = rng.gen.normal(size=(1, 4, 4))
+        b = rng.gen.normal(size=(1, 4, 4))
         assert np.array_equal(correlation_map(a, b).grid,
                               channel_correlation(a, b, 0).grid)
 

@@ -135,8 +135,8 @@ def test_kmeans_determinism():
 
 def test_converged_assignment_is_a_lloyd_fixed_point():
     rng = Rng(55)
-    feats = rng.normal((20, 2, 3, 3))
-    pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=20))
+    feats = rng.gen.normal(size=(20, 2, 3, 3))
+    pool = prototypes.FeaturePool(feats, rng.gen.uniform(50, 200, size=20))
     bank = prototypes.kmeans(pool, ProtoConfig(k=4), seed=3)
     flat = feats.reshape(20, -1)
     centers = np.stack([p.center.reshape(-1) for p in bank.prototypes])
@@ -159,8 +159,8 @@ def test_a_repair_that_empties_a_cluster_repairs_it_too():
 
 def test_more_iterations_never_hurt():
     rng = Rng(66)
-    feats = rng.normal((30, 1, 2, 2))
-    pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=30))
+    feats = rng.gen.normal(size=(30, 1, 2, 2))
+    pool = prototypes.FeaturePool(feats, rng.gen.uniform(50, 200, size=30))
     short = prototypes.kmeans(pool, ProtoConfig(k=3, restarts=1), seed=4, max_iters=1)
     long = prototypes.kmeans(pool, ProtoConfig(k=3, restarts=1), seed=4, max_iters=200)
     assert wcss(pool, long) <= wcss(pool, short) + 1e-12
@@ -171,8 +171,8 @@ def test_matches_brute_force_on_small_pools():
     for trial in range(10):
         n = 4 + trial % 5
         k = 1 + trial % 3
-        feats = rng.normal((n, 1, 1, 2))
-        pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=n))
+        feats = rng.gen.normal(size=(n, 1, 1, 2))
+        pool = prototypes.FeaturePool(feats, rng.gen.uniform(50, 200, size=n))
         bank = prototypes.kmeans(pool, ProtoConfig(k=k, restarts=20), seed=trial)
         got = wcss(pool, bank)
         want = brute_force_objective(feats.reshape(n, -1), k)
@@ -190,8 +190,8 @@ def broadcast_assign(flat, centers):
 def test_assign_equals_the_broadcast_reference(n, k):
     # pools below, at and across the 64-row block, one center and several
     rng = Rng(81)
-    flat = rng.normal((n, 16 * 7 * 7)) * 3.0 + 1.0
-    centers = rng.normal((k, 16 * 7 * 7))
+    flat = rng.gen.normal(size=(n, 16 * 7 * 7)) * 3.0 + 1.0
+    centers = rng.gen.normal(size=(k, 16 * 7 * 7))
     labels, d2 = prototypes._assign(flat, centers)
     want_labels, want_d2 = broadcast_assign(flat, centers)
     assert d2.tobytes() == want_d2.tobytes()
@@ -213,8 +213,8 @@ def test_kmeans_memory_stays_near_the_pool():
     # k-means reads the pool in place and keeps no n x k x d temporary; the
     # broadcast assignment and a float64 copy of the pool peaked near 6x.
     rng = Rng(82)
-    feats = rng.normal((800, 16, 7, 7))
-    pool = prototypes.FeaturePool(feats, rng.uniform(50, 200, shape=800))
+    feats = rng.gen.normal(size=(800, 16, 7, 7))
+    pool = prototypes.FeaturePool(feats, rng.gen.uniform(50, 200, size=800))
     tracemalloc.start()
     try:
         prototypes.kmeans(pool, ProtoConfig(k=5, restarts=2), seed=0, max_iters=5)
@@ -261,6 +261,13 @@ def test_lookup_rejects_bad_scale():
     bank = _bank_with_means([64.0])
     with pytest.raises(PreconditionError):
         prototypes.nearest_prototype(bank, 0.0)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf])
+def test_lookup_rejects_non_finite_scale(scale):
+    bank = _bank_with_means([64.0, 105.0])
+    with pytest.raises(PreconditionError, match="finite"):
+        prototypes.nearest_prototype(bank, scale)
 
 
 def test_bank_validation():
@@ -369,6 +376,17 @@ def test_bank_non_finite_center(tmp_path):
     data = _bank_bytes(tmp_path)
     at = 24 + 20
     data[at:at + 8] = np.array([np.inf]).tobytes()
+    _expect_bank_error(tmp_path, data, at)
+
+
+@pytest.mark.parametrize("field, value", [(0, np.nan), (0, np.inf), (8, np.nan),
+                                          (8, -np.inf)])
+def test_bank_non_finite_scale(tmp_path, field, value):
+    # Field 0 is the scale mean and field 8 the scale std, of the last
+    # prototype, where an infinite mean is still in scale order.
+    data = _bank_bytes(tmp_path)
+    at = 24 + 2 * (20 + 16 * 7 * 7 * 8) + field
+    data[at:at + 8] = struct.pack("<d", value)
     _expect_bank_error(tmp_path, data, at)
 
 

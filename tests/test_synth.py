@@ -153,6 +153,13 @@ def test_pedestrian_rejects_nonpositive_scale():
         synth.gen_pedestrian(WORLD, 0.0, Rng(1))
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf])
+def test_proposal_rejects_non_finite_scale(scale):
+    p = synth.gen_pedestrian(WORLD, 105.0, Rng(1))
+    with pytest.raises(PreconditionError, match="scale"):
+        synth.Proposal(p.id, p.label, scale, p.features, p.score).validate()
+
+
 def test_sample_scale_respects_floor():
     rng = Rng(5)
     draws = [synth.sample_scale(rng) for _ in range(500)]
@@ -354,7 +361,7 @@ def reference_bg_cell_draw(parts, rng, n_aligned):
     through all of its 10,000 attempts before it gives up."""
     n = parts.size
     for _ in range(1000):
-        order = rng.permutation(n)
+        order = rng.gen.permutation(n)
         aligned, rest = order[:n_aligned], order[n_aligned:]
         counts = np.bincount(parts[aligned], minlength=parts.max() + 1)
         if (counts <= np.bincount(parts, minlength=parts.max() + 1)).all():
@@ -363,17 +370,17 @@ def reference_bg_cell_draw(parts, rng, n_aligned):
     used = np.zeros(n, dtype=bool)
     for a in aligned:
         cand = np.flatnonzero((parts == parts[a]) & ~used)
-        pick = cand[int(rng.integers(0, len(cand)))]
+        pick = cand[int(rng.gen.integers(0, len(cand)))]
         src[a] = pick
         used[pick] = True
     pool = np.flatnonzero(~used)
-    src[rest] = pool[rng.permutation(pool.size)]
+    src[rest] = pool[rng.gen.permutation(pool.size)]
     for _ in range(10000):
         bad = rest[parts[src[rest]] == parts[rest]]
         if bad.size == 0:
             return src
         i = bad[0]
-        j = rest[int(rng.integers(0, rest.size))]
+        j = rest[int(rng.gen.integers(0, rest.size))]
         if parts[src[j]] != parts[i] and parts[src[i]] != parts[j]:
             src[i], src[j] = src[j], src[i]
     return None
@@ -393,16 +400,16 @@ def test_backgrounds_equal_the_full_swap_search(monkeypatch, gx, gy):
         assert (a.scale, a.score) == (b.scale, b.score)
 
 
-class CountingRng(Rng):
-    """A stream that counts its `integers` calls."""
+class CountingGenerator(np.random.Generator):
+    """A numpy generator that counts its `integers` calls."""
 
-    def __init__(self, seed):
-        super().__init__(seed)
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
         self.integer_calls = 0
 
-    def integers(self, low, high, shape=None):
+    def integers(self, *args, **kwargs):
         self.integer_calls += 1
-        return super().integers(low, high, shape)
+        return super().integers(*args, **kwargs)
 
 
 def test_a_stalled_background_draw_gives_up_at_once():
@@ -410,12 +417,13 @@ def test_a_stalled_background_draw_gives_up_at_once():
     parts = world.part_grid.reshape(-1)
     stalls = 0
     for seed in range(40):
-        rng = CountingRng(seed)
+        rng = Rng(seed)
+        rng.gen = CountingGenerator(rng.gen.bit_generator)
         if synth._bg_cell_draw(parts, rng, 3) is None:
             stalls += 1
             # the aligned picks, a few swap attempts and one bulk draw, not
             # one call per remaining attempt
-            assert rng.integer_calls < 50
+            assert rng.gen.integer_calls < 50
     assert stalls > 0
 
 
@@ -582,6 +590,14 @@ def test_bad_label_byte(tmp_path):
     # first proposal starts right after the 24-byte header; label follows id
     data[24 + 8] = 7
     _expect_format_error(tmp_path, data, 32)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0])
+def test_bad_scale(tmp_path, scale):
+    data, _ = _valid_bytes(tmp_path)
+    # the scale follows the id and the label byte
+    data[24 + 9:24 + 17] = struct.pack("<d", scale)
+    _expect_format_error(tmp_path, data, 24 + 9)
 
 
 def test_bad_mask_flag(tmp_path):
