@@ -155,13 +155,20 @@ def config_to_text(config):
 # ---------------------------------------------------------------------------
 # Pipeline stages, importable without going through the argument parser.
 
-def synthesize(config):
-    """Draw the train and eval proposal sets plus a manifest of counts."""
+def synthesize(config, out):
+    """Draw the train and eval proposal sets into `out`; returns the manifest.
+
+    Each split is drawn, written to `<split>.fcds` and released before the
+    next is drawn, so only one split is held at a time. Every split draws
+    from its own labelled streams, so the order changes no byte. The
+    manifest of per-split counts goes to `manifest.json`.
+    """
     world = gen_world(config.world, config.seed)
     root = Rng(config.seed)
+    data = config.data
 
     def pedestrians(rng, n, start_id, occlude):
-        out = []
+        drawn = []
         for i in range(n):
             pr = rng.split(f"p{i}")
             base = gen_pedestrian(world, sample_scale(pr), pr,
@@ -171,24 +178,28 @@ def synthesize(config):
                 mask = sample_mask(world, pattern, pr)
                 kind = "object" if pr.gen.random() < 0.5 else "pedestrian"
                 base = gen_occluded(world, base, mask, kind, pr)
-            out.append(base)
-        return out
+            drawn.append(base)
+        return drawn
 
     def backgrounds(rng, n, start_id):
         return [gen_background(world, rng.split(f"p{i}"), pid=start_id + i)
                 for i in range(n)]
 
-    data = config.data
-    train = pedestrians(root.split("train-visible"), data.train_visible,
-                        0, "never")
-    train += pedestrians(root.split("train-occluded"), data.train_occluded,
-                         len(train), "always")
-    train += backgrounds(root.split("train-background"),
-                         data.train_background, len(train))
-    eval_set = pedestrians(root.split("eval-pedestrians"),
-                           data.eval_pedestrians, 0, "half")
-    eval_set += backgrounds(root.split("eval-background"),
-                            data.eval_background, len(eval_set))
+    def draw_train():
+        train = pedestrians(root.split("train-visible"), data.train_visible,
+                            0, "never")
+        train += pedestrians(root.split("train-occluded"),
+                             data.train_occluded, len(train), "always")
+        train += backgrounds(root.split("train-background"),
+                             data.train_background, len(train))
+        return train
+
+    def draw_eval():
+        eval_set = pedestrians(root.split("eval-pedestrians"),
+                               data.eval_pedestrians, 0, "half")
+        eval_set += backgrounds(root.split("eval-background"),
+                                data.eval_background, len(eval_set))
+        return eval_set
 
     def counts(proposals):
         visibility = np.array([p.visibility for p in proposals
@@ -198,14 +209,19 @@ def synthesize(config):
         tally["pedestrian"] = len(visibility)
         tally["background"] = len(proposals) - len(visibility)
         tally["total"] = len(proposals)
+        tally["images"] = -(-len(proposals) // data.proposals_per_image)
         return tally
 
     manifest = {"seed": config.seed, "dims": list(world.dims),
-                "proposals_per_image": data.proposals_per_image,
-                "train": counts(train), "eval": counts(eval_set)}
-    for part in (manifest["train"], manifest["eval"]):
-        part["images"] = -(-part["total"] // data.proposals_per_image)
-    return train, eval_set, manifest
+                "proposals_per_image": data.proposals_per_image}
+    for split, draw in (("train", draw_train), ("eval", draw_eval)):
+        proposals = draw()
+        write_dataset(proposals, out / f"{split}.fcds", dims=world.dims)
+        manifest[split] = counts(proposals)
+        del proposals
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest
 
 
 @dataclass
@@ -231,9 +247,21 @@ def _ped_pools(proposals):
                 if p.label == PEDESTRIAN and p.visibility < FULLY_VISIBLE]
     if not occluded:
         raise PreconditionError("training dataset holds no occluded pedestrians")
-    features = np.stack([p.features for p in occluded])
+    # The dataset's own feature views: the pool holds no copy of them.
+    features = [p.features for p in occluded]
     scales = np.array([p.scale for p in occluded], dtype=np.float64)
     return visible, FeaturePool(features, scales)
+
+
+def _complete_into(maps, start, proposals, bank, gen, occ_config):
+    """Write the completed map of each flagged proposal, in order, into
+    ``maps`` from row ``start``; returns the row after the last one."""
+    for p in proposals:
+        report = complete_proposal(p.features, p.scale, bank, gen, occ_config)
+        if report.occluded:
+            maps[start] = report.completed
+            start += 1
+    return start
 
 
 def train_model(proposals, bank, config):
@@ -241,6 +269,9 @@ def train_model(proposals, bank, config):
 
     The head is fit on completed features, the distribution it scores at
     eval time: completed occluded pedestrians against completed backgrounds.
+    Each completed map goes straight into one array, positives then
+    negatives, each in proposal order, and the fit normalizes that array in
+    place: beyond the dataset, the head holds one array of maps.
     """
     visible, occ_pool = _ped_pools(proposals)
     world = gen_world(config.world, config.seed)
@@ -248,25 +279,22 @@ def train_model(proposals, bank, config):
     gen, disc, history = progressive_train(visible, occ_pool, bank,
                                            (config.train1, config.train2),
                                            rng.split("train"), world)
+    del visible, occ_pool
     LOG.info("adversarial training done (%d iterations)", len(history))
 
-    positives, negatives = [], []
-    for p in proposals:
-        if p.label == PEDESTRIAN and p.visibility >= FULLY_VISIBLE:
-            continue
-        report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
-        if not report.occluded:
-            continue
-        (positives if p.label == PEDESTRIAN else negatives).append(report.completed)
-    if not positives or not negatives:
+    occluded = [p for p in proposals
+                if p.label == PEDESTRIAN and p.visibility < FULLY_VISIBLE]
+    backgrounds = [p for p in proposals if p.label != PEDESTRIAN]
+    maps = np.empty((len(occluded) + len(backgrounds),)
+                    + proposals[0].features.shape)
+    positives = _complete_into(maps, 0, occluded, bank, gen, config.occ)
+    total = _complete_into(maps, positives, backgrounds, bank, gen, config.occ)
+    if positives == 0 or positives == total:
         raise PreconditionError("no completed samples to fit the scoring head on")
-    # Drop the per-proposal maps once stacked: the fit then holds the two
-    # stacks and its own feature matrix, not a third copy of every map.
-    positives, negatives = np.stack(positives), np.stack(negatives)
-    head = train_scoring_head(positives, negatives, rng.split("head"),
+    head = train_scoring_head(maps[:total], positives, rng.split("head"),
                               config.head)
     LOG.info("scoring head fit on %d positives / %d negatives",
-             len(positives), len(negatives))
+             positives, total - positives)
     return gen, disc, head, history
 
 
@@ -287,7 +315,12 @@ def evaluate(proposals, bank, gen, head, config):
     baseline = np.array([p.score for p in proposals], dtype=np.float64)
     completed = np.empty_like(baseline)
     flagged = 0
-    raw_occ, comp_occ, vis_feats, ious = [], [], [], []
+    # Occluded pedestrians after completion, in one array; the raw and
+    # visible maps stay views of the dataset until the diagnostics.
+    n_occluded = int(np.sum(pedestrian & (visibility < FULLY_VISIBLE)))
+    dims = proposals[0].features.shape if proposals else ()
+    comp_occ = np.empty((n_occluded,) + dims)
+    raw_occ, vis_feats, ious = [], [], []
     for i, p in enumerate(proposals):
         report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
         completed[i] = rescore(p, report.completed, head, report.occluded)
@@ -299,8 +332,8 @@ def evaluate(proposals, bank, gen, head, config):
         if p.visibility >= FULLY_VISIBLE:
             vis_feats.append(p.features)
         else:
+            comp_occ[len(raw_occ)] = report.completed if report.occluded else p.features
             raw_occ.append(p.features)
-            comp_occ.append(report.completed if report.occluded else p.features)
 
     LOG.info("eval scored %d proposals: %d flagged and completed, "
              "%d kept their detector score", len(proposals), flagged,
@@ -310,12 +343,14 @@ def evaluate(proposals, bank, gen, head, config):
                    "compactness_ratio": float("nan"),
                    "probe_accuracy": float("nan")}
     if raw_occ and vis_feats:
-        comp_occ, vis_feats = np.stack(comp_occ), np.stack(vis_feats)
+        vis_feats = np.stack(vis_feats)
         diagnostics["compactness_ratio"] = compactness_ratio(
             np.stack(raw_occ), comp_occ, vis_feats)
         if min(len(comp_occ), len(vis_feats)) >= PROBE_MIN_SAMPLES:
             diagnostics["probe_accuracy"] = probe_accuracy(
                 comp_occ, vis_feats, seed=config.seed)
+    # The miss rates need only the per-proposal vectors.
+    del comp_occ, vis_feats
 
     rows = []
     for subset in SUBSETS:
@@ -411,12 +446,7 @@ def _prepare_out(args, config):
 def cmd_synth(args):
     config = _load_config(args)
     out = _prepare_out(args, config)
-    train, eval_set, manifest = synthesize(config)
-    dims = tuple(manifest["dims"])
-    write_dataset(train, out / "train.fcds", dims=dims)
-    write_dataset(eval_set, out / "eval.fcds", dims=dims)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest = synthesize(config, out)
     ev = manifest["eval"]
     print(f"wrote {manifest['train']['total']} train / {ev['total']} eval "
           f"proposals to {out}")

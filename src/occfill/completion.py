@@ -396,8 +396,9 @@ def mask_library(occluded_pool, bank):
 
 
 def _paste_pool(pool, bank):
-    """Completion-masked copy-paste for every sample in a feature pool."""
-    pasted = np.empty_like(pool.features)
+    """Completion-masked copy-paste for every sample in a feature pool, as
+    one (n, c, x, y) array."""
+    pasted = np.empty((pool.size,) + bank.prototypes[0].center.shape)
     for i, (feats, scale) in enumerate(zip(pool.features, pool.scales)):
         found = analyze(feats, scale, bank, OcclusionConfig())
         pasted[i] = copy_paste(feats, found.prototype.center, found.mask)
@@ -444,6 +445,8 @@ def progressive_train(visible_pool, real_occluded_pool, bank, stage_configs, rng
     stage1 = FeaturePools(occluded=synthetic, visible=visible_pool.features)
     gen, disc, history = train_adversarial(
         stage1, gen, disc, configs[0], rng.split("stage1"), paired=True)
+    # Stage two holds its own pasted pool; the synthetic one goes first.
+    del synthetic, stage1
 
     stage2 = FeaturePools(occluded=_paste_pool(real_occluded_pool, bank),
                           visible=visible_pool.features)
@@ -504,25 +507,35 @@ def _unit_rms_columns(flat):
         np.divide(cols, rms, out=cols, where=rms > 0)
 
 
-def train_scoring_head(positives, negatives, rng, config):
+def train_scoring_head(maps, positives, rng, config):
     """Fit the logistic head with cross-entropy: positives against negatives.
 
-    The inputs are only read. The fit holds one (d, n_pos + n_neg) copy of
-    them, normalized in place, so its memory beyond the inputs is one
-    feature matrix.
+    ``maps`` is one writeable, C-contiguous float64 batch (n, c, x, y): the
+    first ``positives`` maps are the positives, the rest the negatives.
+    The fit normalizes its (d, n) view ``maps.reshape(n, -1).T`` in place,
+    so it holds no copy of the maps; on return they hold that normalized
+    matrix. That view is the F-order matrix the fit's first form built by
+    concatenating the two pools' views, so the bits are that form's. Two
+    single columns concatenate to C order instead; a batch of two maps is
+    copied to that layout, for the same reason, and left as it was.
     """
     config.validate("head")
-    pos = np.asarray(positives, dtype=np.float64)
-    neg = np.asarray(negatives, dtype=np.float64)
-    if pos.ndim != 4 or neg.ndim != 4 or pos.shape[1:] != neg.shape[1:]:
-        raise PreconditionError("head training pools must be (n, c, x, y), same dims")
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
-        raise PreconditionError("head training pools must be non-empty")
-    head = ScoringHead.init(int(np.prod(pos.shape[1:])), rng.split("head-init"))
-    flat = np.concatenate([_flatten_batch(pos), _flatten_batch(neg)], axis=1)
+    if not (isinstance(maps, np.ndarray) and maps.dtype == np.float64
+            and maps.ndim == 4 and maps.flags.c_contiguous
+            and maps.flags.writeable):
+        raise PreconditionError("head training maps must be a writeable "
+                                "C-contiguous float64 batch (n, c, x, y)")
+    n = maps.shape[0]
+    if not 0 < positives < n:
+        raise PreconditionError("head training needs positives and negatives, "
+                                f"got {positives} of {n} maps")
+    head = ScoringHead.init(int(np.prod(maps.shape[1:])), rng.split("head-init"))
+    flat = _flatten_batch(maps)
+    if n == 2:
+        flat = np.ascontiguousarray(flat)
     _unit_rms_columns(flat)
-    labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
-    n = labels.size
+    labels = np.zeros(n)
+    labels[:positives] = 1.0
     for _ in range(config.iterations):
         # Cross-entropy gradient taken at the pre-activation, (p - y) / n:
         # bounded even when a logit saturates, unlike routing 1/p upstream

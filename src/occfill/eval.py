@@ -178,8 +178,9 @@ def _split_by_content(a, b, rng):
     position they occupy, so a sample can never be trained on under one
     label and then graded under the other. Contents are numbered in order
     of first appearance, side a first, and keyed by a 16-byte BLAKE2b
-    digest of each sample's bytes, taken once per sample, so the split
-    holds no byte copy of the sides.
+    digest of each sample's bytes, taken once per sample. Returns one
+    boolean mask per side, true on its training rows, so the split holds
+    no copy of the sides.
     """
     fold_of = {}
     contents = []
@@ -190,15 +191,12 @@ def _split_by_content(a, b, rng):
     cut = int(len(fold_of) * PROBE_TRAIN_FRACTION)
     in_train = np.zeros(len(fold_of), dtype=bool)
     in_train[order[:cut]] = True
-    folds = ()
-    for side, content in zip((a, b), contents):
-        picks = in_train[content]
-        folds += (side[picks], side[~picks])
-    return folds
+    return tuple(in_train[content] for content in contents)
 
 
-def _train_probe(train_a, train_b, rng, iterations, learn_rate):
-    """The probe discriminator after SGD on train fold a (label 1) against b.
+def _train_probe(rows, n_a, rng, iterations, learn_rate):
+    """The probe discriminator after SGD on the (n, d) training ``rows``:
+    the first ``n_a`` are side a (label 1), the rest side b.
 
     Every step adds a combination of training rows to the hidden weights
     W, so W stays W0 plus a sum of rows. With fewer rows n than features d
@@ -210,8 +208,8 @@ def _train_probe(train_a, train_b, rng, iterations, learn_rate):
     memory than it saves; so do they when the Gram matrix overflows. W0 and
     every minibatch are drawn as in full space either way.
     """
-    n_a, n_b = train_a.shape[0], train_b.shape[0]
-    n, d = n_a + n_b, int(np.prod(train_a.shape[1:]))
+    n, d = rows.shape
+    n_b = n - n_a
     disc = Discriminator.init(d, rng.split("disc"))
     m = min(BATCH_SIZE, n_a, n_b)
 
@@ -220,7 +218,6 @@ def _train_probe(train_a, train_b, rng, iterations, learn_rate):
 
     steps = (batch for batch, in planned(plan, iterations))
     if n < d:
-        rows = np.concatenate([train_a, train_b]).reshape(n, d)
         # Squared row norms beyond float64 leave K inf; full space copes.
         with np.errstate(over="ignore", invalid="ignore"):
             gram = rows @ rows.T
@@ -230,8 +227,8 @@ def _train_probe(train_a, train_b, rng, iterations, learn_rate):
             return Discriminator(
                 DenseLayer(disc.hidden.weights + moves.T @ rows, head[:width], "relu"),
                 DenseLayer(head[None, width:-1], head[-1:], "sigmoid"))
-    return _full_space_steps(train_a.reshape(n_a, d), train_b.reshape(n_b, d),
-                             disc, steps, m, learn_rate)
+        del gram
+    return _full_space_steps(rows[:n_a], rows[n_a:], disc, steps, m, learn_rate)
 
 
 def _full_space_steps(side_a, side_b, disc, steps, m, learn_rate):
@@ -328,16 +325,27 @@ def probe_accuracy(features_a, features_b, seed, iterations=2000,
             f"probe needs at least {PROBE_MIN_SAMPLES} samples per side")
 
     rng = Rng(seed)
-    train_a, test_a, train_b, test_b = _split_by_content(
-        a, b, rng.split("fold"))
-    for name, part in (("train", train_a), ("test", test_a),
-                       ("train", train_b), ("test", test_b)):
-        if part.shape[0] == 0:
+    in_a, in_b = _split_by_content(a, b, rng.split("fold"))
+    n_a, n_b = int(in_a.sum()), int(in_b.sum())
+    for name, count in (("train", n_a), ("test", a.shape[0] - n_a),
+                        ("train", n_b), ("test", b.shape[0] - n_b)):
+        if count == 0:
             raise PreconditionError(f"degenerate probe split: empty {name} fold")
 
-    disc = _train_probe(train_a, train_b, rng, iterations, learn_rate)
-    return two_way_accuracy(disc.forward(_flatten_batch(test_a)),
-                            disc.forward(_flatten_batch(test_b)))
+    # The training rows of both sides, gathered into one buffer; the
+    # held-out rows are gathered only once it is gone. The indices are in
+    # range, and "clip" lets `take` write straight into the buffer, where
+    # its default mode stages a copy first.
+    d = int(np.prod(a.shape[1:]))
+    rows = np.empty((n_a + n_b, d))
+    np.take(a.reshape(a.shape[0], d), np.flatnonzero(in_a), axis=0,
+            out=rows[:n_a], mode="clip")
+    np.take(b.reshape(b.shape[0], d), np.flatnonzero(in_b), axis=0,
+            out=rows[n_a:], mode="clip")
+    disc = _train_probe(rows, n_a, rng, iterations, learn_rate)
+    del rows
+    return two_way_accuracy(disc.forward(_flatten_batch(a[~in_a])),
+                            disc.forward(_flatten_batch(b[~in_b])))
 
 
 def mask_iou(predicted, truth):

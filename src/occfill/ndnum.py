@@ -79,8 +79,9 @@ class Rng:
     def __init__(self, seed, _key=None):
         if _key is None:
             seed = int(seed)
-            if seed < 0:
-                raise PreconditionError("seed must be non-negative")
+            if not 0 <= seed < 2 ** 128:
+                raise PreconditionError(
+                    "seed must be non-negative and below 2**128")
             _key = hashlib.sha256(b"occfill:" + seed.to_bytes(16, "little")).digest()
         self._key = _key
 

@@ -74,12 +74,12 @@ class PrototypeBank:
 
 @dataclass(frozen=True)
 class FeaturePool:
-    features: np.ndarray        # (N, C, X, Y)
+    features: np.ndarray        # (N, C, X, Y), or a sequence of N (C, X, Y) maps
     scales: np.ndarray          # (N,)
 
     @property
     def size(self):
-        return self.features.shape[0]
+        return len(self.features)
 
 
 def build_pool(proposals):
@@ -99,11 +99,28 @@ def build_pool(proposals):
     return FeaturePool(features, scales)
 
 
+def _finite_distances(d2):
+    """`d2` unchanged, or PreconditionError when a squared distance or
+    their sum has overflowed float64.
+
+    A finite sum keeps the seeding's probabilities and every objective,
+    which sums some of these distances, finite too.
+    """
+    with np.errstate(over="ignore"):
+        total = d2.sum()
+    if not np.isfinite(total):
+        raise PreconditionError(
+            "k-means: squared distances between pool features overflow "
+            "float64; the features are too large to cluster")
+    return d2
+
+
 def _plus_plus_seed(flat, k, rng):
     """K-means++ seeding: spread initial centers by squared distance."""
     n = flat.shape[0]
     chosen = [int(rng.gen.integers(0, n))]
-    d2 = ((flat - flat[chosen[0]]) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):
+        d2 = _finite_distances(((flat - flat[chosen[0]]) ** 2).sum(axis=1))
     while len(chosen) < k:
         total = d2.sum()
         if total <= 0.0:
@@ -111,7 +128,8 @@ def _plus_plus_seed(flat, k, rng):
         else:
             pick = int(rng.gen.choice(n, p=d2 / total))
         chosen.append(pick)
-        d2 = np.minimum(d2, ((flat - flat[pick]) ** 2).sum(axis=1))
+        with np.errstate(over="ignore"):
+            d2 = np.minimum(d2, ((flat - flat[pick]) ** 2).sum(axis=1))
     return flat[chosen].copy()
 
 
@@ -127,14 +145,15 @@ def _assign(flat, centers):
     n = flat.shape[0]
     d2 = np.empty((n, centers.shape[0]))
     buf = np.empty((min(n, ASSIGN_BLOCK), flat.shape[1]))
-    for start in range(0, n, ASSIGN_BLOCK):
-        rows = flat[start:start + ASSIGN_BLOCK]
-        diff = buf[:rows.shape[0]]
-        for j, center in enumerate(centers):
-            np.subtract(rows, center, out=diff)
-            np.square(diff, out=diff)
-            diff.sum(axis=1, out=d2[start:start + rows.shape[0], j])
-    return d2.argmin(axis=1), d2
+    with np.errstate(over="ignore"):
+        for start in range(0, n, ASSIGN_BLOCK):
+            rows = flat[start:start + ASSIGN_BLOCK]
+            diff = buf[:rows.shape[0]]
+            for j, center in enumerate(centers):
+                np.subtract(rows, center, out=diff)
+                np.square(diff, out=diff)
+                diff.sum(axis=1, out=d2[start:start + rows.shape[0], j])
+    return d2.argmin(axis=1), _finite_distances(d2)
 
 
 def _lloyd(flat, k, rng, max_iters):
@@ -252,10 +271,12 @@ def read_bank(path):
         at = r.pos
         r.need(20 + c * x * y * 8, f"prototype {i}")
         mean, std, count = r.unpack("<ddI", f"prototype {i}")
-        if not math.isfinite(mean):
-            raise FormatError(at, f"prototype {i} has scale mean {mean}")
-        if not math.isfinite(std):
-            raise FormatError(at + 8, f"prototype {i} has scale std {std}")
+        if not 0 < mean < math.inf:
+            raise FormatError(at, f"prototype {i} has scale mean {mean}, "
+                                  "not positive and finite")
+        if not 0 <= std < math.inf:
+            raise FormatError(at + 8, f"prototype {i} has scale std {std}, "
+                                      "not non-negative and finite")
         if count < 1:
             raise FormatError(at + 16, f"prototype {i} has no members")
         center = r.floats((c, x, y), f"center of prototype {i}")

@@ -9,6 +9,7 @@ import pytest
 import test_completion as gradcheck
 import test_eval as mr_oracle
 import test_prototypes as km_oracle
+from test_cli import synthesized
 
 from occfill import completion
 from occfill.cli import (
@@ -18,7 +19,6 @@ from occfill.cli import (
     complete_proposal,
     evaluate,
     main,
-    synthesize,
     train_model,
 )
 from occfill.completion import TrainConfig, progressive_train
@@ -94,10 +94,10 @@ def flagging_bench():
 
 
 @pytest.fixture(scope="module")
-def default_pipeline():
+def default_pipeline(tmp_path_factory):
     """Full default-config run at seed 42, shared by the training criteria."""
     config = RunConfig(seed=42).validate()
-    train, eval_set, _ = synthesize(config)
+    train, eval_set = synthesized(config, tmp_path_factory.mktemp("synth"))
     bank = kmeans(build_pool(train), config.proto, seed=config.seed)
     gen, _, head, _ = train_model(train, bank, config)
     rows, diag = evaluate(eval_set, bank, gen, head, config)
@@ -273,14 +273,14 @@ def test_criterion_07_completed_features_confuse_a_fresh_probe(default_pipeline)
 
 
 @pytest.mark.slow
-def test_criterion_08_progressive_training_is_better_and_steadier():
+def test_criterion_08_progressive_training_is_better_and_steadier(tmp_path):
     # Fixed dataset and bank; only the training seed varies per run, so the
     # spread measures the stability of each schedule rather than the world.
     config = RunConfig(seed=42, world=WorldConfig(sigma_id=0.25),
                        data=DataConfig(train_visible=400, train_occluded=200,
                                        train_background=50, eval_pedestrians=300,
                                        eval_background=0)).validate()
-    train, eval_set, _ = synthesize(config)
+    train, eval_set = synthesized(config, tmp_path)
     bank = kmeans(build_pool(train), ProtoConfig(k=5, restarts=5), seed=42)
     visible, occ_pool = _ped_pools(train)
     world = gen_world(config.world, config.seed)

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import re
+import tracemalloc
 from operator import attrgetter
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from occfill.cli import (
     main,
     parse_config_text,
     synthesize,
+    train_model,
 )
 from occfill.completion import TrainConfig, copy_paste, read_model, rescore
 from occfill.errors import PreconditionError
@@ -31,8 +33,8 @@ from occfill.eval import EvalConfig, compactness_ratio, mask_iou
 from occfill.ndnum import Rng
 from occfill.occlusion import (OcclusionConfig, analyze, completion_mask,
                                correlation_map)
-from occfill.prototypes import (FULLY_VISIBLE, ProtoConfig, build_pool, nearest_prototype,
-                                read_bank)
+from occfill.prototypes import (FULLY_VISIBLE, ProtoConfig, build_pool, kmeans,
+                                nearest_prototype, read_bank)
 from occfill.synth import (PEDESTRIAN, OcclusionMask, WorldConfig, read_dataset,
                            write_dataset)
 
@@ -250,9 +252,10 @@ class TestSynthData:
         assert manifest["eval"]["total"] == 0
         assert manifest["eval"]["images"] == 0
 
-    def test_half_occlusion_leaves_even_indices_visible(self):
+    def test_half_occlusion_leaves_even_indices_visible(self, tmp_path):
         config = config_from_mapping(parse_config_text(SMALL)).validate()
-        _, ev, _ = synthesize(config)
+        synthesize(config, tmp_path)
+        ev = read_dataset(tmp_path / "eval.fcds")
         peds = [p for p in ev if p.label == PEDESTRIAN]
         assert all(p.true_mask is None for p in peds[0::2])
         assert all(p.true_mask is not None for p in peds[1::2])
@@ -696,6 +699,81 @@ class TestTimingLog:
             f"completed, {len(proposals) - flagged} kept their detector score")
 
 
+# Bytes of one map of the default world, 16 channels on a 7 x 7 grid.
+MAP_BYTES = 16 * 7 * 7 * 8
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory that fn allocated, by tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def synthesized(config, out):
+    """The train and eval sets that `synthesize` writes into `out`."""
+    synthesize(config, out)
+    return read_dataset(out / "train.fcds"), read_dataset(out / "eval.fcds")
+
+
+class TestMemory:
+    """Each stage holds its dataset once plus one working array. The bounds
+    are in maps of the default world; the comments give what each stage
+    held before it wrote its maps into one array."""
+
+    def test_synthesis_holds_one_split_at_a_time(self, tmp_path):
+        # Two splits of 300 proposals. Drawing both before writing either
+        # peaked at 2.56 splits' maps; one split with its proposal objects,
+        # masks and the world reads 1.49.
+        data = DataConfig(train_visible=100, train_occluded=100,
+                          train_background=100, eval_pedestrians=150,
+                          eval_background=150)
+        config = RunConfig(seed=5, data=data).validate()
+        manifest, peak = traced_peak(lambda: synthesize(config, tmp_path))
+        assert manifest["train"]["total"] == manifest["eval"]["total"] == 300
+        assert peak <= 1.8 * 300 * MAP_BYTES
+
+    def test_train_model_holds_one_array_of_flagged_maps(self, tmp_path):
+        # 750 candidates for the head: 150 occluded pedestrians and 600
+        # backgrounds. A list of completed maps, their two stacks and the
+        # fit's concatenated copy peaked at 2.36 candidates' maps; one
+        # array of them, normalized in place, reads 1.19.
+        data = DataConfig(train_visible=60, train_occluded=150,
+                          train_background=600, eval_pedestrians=0,
+                          eval_background=0)
+        config = RunConfig(seed=5, data=data, train1=TrainConfig(0, 2e-3),
+                           train2=TrainConfig(0, 2e-4),
+                           head=TrainConfig(2, 0.5)).validate()
+        train, _ = synthesized(config, tmp_path)
+        bank = kmeans(build_pool(train), ProtoConfig(k=3, restarts=1), seed=5)
+        (_, _, head, _), peak = traced_peak(lambda: train_model(train, bank, config))
+        assert head.trained
+        assert peak <= 1.5 * 750 * MAP_BYTES
+
+    def test_evaluate_peak_above_its_proposals(self, tmp_path):
+        # 100 occluded and 100 visible eval pedestrians, 100 backgrounds.
+        # Stacking the completed maps from a list, and the probe's copied
+        # folds, peaked at 7.52 occluded sets' maps; the completed array,
+        # the visible and raw stacks and the probe's one row buffer read
+        # 5.52.
+        data = DataConfig(train_visible=100, train_occluded=50,
+                          train_background=50, eval_pedestrians=200,
+                          eval_background=100)
+        config = RunConfig(seed=6, data=data, train1=TrainConfig(0, 2e-3),
+                           train2=TrainConfig(0, 2e-4),
+                           head=TrainConfig(20, 0.5)).validate()
+        train, eval_set = synthesized(config, tmp_path)
+        bank = kmeans(build_pool(train), ProtoConfig(k=3, restarts=1), seed=6)
+        gen, _, head, _ = train_model(train, bank, config)
+        (_, diagnostics), peak = traced_peak(
+            lambda: evaluate(eval_set, bank, gen, head, config))
+        assert np.isfinite(diagnostics["probe_accuracy"])
+        assert peak <= 6.5 * 100 * MAP_BYTES
+
+
 class TestExitCodes:
     def test_missing_model_file_is_io_error(self, small_run, tmp_path, capsys):
         code = main(["eval", "--config", str(small_run["cfg"]),
@@ -729,6 +807,24 @@ class TestExitCodes:
         assert code == 2
         assert "world.sigma_id must be finite" in capsys.readouterr().err
         assert not (tmp_path / "train.fcds").exists()
+
+    def test_overflowing_kmeans_distances_fail_fast(self, tmp_path, capsys):
+        # Identity noise of 1e160 draws features whose squared distances
+        # overflow float64; k-means++ seeding then met NaN probabilities.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 3\nworld.sigma_id = 1e160\n"
+                       "data.train_visible = 30\ndata.train_occluded = 5\n"
+                       "data.train_background = 5\ndata.eval_pedestrians = 5\n"
+                       "data.eval_background = 5\nproto.k = 3\n")
+        run_ok(["synth-data", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        capsys.readouterr()
+        code = main(["build-prototypes", "--config", str(cfg),
+                     "--data", str(tmp_path / "s/train.fcds"),
+                     "--out", str(tmp_path / "b")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: k-means: squared distances") and "overflow" in err
+        assert not (tmp_path / "b/bank.fcpb").exists()
 
     def test_two_by_two_grid_fails_fast(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -45,6 +45,12 @@ from occfill.synth import (
 HEAD_FIT = TrainConfig(500, 0.5)
 
 
+def fit_head(positives, negatives, rng, config):
+    """`train_scoring_head` on one fresh batch, positives first."""
+    return train_scoring_head(np.concatenate([positives, negatives]),
+                              len(positives), rng, config)
+
+
 def random_generator(channels, rng):
     """A generator whose second layer is non-zero, for exercising gradients."""
     gen = Generator.init(channels, rng.split("gen"))
@@ -977,6 +983,30 @@ class TestProgressiveTrain:
         assert all(m.grid.shape == (7, 7) for m in lib)
 
 
+def test_stage_two_starts_without_the_stage_one_pool(monkeypatch):
+    # 800 visible maps and 50 occluded ones. Stage two started beside the
+    # stage-one synthetic pool, 1084 maps in all; without it, beside its own
+    # pasted pool and the networks, 284.
+    world, pool_vis, pool_occ, bank = build_training_world(
+        sigma=0.05, seed=37, n_vis=800, n_occ=50)
+    held = []
+    train = completion.train_adversarial
+
+    def spy(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(completion, "train_adversarial", spy)
+    configs = (TrainConfig(2, 2e-3), TrainConfig(2, 2e-4))
+    tracemalloc.start()
+    try:
+        progressive_train(pool_vis, pool_occ, bank, configs, Rng(1), world)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2
+    assert held[1] <= 0.5 * pool_vis.features.nbytes
+
+
 class TestScoringHead:
     def test_zero_weights_score_half(self):
         head = ScoringHead(DenseLayer(np.zeros((1, 18)), np.zeros(1), "sigmoid"))
@@ -1004,22 +1034,27 @@ class TestScoringHead:
     def test_training_separates_offset_pools(self):
         rng = Rng(25)
         base = rng.gen.normal(size=(80, 2, 3, 3))
-        head = train_scoring_head(base + 4.0, base - 4.0, rng.split("t"), HEAD_FIT)
+        head = fit_head(base + 4.0, base - 4.0, rng.split("t"), HEAD_FIT)
         assert head.trained
         p_pos = head.probability(base[:10] + 4.0)
         p_neg = head.probability(base[:10] - 4.0)
         assert np.all(p_pos > 0.9)
         assert np.all(p_neg < 0.1)
 
-    def test_rejects_mismatched_pools(self):
-        with pytest.raises(PreconditionError):
-            train_scoring_head(np.zeros((4, 2, 3, 3)), np.zeros((4, 2, 3, 4)),
-                               Rng(0), HEAD_FIT)
+    def test_rejects_maps_it_cannot_normalize_in_place(self):
+        maps = np.zeros((8, 2, 3, 3))
+        read_only = maps.copy()
+        read_only.setflags(write=False)
+        for bad in (np.asfortranarray(maps), maps.astype(np.float32), read_only,
+                    maps[::2], maps.reshape(8, 2, 9), list(maps)):
+            with pytest.raises(PreconditionError, match="C-contiguous float64"):
+                train_scoring_head(bad, 4, Rng(0), HEAD_FIT)
 
     def test_rejects_empty_pools(self):
-        with pytest.raises(PreconditionError):
-            train_scoring_head(np.zeros((0, 2, 3, 3)), np.zeros((4, 2, 3, 3)),
-                               Rng(0), HEAD_FIT)
+        for positives in (0, 4, -1, 5):
+            with pytest.raises(PreconditionError, match="positives and negatives"):
+                train_scoring_head(np.zeros((4, 2, 3, 3)), positives, Rng(0),
+                                   HEAD_FIT)
 
     @pytest.mark.parametrize("config,match", [
         (TrainConfig(-1, 0.5), "head.iterations"),
@@ -1029,7 +1064,7 @@ class TestScoringHead:
     def test_rejects_bad_config(self, config, match):
         pools = np.ones((4, 2, 3, 3))
         with pytest.raises(PreconditionError, match=match):
-            train_scoring_head(pools, -pools, Rng(0), config)
+            fit_head(pools, -pools, Rng(0), config)
 
     def test_rejects_wrong_head_shape(self):
         with pytest.raises(PreconditionError):
@@ -1050,7 +1085,7 @@ class TestScoringHead:
         pos = rng.split("p").gen.normal(size=(n_pos, 3, 4, 4)) * 2.0 + 1.0
         neg = rng.split("n").gen.normal(size=(n_neg, 3, 4, 4))
         neg[0] = 0.0
-        got = train_scoring_head(pos, neg, rng.split("t"), TrainConfig(40, 0.5))
+        got = fit_head(pos, neg, rng.split("t"), TrainConfig(40, 0.5))
         want = reference_scoring_head(pos, neg, rng.split("t"), iterations=40)
         for a, b in zip(got.params(), want.params()):
             assert a.tobytes() == b.tobytes()
@@ -1072,27 +1107,30 @@ class TestScoringHead:
             assert got.tobytes() == head.layer.forward(want)[0].tobytes()
             assert np.array_equal(feats, before)
 
-    def test_fit_leaves_its_inputs_alone(self):
+    def test_fit_normalizes_its_maps_in_place(self):
+        # 130 maps span three rms blocks; one all-zero map keeps its zeros.
         rng = Rng(32)
-        pos = rng.gen.normal(size=(20, 2, 3, 3)) + 1.0
-        neg = rng.gen.normal(size=(30, 2, 3, 3))
-        before = pos.copy(), neg.copy()
-        train_scoring_head(pos, neg, rng.split("t"), TrainConfig(3, 0.5))
-        assert np.array_equal(pos, before[0]) and np.array_equal(neg, before[1])
+        maps = rng.gen.normal(size=(130, 2, 3, 3)) + 1.0
+        maps[7] = 0.0
+        want = reference_normalize(maps.reshape(130, -1).T)
+        train_scoring_head(maps, 50, rng.split("t"), TrainConfig(3, 0.5))
+        assert maps.reshape(130, -1).T.tobytes() == want.tobytes()
 
     def test_fit_holds_one_feature_matrix(self):
-        # The fit's own feature matrix is one copy of its inputs; the former
-        # concatenate-then-normalize path held two (about 2.0x).
+        # The fit's feature matrix is its maps, normalized in place, and
+        # beyond them it holds the rms temporaries of one block of columns
+        # (0.11x here). The former fit took two pools and held a normalized
+        # copy of both (1.0x of them more), and `train_model` held them
+        # twice more.
         rng = Rng(33)
-        pos = rng.gen.normal(size=(300, 16, 7, 7))
-        neg = rng.gen.normal(size=(300, 16, 7, 7))
+        maps = rng.gen.normal(size=(600, 16, 7, 7))
         tracemalloc.start()
         try:
-            train_scoring_head(pos, neg, rng.split("t"), TrainConfig(2, 0.5))
+            train_scoring_head(maps, 300, rng.split("t"), TrainConfig(2, 0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * (pos.nbytes + neg.nbytes)
+        assert peak <= 0.15 * maps.nbytes
 
 
 def reference_normalize(flat):
@@ -1139,7 +1177,7 @@ class TestRescore:
     def test_occluded_proposal_uses_head(self):
         rng = Rng(26)
         base = rng.gen.normal(size=(40, 2, 3, 3))
-        head = train_scoring_head(base + 4.0, base - 4.0, rng.split("t"), HEAD_FIT)
+        head = fit_head(base + 4.0, base - 4.0, rng.split("t"), HEAD_FIT)
         completed = base[0] + 4.0
         got = rescore(FakeProposal(0.1), completed, head, occluded=True)
         assert got == head.probability(completed[None])

@@ -514,13 +514,25 @@ def reference_gram_probe(train_a, train_b, seed, iterations, learn_rate=2e-3):
         DenseLayer(head[None, width:-1], head[-1:], "sigmoid"))
 
 
+def folds(a, b, rng):
+    """(train a, test a, train b, test b) of `_split_by_content`'s masks."""
+    in_a, in_b = eval_module._split_by_content(a, b, rng)
+    return a[in_a], a[~in_a], b[in_b], b[~in_b]
+
+
+def train_probe(train_a, train_b, rng, iterations, learn_rate):
+    """`_train_probe` on the two train folds, stacked a over b."""
+    rows = np.concatenate([train_a, train_b])
+    return eval_module._train_probe(rows.reshape(rows.shape[0], -1),
+                                    train_a.shape[0], rng, iterations, learn_rate)
+
+
 def full_space_probe(a, b, seed, iterations, learn_rate=2e-3):
     """The probe trained in full space, on every feature of its train folds.
 
     Returns the trained discriminator and the two held-out folds."""
     rng = Rng(seed)
-    train_a, test_a, train_b, test_b = eval_module._split_by_content(
-        a, b, rng.split("fold"))
+    train_a, test_a, train_b, test_b = folds(a, b, rng.split("fold"))
     disc = Discriminator.init(int(np.prod(a.shape[1:])), rng.split("disc"))
     m = min(32, train_a.shape[0], train_b.shape[0])
     for ia, ib in reference_probe_draws(rng, iterations, train_a.shape[0],
@@ -577,8 +589,7 @@ class TestProbePlan:
         monkeypatch.setattr(eval_module, "_full_space_steps", spy)
         iterations = PLAN_CHUNK + 3
         probe_accuracy(a, b, seed=81, iterations=iterations)
-        train_a, _, train_b, _ = eval_module._split_by_content(
-            a, b, Rng(81).split("fold"))
+        train_a, _, train_b, _ = folds(a, b, Rng(81).split("fold"))
         m = min(32, train_a.shape[0], train_b.shape[0])
         want = reference_probe_draws(Rng(81), iterations, train_a.shape[0],
                                      train_b.shape[0], m)
@@ -635,8 +646,7 @@ class TestProbeSpan:
     rows' Gram matrix; it must be the full-space probe up to rounding."""
 
     def train_folds(self, a, b, seed):
-        train_a, _, train_b, _ = eval_module._split_by_content(
-            a, b, Rng(seed).split("fold"))
+        train_a, _, train_b, _ = folds(a, b, Rng(seed).split("fold"))
         return train_a, train_b
 
     def test_span_training_is_full_space_training(self, monkeypatch):
@@ -646,7 +656,7 @@ class TestProbeSpan:
         assert rows.shape[0] < rows.shape[1]
         assert np.linalg.matrix_rank(rows) < rows.shape[0]
         calls = gram_calls(monkeypatch)
-        got = eval_module._train_probe(train_a, train_b, Rng(91), 300, 2e-3)
+        got = train_probe(train_a, train_b, Rng(91), 300, 2e-3)
         assert calls == [rows.shape]
         want, test_a, test_b = full_space_probe(a, b, 91, 300)
         for g, w in zip(got.params(), want.params()):
@@ -661,7 +671,7 @@ class TestProbeSpan:
         a, b = span_sides(90)
         train_a, train_b = self.train_folds(a, b, 91)
         calls = gram_calls(monkeypatch)
-        got = eval_module._train_probe(train_a, train_b, Rng(91), 300, 2e-3)
+        got = train_probe(train_a, train_b, Rng(91), 300, 2e-3)
         assert len(calls) == 1
         assert_same_params(got, reference_gram_probe(train_a, train_b, 91, 300))
 
@@ -680,7 +690,7 @@ class TestProbeSpan:
         train_a, train_b = self.train_folds(a, b, 95)
         assert train_a.shape[0] + train_b.shape[0] >= a[0].size
         calls = gram_calls(monkeypatch)
-        got = eval_module._train_probe(train_a, train_b, Rng(95), 300, 2e-3)
+        got = train_probe(train_a, train_b, Rng(95), 300, 2e-3)
         want, test_a, test_b = full_space_probe(a, b, 95, 300)
         assert_same_params(got, want)
         assert (probe_accuracy(a, b, seed=95, iterations=300)
@@ -692,7 +702,7 @@ class TestProbeSpan:
         a, b = span_sides(94, n=600, shared=0)
         train_a, train_b = self.train_folds(a, b, 95)
         assert train_a.shape[0] + train_b.shape[0] >= a[0].size
-        got = eval_module._train_probe(train_a, train_b, Rng(95), 300, 2e-3)
+        got = train_probe(train_a, train_b, Rng(95), 300, 2e-3)
         assert_same_params(got, full_space_probe(a, b, 95, 300)[0])
 
     def test_overflowing_gram_matrix_trains_in_full_space(self, monkeypatch):
@@ -703,7 +713,7 @@ class TestProbeSpan:
         assert train_a.shape[0] + train_b.shape[0] < a[0].size
         calls = gram_calls(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = eval_module._train_probe(train_a, train_b, Rng(97), 50, 2e-3)
+            got = train_probe(train_a, train_b, Rng(97), 50, 2e-3)
         assert calls == []
         want, test_a, test_b = full_space_probe(a, b, 97, 50)
         assert_same_params(got, want)
@@ -720,7 +730,7 @@ class TestProbeSpan:
         assert train_a.shape[0] + train_b.shape[0] < a[0].size
 
         def gram(iterations):
-            eval_module._train_probe(train_a, train_b, Rng(97), iterations,
+            train_probe(train_a, train_b, Rng(97), iterations,
                                      learn_rate)
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -741,7 +751,7 @@ class TestProbeSpan:
             want = first_failing_step(
                 lambda iterations: full_space_probe(a, b, 97, iterations, learn_rate))
             got = first_failing_step(
-                lambda iterations: eval_module._train_probe(
+                lambda iterations: train_probe(
                     train_a, train_b, Rng(97), iterations, learn_rate))
         assert want is not None and got == want
 
@@ -775,9 +785,10 @@ class TestProbeSpan:
         train_a, train_b = self.train_folds(a, b, 99)
         n, d = train_a.shape[0] + train_b.shape[0], a[0].size
         assert n < d
+        rows = np.concatenate([train_a, train_b]).reshape(n, d)
         tracemalloc.start()
         try:
-            eval_module._train_probe(train_a, train_b, Rng(99), 20, 2e-3)
+            eval_module._train_probe(rows, train_a.shape[0], Rng(99), 20, 2e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -806,23 +817,24 @@ class TestFoldSplit:
         # Samples shared by both sides, and repeated within side a.
         a, b = span_sides(110, n=80, shared=10)
         a = np.concatenate([a, a[5:8], a[-2:]])
-        got = eval_module._split_by_content(a, b, Rng(111).split("fold"))
+        got = folds(a, b, Rng(111).split("fold"))
         want = byte_keyed_split(a, b, Rng(111).split("fold"))
         assert len(got) == len(want) == 4
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
-    def test_peak_is_the_fold_copies(self):
+    def test_split_holds_no_copy_of_the_sides(self):
         # Keying the folds by each sample's bytes held a second copy of
-        # both sides while splitting.
+        # both sides while splitting, and the folds themselves a third.
         a, b = span_sides(114, n=400, shared=50)
         tracemalloc.start()
         try:
-            folds = eval_module._split_by_content(a, b, Rng(115).split("fold"))
+            masks = eval_module._split_by_content(a, b, Rng(115).split("fold"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(f.nbytes for f in folds) == a.nbytes + b.nbytes
-        assert peak <= 1.1 * (a.nbytes + b.nbytes)
+        assert [m.shape for m in masks] == [(a.shape[0],), (b.shape[0],)]
+        assert all(m.dtype == bool for m in masks)
+        assert peak <= 0.05 * (a.nbytes + b.nbytes)
 
 
 class TestMaskIoU:

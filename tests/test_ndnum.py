@@ -355,6 +355,18 @@ def test_rng_distinct_labels_differ():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 2 ** 200])
+def test_rng_refuses_seeds_outside_128_bits(seed):
+    with pytest.raises(PreconditionError, match=r"below 2\*\*128"):
+        ndnum.Rng(seed)
+
+
+def test_rng_takes_the_largest_128_bit_seed():
+    seed = 2 ** 128 - 1
+    assert np.array_equal(ndnum.Rng(seed).gen.random(4),
+                          oracle_stream(seed).random(4))
+
+
 def oracle_stream(seed, *labels):
     """Philox generator keyed by the SHA-256 chain of the seed and labels."""
     key = hashlib.sha256(b"occfill:" + seed.to_bytes(16, "little")).digest()

@@ -390,6 +390,26 @@ def test_bank_non_finite_scale(tmp_path, field, value):
     _expect_bank_error(tmp_path, data, at)
 
 
+@pytest.mark.parametrize("field, value", [(0, 0.0), (0, -0.0), (0, -40.0),
+                                          (8, -3.0), (8, -5e-324)])
+def test_bank_impossible_scale(tmp_path, field, value):
+    # A zero or negative scale mean of the first prototype, which keeps the
+    # scale order, and a negative scale std.
+    data = _bank_bytes(tmp_path)
+    at = 24 + field
+    data[at:at + 8] = struct.pack("<d", value)
+    _expect_bank_error(tmp_path, data, at)
+
+
+def test_bank_zero_scale_std_is_read(tmp_path):
+    # A cluster whose members share one scale has std 0.
+    data = _bank_bytes(tmp_path)
+    data[32:40] = struct.pack("<d", 0.0)
+    path = tmp_path / "zero_std.bin"
+    path.write_bytes(bytes(data))
+    assert prototypes.read_bank(path).prototypes[0].scale_std == 0.0
+
+
 def test_bank_out_of_order_means(tmp_path):
     data = _bank_bytes(tmp_path)
     record = 20 + 16 * 7 * 7 * 8
