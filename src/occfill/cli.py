@@ -161,8 +161,13 @@ def synthesize(config, out):
     Each split is drawn, written to `<split>.fcds` and released before the
     next is drawn, so only one split is held at a time. Every split draws
     from its own labelled streams, so the order changes no byte. The
-    manifest of per-split counts goes to `manifest.json`.
+    manifest of per-split counts goes to `manifest.json`, last. The
+    manifest and split files of an earlier run in `out` are removed first,
+    so a run that fails part way leaves no manifest and no stale split
+    beside the splits it wrote.
     """
+    for name in ("manifest.json", "train.fcds", "eval.fcds"):
+        (out / name).unlink(missing_ok=True)
     world = gen_world(config.world, config.seed)
     root = Rng(config.seed)
     data = config.data

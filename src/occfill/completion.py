@@ -420,6 +420,10 @@ def progressive_train(visible_pool, real_occluded_pool, bank, stage_configs, rng
 
     When fewer than MIN_MASK_LIBRARY observed masks exist, the library is
     topped up with synthetic mask patterns drawn from ``world``.
+
+    ``visible_pool.features`` must be one (N, C, X, Y) array. Only
+    ``real_occluded_pool.features`` may be a sequence of (C, X, Y) maps, as
+    `train_model` passes the dataset's own views, since it is only iterated.
     """
     configs = [c.validate() for c in stage_configs]
     if len(configs) != 2:
@@ -512,12 +516,15 @@ def train_scoring_head(maps, positives, rng, config):
 
     ``maps`` is one writeable, C-contiguous float64 batch (n, c, x, y): the
     first ``positives`` maps are the positives, the rest the negatives.
-    The fit normalizes its (d, n) view ``maps.reshape(n, -1).T`` in place,
-    so it holds no copy of the maps; on return they hold that normalized
-    matrix. That view is the F-order matrix the fit's first form built by
-    concatenating the two pools' views, so the bits are that form's. Two
-    single columns concatenate to C order instead; a batch of two maps is
-    copied to that layout, for the same reason, and left as it was.
+    For n > 2 the fit normalizes its (d, n) view ``maps.reshape(n, -1).T``
+    in place, so it holds no copy of the maps, and on return they hold that
+    normalized matrix. That view is the F-order matrix the fit's first form
+    built by concatenating the two pools' (d, k) views, also when one pool
+    holds a single map, so the bits are that form's.
+
+    For n == 2 the maps are not normalized in place: two single columns
+    concatenate to C order instead, so the fit normalizes a C-order copy,
+    for the same bits, and leaves ``maps`` as they were.
     """
     config.validate("head")
     if not (isinstance(maps, np.ndarray) and maps.dtype == np.float64

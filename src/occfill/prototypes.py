@@ -74,7 +74,9 @@ class PrototypeBank:
 
 @dataclass(frozen=True)
 class FeaturePool:
-    features: np.ndarray        # (N, C, X, Y), or a sequence of N (C, X, Y) maps
+    # (N, C, X, Y), or a sequence of N (C, X, Y) maps where a reader only
+    # iterates it (see `progressive_train`).
+    features: np.ndarray
     scales: np.ndarray          # (N,)
 
     @property

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occfill import cli
 from occfill.cli import (
     CONFIG_KEYS,
     DataConfig,
@@ -717,6 +718,31 @@ def synthesized(config, out):
     """The train and eval sets that `synthesize` writes into `out`."""
     synthesize(config, out)
     return read_dataset(out / "train.fcds"), read_dataset(out / "eval.fcds")
+
+
+def test_failed_synthesis_leaves_no_stale_split_or_manifest(tmp_path,
+                                                             monkeypatch):
+    # An earlier run's files, then a run that fails writing the eval split:
+    # the train split is the new one, and neither the old eval split nor
+    # the old manifest is left beside it.
+    data = DataConfig(train_visible=4, train_occluded=4, train_background=4,
+                      eval_pedestrians=4, eval_background=4)
+    config = RunConfig(seed=5, data=data).validate()
+    synthesize(config, tmp_path)
+    old_train = (tmp_path / "train.fcds").read_bytes()
+    write = cli.write_dataset
+
+    def fail_on_eval(proposals, path, dims):
+        if path.name == "eval.fcds":
+            raise PreconditionError("eval split refused")
+        return write(proposals, path, dims=dims)
+
+    monkeypatch.setattr(cli, "write_dataset", fail_on_eval)
+    rerun = dataclasses.replace(config, seed=6).validate()
+    with pytest.raises(PreconditionError, match="eval split refused"):
+        synthesize(rerun, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.fcds"]
+    assert (tmp_path / "train.fcds").read_bytes() != old_train
 
 
 class TestMemory:

@@ -1077,7 +1077,7 @@ class TestScoringHead:
         with pytest.raises(ShapeMismatchError):
             head.probability(np.zeros((1, 2, 3, 4)))
 
-    @pytest.mark.parametrize("n_pos, n_neg", [(1, 1), (64, 64), (97, 150)])
+    @pytest.mark.parametrize("n_pos, n_neg", [(1, 1), (1, 5), (5, 1), (64, 64), (97, 150)])
     def test_fit_equals_the_concatenating_reference(self, n_pos, n_neg):
         # 2, 128 and 247 columns against the 64-column rms block, with an
         # all-zero map among them for the rms = 0 branch
@@ -1115,6 +1115,14 @@ class TestScoringHead:
         want = reference_normalize(maps.reshape(130, -1).T)
         train_scoring_head(maps, 50, rng.split("t"), TrainConfig(3, 0.5))
         assert maps.reshape(130, -1).T.tobytes() == want.tobytes()
+
+    def test_fit_leaves_a_batch_of_two_as_it_was(self):
+        # Two single columns concatenate to C order, so a batch of two is
+        # normalized in a C-order copy, not in place.
+        maps = Rng(36).gen.normal(size=(2, 2, 3, 3)) + 1.0
+        before = maps.copy()
+        train_scoring_head(maps, 1, Rng(37), TrainConfig(3, 0.5))
+        assert maps.tobytes() == before.tobytes()
 
     def test_fit_holds_one_feature_matrix(self):
         # The fit's feature matrix is its maps, normalized in place, and

@@ -785,9 +785,10 @@ class TestProbeSpan:
         train_a, train_b = self.train_folds(a, b, 99)
         n, d = train_a.shape[0] + train_b.shape[0], a[0].size
         assert n < d
-        rows = np.concatenate([train_a, train_b]).reshape(n, d)
         tracemalloc.start()
         try:
+            # The n x d rows are built inside the trace, so they count.
+            rows = np.concatenate([train_a, train_b]).reshape(n, d)
             eval_module._train_probe(rows, train_a.shape[0], Rng(99), 20, 2e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
