@@ -24,7 +24,7 @@ from .completion import (TrainConfig, copy_paste, progressive_train, read_model,
 from .errors import OccfillError, PreconditionError
 from .eval import (SUBSETS, EvalConfig, PROBE_MIN_SAMPLES, compactness_ratio,
                    in_subset, log_avg_miss_rate, mask_iou, probe_accuracy)
-from .ndnum import Rng
+from .ndnum import RekeyedGenerator, Rng
 from .occlusion import Analysis, OcclusionConfig, analyze, channel_correlation
 # Only analyze calls correlation_map. The name stays bound here because
 # bench/test_tracer.py counts its calls by patching it in this module.
@@ -165,29 +165,34 @@ def synthesize(config, out):
     manifest and split files of an earlier run in `out` are removed first,
     so a run that fails part way leaves no manifest and no stale split
     beside the splits it wrote.
+
+    Proposal i of a group draws everything it needs, in order, from the
+    group's stream `p{i}`: one Philox generator is re-keyed to each such
+    stream in turn (`ndnum.RekeyedGenerator`).
     """
     for name in ("manifest.json", "train.fcds", "eval.fcds"):
         (out / name).unlink(missing_ok=True)
     world = gen_world(config.world, config.seed)
     root = Rng(config.seed)
     data = config.data
+    streams = RekeyedGenerator()
 
     def pedestrians(rng, n, start_id, occlude):
         drawn = []
         for i in range(n):
-            pr = rng.split(f"p{i}")
-            base = gen_pedestrian(world, sample_scale(pr), pr,
-                                  pid=start_id + i)
+            gen = streams.start(rng.split(f"p{i}"))
+            base = gen_pedestrian(world, sample_scale(gen), gen, pid=start_id + i)
             if occlude == "always" or (occlude == "half" and i % 2 == 1):
-                pattern = MASK_PATTERNS[int(pr.gen.integers(0, len(MASK_PATTERNS)))]
-                mask = sample_mask(world, pattern, pr)
-                kind = "object" if pr.gen.random() < 0.5 else "pedestrian"
-                base = gen_occluded(world, base, mask, kind, pr)
+                pattern = MASK_PATTERNS[int(gen.integers(0, len(MASK_PATTERNS)))]
+                mask = sample_mask(world, pattern, gen)
+                kind = "object" if gen.random() < 0.5 else "pedestrian"
+                base = gen_occluded(world, base, mask, kind, gen)
             drawn.append(base)
         return drawn
 
     def backgrounds(rng, n, start_id):
-        return [gen_background(world, rng.split(f"p{i}"), pid=start_id + i)
+        return [gen_background(world, streams.start(rng.split(f"p{i}")),
+                               pid=start_id + i)
                 for i in range(n)]
 
     def draw_train():
@@ -220,8 +225,12 @@ def synthesize(config, out):
     manifest = {"seed": config.seed, "dims": list(world.dims),
                 "proposals_per_image": data.proposals_per_image}
     for split, draw in (("train", draw_train), ("eval", draw_eval)):
+        start = time.perf_counter()
         proposals = draw()
+        drawn = time.perf_counter()
         write_dataset(proposals, out / f"{split}.fcds", dims=world.dims)
+        LOG.info("%s split: %d proposals drawn in %.2f s, written in %.2f s",
+                 split, len(proposals), drawn - start, time.perf_counter() - drawn)
         manifest[split] = counts(proposals)
         del proposals
     (out / "manifest.json").write_text(
@@ -290,16 +299,21 @@ def train_model(proposals, bank, config):
     occluded = [p for p in proposals
                 if p.label == PEDESTRIAN and p.visibility < FULLY_VISIBLE]
     backgrounds = [p for p in proposals if p.label != PEDESTRIAN]
+    start = time.perf_counter()
     maps = np.empty((len(occluded) + len(backgrounds),)
                     + proposals[0].features.shape)
     positives = _complete_into(maps, 0, occluded, bank, gen, config.occ)
     total = _complete_into(maps, positives, backgrounds, bank, gen, config.occ)
     if positives == 0 or positives == total:
         raise PreconditionError("no completed samples to fit the scoring head on")
+    passed = time.perf_counter()
     head = train_scoring_head(maps[:total], positives, rng.split("head"),
                               config.head)
     LOG.info("scoring head fit on %d positives / %d negatives",
              positives, total - positives)
+    LOG.info("head pass: %d of %d candidates completed in %.2f s; "
+             "head fit in %.2f s", total, len(maps), passed - start,
+             time.perf_counter() - passed)
     return gen, disc, head, history
 
 
@@ -326,6 +340,7 @@ def evaluate(proposals, bank, gen, head, config):
     dims = proposals[0].features.shape if proposals else ()
     comp_occ = np.empty((n_occluded,) + dims)
     raw_occ, vis_feats, ious = [], [], []
+    clock = time.perf_counter()
     for i, p in enumerate(proposals):
         report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
         completed[i] = rescore(p, report.completed, head, report.occluded)
@@ -347,15 +362,23 @@ def evaluate(proposals, bank, gen, head, config):
                    "mean_mask_iou": float(np.mean(ious)) if ious else float("nan"),
                    "compactness_ratio": float("nan"),
                    "probe_accuracy": float("nan")}
+    # Wall seconds per phase, for the log only.
+    seconds = {"completion": time.perf_counter() - clock, "compactness": 0.0,
+               "probe": 0.0}
     if raw_occ and vis_feats:
+        clock = time.perf_counter()
         vis_feats = np.stack(vis_feats)
         diagnostics["compactness_ratio"] = compactness_ratio(
             np.stack(raw_occ), comp_occ, vis_feats)
+        seconds["compactness"] = time.perf_counter() - clock
         if min(len(comp_occ), len(vis_feats)) >= PROBE_MIN_SAMPLES:
+            clock = time.perf_counter()
             diagnostics["probe_accuracy"] = probe_accuracy(
                 comp_occ, vis_feats, seed=config.seed)
+            seconds["probe"] = time.perf_counter() - clock
     # The miss rates need only the per-proposal vectors.
     del comp_occ, vis_feats
+    clock = time.perf_counter()
 
     rows = []
     for subset in SUBSETS:
@@ -369,6 +392,9 @@ def evaluate(proposals, bank, gen, head, config):
         rows.append({"subset": subset, "mr_baseline": mr_base,
                      "mr_completed": mr_comp, "delta_mr": mr_base - mr_comp,
                      "gt_count": members})
+    LOG.info("eval phases: completion %.2f s, compactness %.2f s, probe %.2f s, "
+             "miss rates %.2f s", seconds["completion"], seconds["compactness"],
+             seconds["probe"], time.perf_counter() - clock)
     return rows, diagnostics
 
 

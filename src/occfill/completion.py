@@ -25,6 +25,7 @@ by the trained generator.
 
 import logging
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -433,13 +434,14 @@ def progressive_train(visible_pool, real_occluded_pool, bank, stage_configs, rng
     top_rng = rng.split("mask-top-up")
     for i in range(MIN_MASK_LIBRARY - len(lib)):
         pattern = MASK_PATTERNS[i % len(MASK_PATTERNS)]
-        lib.append(sample_mask(world, pattern, top_rng.split(f"m{i}")))
+        lib.append(sample_mask(world, pattern, top_rng.split(f"m{i}").gen))
 
     channels = visible_pool.features.shape[1]
     gen = Generator.init(channels, rng.split("generator"))
     disc = Discriminator.init(int(np.prod(visible_pool.features.shape[1:])),
                               rng.split("discriminator"))
 
+    start = time.perf_counter()
     pick = rng.split("stage1-masks")
     synthetic = np.empty_like(visible_pool.features)
     for i, (feats, scale) in enumerate(zip(visible_pool.features, visible_pool.scales)):
@@ -451,13 +453,18 @@ def progressive_train(visible_pool, real_occluded_pool, bank, stage_configs, rng
         stage1, gen, disc, configs[0], rng.split("stage1"), paired=True)
     # Stage two holds its own pasted pool; the synthetic one goes first.
     del synthetic, stage1
+    LOG.info("stage 1: %d iterations in %.2f s", configs[0].iterations,
+             time.perf_counter() - start)
 
+    start = time.perf_counter()
     stage2 = FeaturePools(occluded=_paste_pool(real_occluded_pool, bank),
                           visible=visible_pool.features)
     gen, disc, tail = train_adversarial(
         stage2, gen, disc, configs[1], rng.split("stage2"),
         start_iteration=configs[0].iterations)
     history.extend(tail)
+    LOG.info("stage 2: %d iterations in %.2f s", configs[1].iterations,
+             time.perf_counter() - start)
     return gen, disc, history
 
 
@@ -503,11 +510,18 @@ def _unit_rms_columns(flat):
     The rms is taken over HEAD_RMS_BLOCK columns at a time, so no full
     `flat ** 2` is made. A column's sum runs down axis 0 just as it would
     over the whole matrix, whichever its memory order, so the blocks do not
-    change one bit of the result.
+    change one bit of the result. A column whose squared sum overflows
+    float64 raises PreconditionError: its rms would be inf, and every
+    value of it would scale to 0.
     """
     for start in range(0, flat.shape[1], HEAD_RMS_BLOCK):
         cols = flat[:, start:start + HEAD_RMS_BLOCK]
-        rms = np.sqrt(np.mean(cols ** 2, axis=0, keepdims=True))
+        with np.errstate(over="ignore"):
+            rms = np.sqrt(np.mean(cols ** 2, axis=0, keepdims=True))
+        if not np.isfinite(rms).all():
+            raise PreconditionError(
+                "scoring head: the squared sum of a feature map overflows "
+                "float64; its features are too large to score")
         np.divide(cols, rms, out=cols, where=rms > 0)
 
 

@@ -15,6 +15,7 @@ localization.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,19 +132,26 @@ def compactness_ratio(raw_occluded, completed_occluded, visible):
         raise ShapeMismatchError("feature dims", completed.shape[1:], vis.shape[1:])
     if raw.shape[0] != completed.shape[0]:
         raise PreconditionError("raw and completed sets must pair up")
-    centroid = vis.mean(axis=0)
+    with np.errstate(over="ignore"):
+        centroid = vis.mean(axis=0)
     buf = np.empty((COMPACTNESS_BLOCK,) + centroid.shape)
 
     def scatter(feats):
         # Each sample's sum is its own, so summing COMPACTNESS_BLOCK samples
         # at a time gives the same bits as one full `feats - centroid`.
         sums = np.empty(feats.shape[0])
-        for start in range(0, feats.shape[0], COMPACTNESS_BLOCK):
-            rows = feats[start:start + COMPACTNESS_BLOCK]
-            diff = np.subtract(rows, centroid, out=buf[:rows.shape[0]])
-            np.square(diff, out=diff)
-            sums[start:start + rows.shape[0]] = np.sum(diff, axis=(1, 2, 3))
-        return float(np.mean(sums))
+        with np.errstate(over="ignore"):
+            for start in range(0, feats.shape[0], COMPACTNESS_BLOCK):
+                rows = feats[start:start + COMPACTNESS_BLOCK]
+                diff = np.subtract(rows, centroid, out=buf[:rows.shape[0]])
+                np.square(diff, out=diff)
+                sums[start:start + rows.shape[0]] = np.sum(diff, axis=(1, 2, 3))
+            mean = float(np.mean(sums))
+        if not math.isfinite(mean):
+            raise PreconditionError(
+                "compactness ratio: squared distances to the visible centroid "
+                "overflow float64; the features are too large to compare")
+        return mean
 
     denom = scatter(raw)
     if denom == 0.0:

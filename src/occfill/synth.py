@@ -19,14 +19,17 @@ part-like content, aligned only by accident at a handful of cells.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import FormatError, PreconditionError, ShapeMismatchError
-from .ndnum import Rng, check_finite, sigmoid
+from .ndnum import Rng, check_finite
 
 PEDESTRIAN = "pedestrian"
 BACKGROUND = "background"
@@ -51,6 +54,8 @@ MAX_SCALE_DRAWS = 100_000
 MAX_BG_DRAWS = 100
 # Swap attempts of one background draw before it counts as stalled.
 BG_SWAPS = 10_000
+# Swap attempts drawn at once; a 7x7 background makes about 17.
+SWAP_BATCH = 32
 
 PART_NAMES = ("head", "torso", "left_arm", "right_arm", "left_leg", "right_leg")
 
@@ -157,6 +162,23 @@ class World:
         c = self.config
         return (c.channels, c.grid_x, c.grid_y)
 
+    @functools.cached_property
+    def field(self):
+        """(C, X, Y) read-only: every cell's part template, the noise-free
+        pedestrian at SCALE_NORM."""
+        return _freeze(np.moveaxis(self.templates[self.part_grid], -1, 0))
+
+    @functools.cached_property
+    def cell_parts(self):
+        """Part id of every cell of the flattened grid, as a tuple of ints."""
+        return tuple(self.part_grid.reshape(-1).tolist())
+
+    @functools.cached_property
+    def part_cells(self):
+        """Per part id, the flat indices of its cells in ascending order."""
+        return tuple(tuple(k for k, p in enumerate(self.cell_parts) if p == part)
+                     for part in range(len(PART_NAMES)))
+
 
 @dataclass
 class OcclusionMask:
@@ -176,7 +198,7 @@ class OcclusionMask:
 
     @property
     def count(self):
-        return int(self.grid.sum())
+        return int(np.count_nonzero(self.grid))
 
     def fraction(self):
         return self.count / self.grid.size
@@ -260,7 +282,32 @@ def gen_world(config, seed):
     return World(config, part_grid, templates, spare)
 
 
-def sample_scale(rng):
+@functools.lru_cache(maxsize=None)
+def _scale_mixture(means, stds, weights):
+    """(cdf, components) of a SCALE_* mixture, worked out once.
+
+    ``cdf`` is the running sum of the weights over its last value, the
+    table `Generator.choice(p=weights)` searches. Each component is
+    (floor, location, spread, ceiling): the first draws location +
+    spread * z, and floor is None; a later one draws floor + exp(location
+    + spread * z), the shifted lognormal of `sample_scale`.
+    """
+    means, stds = np.array(means), np.array(stds)
+    cdf = np.array(weights, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    components = [(None, float(means[0]), float(stds[0]),
+                   float(means[0] + SCALE_CEILING_STDS * stds[0]))]
+    for comp in range(1, len(means)):
+        floor = 0.5 * (means[comp - 1] + means[comp]) + 0.01 * means[comp]
+        body = means[comp] - floor
+        var_log = np.log1p((stds[comp] / body) ** 2)
+        mu_log = np.log(body) - 0.5 * var_log
+        components.append((float(floor), float(mu_log), float(np.sqrt(var_log)),
+                           float(means[comp] + SCALE_CEILING_STDS * stds[comp])))
+    return tuple(cdf.tolist()), tuple(components)
+
+
+def sample_scale(gen):
     """Draw a pedestrian height in pixels from the SCALE_* mixture.
 
     The first component is normal; later components are right-skewed
@@ -269,63 +316,91 @@ def sample_scale(rng):
     above a component's mean are rejected, so neighbouring crowds never
     overlap and no single giant dominates a squared-distance clustering.
     After MAX_SCALE_DRAWS rejections in a row the draw fails.
+
+    Each attempt draws one uniform, which picks the component as
+    ``gen.choice(len(weights), p=weights)`` would from the same draw, then
+    one standard normal.
     """
-    means = np.array(SCALE_MEANS)
-    stds = np.array(SCALE_STDS)
-    weights = np.array(SCALE_WEIGHTS)
+    cdf, components = _scale_mixture(SCALE_MEANS, SCALE_STDS, SCALE_WEIGHTS)
     for _ in range(MAX_SCALE_DRAWS):
-        comp = int(rng.gen.choice(len(means), p=weights))
-        if comp == 0:
-            s = means[0] + stds[0] * rng.gen.normal()
+        floor, loc, spread, ceiling = components[bisect_right(cdf, gen.random())]
+        if floor is None:
+            s = loc + spread * gen.normal()
         else:
-            floor = 0.5 * (means[comp - 1] + means[comp]) + 0.01 * means[comp]
-            body = means[comp] - floor
-            var_log = np.log1p((stds[comp] / body) ** 2)
-            mu_log = np.log(body) - 0.5 * var_log
-            s = floor + np.exp(mu_log + np.sqrt(var_log) * rng.gen.normal())
-        if MIN_SCALE <= s <= means[comp] + SCALE_CEILING_STDS * stds[comp]:
+            s = floor + float(np.exp(loc + spread * gen.normal()))
+        if MIN_SCALE <= s <= ceiling:
             return float(s)
     raise PreconditionError(f"no pedestrian height accepted in {MAX_SCALE_DRAWS} draws")
 
 
-def _identity_field(world, rng):
-    """Template content plus identity noise for every cell, noise unscaled."""
-    c, x, y = world.dims
-    field = world.templates[world.part_grid]          # (X, Y, C)
-    field = np.moveaxis(field, -1, 0).astype(np.float64)  # (C, X, Y)
+def _identity_field(world, gen):
+    """Template content plus identity noise for every cell, noise unscaled.
+
+    Without noise it is the world's read-only `World.field`; with noise a
+    new (C, X, Y) array. `standard_normal` draws the values
+    `normal(0, 1)` would, without its loc + scale * z.
+    """
+    field = world.field
     sigma = world.config.sigma_id
     if sigma > 0:
-        field = field + rng.gen.normal(size=(c, x, y)) * sigma
+        c, x, y = world.dims
+        field = gen.standard_normal((c, x, y))
+        field *= sigma
+        field += world.field
         # At least one attenuated cell per sample; the rest Binomial.
         n = x * y
-        extra = int(np.sum(rng.gen.random(n - 1) < CELL_DROPOUT))
-        cells = rng.gen.choice(n, size=1 + extra, replace=False)
-        w = np.ones(n)
-        w[cells] = DROPOUT_SCALE
-        field = field * w.reshape(x, y)[None, :, :]
+        extra = int(np.count_nonzero(gen.random(n - 1) < CELL_DROPOUT))
+        flat = field.reshape(c, n)
+        for cell in _distinct(gen, n, 1 + extra):
+            flat[:, cell] *= DROPOUT_SCALE
     return field
 
 
-def detector_score(label, visibility, rng):
-    """Baseline detector confidence before any completion runs."""
+def _distinct(gen, n, k):
+    """The set of k distinct integers below n that
+    ``gen.choice(n, size=k, replace=False)`` picks, from the same draws.
+
+    numpy picks them by Floyd's algorithm, one `integers(0, j + 1)` for
+    each j from n - k to n - 1, and then shuffles them with one
+    `integers(0, i + 1)` for each i from k - 1 down to 1. The order is not
+    needed here, so those draws are only made. Above 10,000, numpy may
+    shuffle a tail of the whole range instead, so `choice` itself picks.
+    """
+    if n > 10_000:
+        return set(gen.choice(n, size=k, replace=False).tolist())
+    chosen = set()
+    for j in range(n - k, n):
+        pick = int(gen.integers(0, j + 1))
+        chosen.add(j if pick in chosen else pick)
+    for i in range(k - 1, 0, -1):
+        gen.integers(0, i + 1)
+    return chosen
+
+
+def detector_score(label, visibility, gen):
+    """Baseline detector confidence before any completion runs.
+
+    The logistic is `ndnum.sigmoid`'s stable form on one float: with
+    e = exp(-|z|), 1 / (1 + e) for z >= 0 and e / (1 + e) below.
+    """
     if label == PEDESTRIAN:
-        logit = SCORE_VIS_GAIN * visibility + SCORE_VIS_BIAS + SCORE_PED_NOISE * rng.gen.normal()
+        logit = SCORE_VIS_GAIN * visibility + SCORE_VIS_BIAS + SCORE_PED_NOISE * gen.normal()
     else:
-        logit = SCORE_BG_BIAS + SCORE_BG_NOISE * rng.gen.normal()
-    return float(sigmoid(np.array(logit)))
+        logit = SCORE_BG_BIAS + SCORE_BG_NOISE * gen.normal()
+    e = float(np.exp(-abs(logit)))
+    return 1.0 / (1.0 + e) if logit >= 0 else e / (1.0 + e)
 
 
-def gen_pedestrian(world, scale, rng, pid=0):
+def gen_pedestrian(world, scale, gen, pid=0):
     """Fully visible pedestrian at the given pixel height."""
     if scale <= 0:
         raise PreconditionError(f"scale must be positive, got {scale}")
-    s = scale / SCALE_NORM
-    feats = s * _identity_field(world, rng)
-    score = detector_score(PEDESTRIAN, 1.0, rng)
+    feats = (scale / SCALE_NORM) * _identity_field(world, gen)
+    score = detector_score(PEDESTRIAN, 1.0, gen)
     return Proposal(pid, PEDESTRIAN, float(scale), _freeze(feats), score).validate()
 
 
-def sample_mask(world, pattern, rng):
+def sample_mask(world, pattern, gen):
     """Draw an occlusion mask of the requested pattern.
 
     All patterns are rejection-sampled until the masked fraction lies within
@@ -335,51 +410,58 @@ def sample_mask(world, pattern, rng):
         raise PreconditionError(f"unknown mask pattern {pattern!r}")
     gx, gy = world.config.grid_x, world.config.grid_y
     for _ in range(1000):
+        # `count` is the number of cells the pattern covers.
         grid = np.zeros((gx, gy), dtype=bool)
         shift = None
         if pattern == "left-half":
-            cols = gx // 2 + int(rng.gen.integers(0, 2)) if gx % 2 else gx // 2
+            cols = gx // 2 + int(gen.integers(0, 2)) if gx % 2 else gx // 2
             grid[:cols, :] = True
+            count = cols * gy
         elif pattern == "right-half":
-            cols = gx // 2 + int(rng.gen.integers(0, 2)) if gx % 2 else gx // 2
+            cols = gx // 2 + int(gen.integers(0, 2)) if gx % 2 else gx // 2
             grid[gx - cols:, :] = True
+            count = cols * gy
         elif pattern == "bottom":
             lo = max(1, int(np.ceil(MASK_MIN_FRACTION * gy)))
             hi = max(lo, int(np.floor(MASK_MAX_FRACTION * gy)))
-            rows = int(rng.gen.integers(lo, hi + 1))
+            rows = int(gen.integers(lo, hi + 1))
             grid[:, gy - rows:] = True
+            count = gx * rows
         elif pattern == "rect":
-            x0 = int(rng.gen.integers(0, gx))
-            y0 = int(rng.gen.integers(0, gy))
-            w = int(rng.gen.integers(1, gx - x0 + 1))
-            h = int(rng.gen.integers(1, gy - y0 + 1))
+            x0 = int(gen.integers(0, gx))
+            y0 = int(gen.integers(0, gy))
+            w = int(gen.integers(1, gx - x0 + 1))
+            h = int(gen.integers(1, gy - y0 + 1))
             grid[x0:x0 + w, y0:y0 + h] = True
+            count = w * h
         else:  # person-shape: another body's part regions, shifted onto the grid
-            n_parts = int(rng.gen.integers(2, 5))
-            parts = rng.gen.choice(len(PART_NAMES), size=n_parts, replace=False)
-            dx = int(rng.gen.integers(-(gx // 2), gx // 2 + 1))
-            dy = int(rng.gen.integers(-(gy // 2), gy // 2 + 1))
+            n_parts = int(gen.integers(2, 5))
+            parts = _distinct(gen, len(PART_NAMES), n_parts)
+            dx = int(gen.integers(-(gx // 2), gx // 2 + 1))
+            dy = int(gen.integers(-(gy // 2), gy // 2 + 1))
             shift = (dx, dy)
-            member = np.isin(world.part_grid, parts)
-            xs, ys = np.nonzero(member)
-            xs, ys = xs + dx, ys + dy
-            keep = (xs >= 0) & (xs < gx) & (ys >= 0) & (ys < gy)
-            grid[xs[keep], ys[keep]] = True
-        frac = grid.sum() / grid.size
-        if MASK_MIN_FRACTION <= frac <= MASK_MAX_FRACTION:
+            cells = []
+            for part in parts:
+                for k in world.part_cells[part]:
+                    x, y = k // gy + dx, k % gy + dy
+                    if 0 <= x < gx and 0 <= y < gy:
+                        cells.append(x * gy + y)
+            grid.reshape(-1)[cells] = True
+            count = len(cells)
+        if MASK_MIN_FRACTION <= count / grid.size <= MASK_MAX_FRACTION:
             return OcclusionMask(grid, shift)
     raise PreconditionError(f"could not draw a {pattern} mask within "
                             f"[{MASK_MIN_FRACTION}, {MASK_MAX_FRACTION}]")
 
 
-def draw_occluder_template(world, rng):
+def draw_occluder_template(world, gen):
     """A template distinct from (and orthogonal to) every part template."""
-    idx = int(rng.gen.integers(0, world.spare_templates.shape[0]))
-    sign = -1.0 if rng.gen.random() < 0.5 else 1.0
+    idx = int(gen.integers(0, world.spare_templates.shape[0]))
+    sign = -1.0 if gen.random() < 0.5 else 1.0
     return sign * world.spare_templates[idx]
 
 
-def gen_occluded(world, base, mask, occluder, rng):
+def gen_occluded(world, base, mask, occluder, gen):
     """Occlude a fully visible pedestrian under `mask`.
 
     occluder "object" stamps one distinct template over the masked cells;
@@ -398,84 +480,131 @@ def gen_occluded(world, base, mask, occluder, rng):
 
     feats = np.array(base.features, dtype=np.float64)
     m = mask.grid
-    if m.any():
+    covered = int(np.count_nonzero(m))
+    if covered:
         if occluder == "object":
-            template = draw_occluder_template(world, rng)
-            s = base.scale / SCALE_NORM
-            block = np.repeat(template[:, None], m.sum(), axis=1)
+            template = draw_occluder_template(world, gen)[:, None]
             if world.config.sigma_id > 0:
-                block = block + rng.gen.normal(size=block.shape) * world.config.sigma_id
-                drop = rng.gen.random(m.sum()) < CELL_DROPOUT
-                block = block * np.where(drop, DROPOUT_SCALE, 1.0)[None, :]
-            feats[:, m] = s * block
+                block = gen.standard_normal((c, covered))
+                block *= world.config.sigma_id
+                block += template
+                drop = gen.random(covered) < CELL_DROPOUT
+                block[:, drop] *= DROPOUT_SCALE
+            else:
+                block = np.repeat(template, covered, axis=1)
+            block *= base.scale / SCALE_NORM
+            feats[:, m] = block
         else:
-            other_scale = base.scale * float(rng.gen.uniform(0.8, 1.25))
-            other = gen_pedestrian(world, other_scale, rng)
+            other_scale = base.scale * float(gen.uniform(0.8, 1.25))
+            other = gen_pedestrian(world, other_scale, gen)
             if mask.shift is not None:
                 dx, dy = mask.shift
             else:
-                dx = int(rng.gen.integers(-(gx // 2), gx // 2 + 1))
-                dy = int(rng.gen.integers(-(gy // 2), gy // 2 + 1))
+                dx = int(gen.integers(-(gx // 2), gx // 2 + 1))
+                dy = int(gen.integers(-(gy // 2), gy // 2 + 1))
             xs, ys = np.nonzero(m)
             feats[:, xs, ys] = other.features[:, (xs - dx) % gx, (ys - dy) % gy]
 
     visibility = 1.0 - mask.fraction()
-    score = detector_score(PEDESTRIAN, visibility, rng)
+    score = detector_score(PEDESTRIAN, visibility, gen)
     return Proposal(base.id, PEDESTRIAN, base.scale, _freeze(feats), score,
                     visibility=visibility, true_mask=mask).validate()
 
 
-def _bg_cell_permutation(world, rng, n_aligned):
+def _bg_cell_permutation(world, gen, n_aligned):
     """Random cell permutation with exactly n_aligned within-part fixtures.
 
-    Returns src such that cell i shows the template of cell src[i]; exactly
-    n_aligned cells draw their source from their own part, every other cell
-    from a different part. A draw whose swap search stalls is thrown away
-    and redrawn from the same stream, at most MAX_BG_DRAWS times in all.
+    Returns src, a list such that cell i shows the template of cell
+    src[i]; exactly n_aligned cells draw their source from their own part,
+    every other cell from a different part. A draw whose swap search stalls
+    is thrown away and redrawn from the same stream, at most MAX_BG_DRAWS
+    times in all.
     """
-    parts = world.part_grid.reshape(-1)
     for _ in range(MAX_BG_DRAWS):
-        src = _bg_cell_draw(parts, rng, n_aligned)
+        src = _bg_cell_draw(world, gen, n_aligned)
         if src is not None:
             return src
     raise PreconditionError(
         f"could not derange background cells in {MAX_BG_DRAWS} draws")
 
 
-def _bg_cell_draw(parts, rng, n_aligned):
-    """One attempt of `_bg_cell_permutation`; None when its swap search stalls."""
-    n = parts.size
-    order = rng.gen.permutation(n)
+def _bg_cell_draw(world, gen, n_aligned):
+    """One attempt of `_bg_cell_permutation`; None when its swap search stalls.
+
+    It runs on Python lists of the cells. The draws are one permutation of
+    the cells, one pick among its own part's free cells for each aligned
+    cell, a permutation of the free cells onto the rest, and one index
+    into the rest per swap attempt.
+    """
+    parts = world.cell_parts
+    n = len(parts)
+    order = gen.permutation(n).tolist()
     aligned, rest = order[:n_aligned], order[n_aligned:]
-    src = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
+    src = [-1] * n
+    used = [False] * n
+    # free[p] counts the cells of part p among the rest, which is also the
+    # count among the free sources: each aligned cell takes one of its own.
+    free = [len(cells) for cells in world.part_cells]
     for a in aligned:
-        cand = np.flatnonzero((parts == parts[a]) & ~used)
-        pick = cand[int(rng.gen.integers(0, len(cand)))]
+        cand = [k for k in world.part_cells[parts[a]] if not used[k]]
+        pick = cand[int(gen.integers(0, len(cand)))]
         src[a] = pick
         used[pick] = True
-    pool = np.flatnonzero(~used)
-    src[rest] = pool[rng.gen.permutation(pool.size)]
-    # Swap away accidental within-part matches among the rest.
+        free[parts[a]] -= 1
+    pool = [k for k in range(n) if not used[k]]
+    for cell, k in zip(rest, gen.permutation(len(pool)).tolist()):
+        src[cell] = pool[k]
+    # Swap away accidental within-part matches among the rest, always the
+    # first one in the order of `rest`. `bad` flags the matches and
+    # `matched` counts them per part.
+    bad = [parts[src[cell]] == parts[cell] for cell in rest]
+    matched = [0] * len(free)
+    for cell in compress(rest, bad):
+        matched[parts[cell]] += 1
+    left = sum(bad)
+    # Each swap attempt draws integers(0, len(rest)). They are drawn
+    # SWAP_BATCH at a time, as `integers(0, m, size=k)` gives the values of
+    # k such calls. When the search ends, the stream is put back to where
+    # it started and exactly the attempts made are drawn again, so it
+    # ends where one call per attempt would leave it.
+    start = gen.bit_generator.state
+    picks = []
+    done = None
     for t in range(BG_SWAPS):
-        bad = rest[parts[src[rest]] == parts[rest]]
-        if bad.size == 0:
-            return src
-        i = bad[0]
-        j = rest[int(rng.gen.integers(0, rest.size))]
-        if parts[src[j]] != parts[i] and parts[src[i]] != parts[j]:
+        if left == 0:
+            done = t
+            break
+        if t == len(picks):
+            picks += gen.integers(0, len(rest), size=SWAP_BATCH).tolist()
+        ki = bad.index(True)
+        i = rest[ki]
+        kj = picks[t]
+        j = rest[kj]
+        p = parts[i]
+        if parts[src[j]] != p and p != parts[j]:
+            # Both cells now show another part: i gets j's source, of a
+            # part other than p, and j gets i's, of part p.
             src[i], src[j] = src[j], src[i]
-        elif not ((parts[src[rest]] != parts[i])
-                  & (parts[rest] != parts[src[i]])).any():
-            # No cell of the rest can ever trade with i, so src stays as it
-            # is. Make the draws the remaining swaps would, so the stream
-            # moves on exactly as if they had run, and give up now.
-            rng.gen.integers(0, rest.size, size=BG_SWAPS - 1 - t)
-            return None
-    return None
+            bad[ki] = False
+            matched[p] -= 1
+            left -= 1
+            if bad[kj]:
+                bad[kj] = False
+                matched[parts[j]] -= 1
+                left -= 1
+        elif len(rest) - 2 * free[p] + matched[p] == 0:
+            # Every cell of the rest is of part p or shows it (a swap moves
+            # sources only among the rest, so free[p] of them show it), so
+            # none can ever trade with i, and src stays as it is. Give up
+            # now, with the stream moved on as if every remaining attempt
+            # had run.
+            break
+    gen.bit_generator.state = start
+    gen.integers(0, len(rest), size=BG_SWAPS if done is None else done)
+    return None if done is None else src
 
 
-def gen_background(world, rng, pid=0):
+def gen_background(world, gen, pid=0):
     """Background clutter: part templates at randomly permuted cells.
 
     Every cell carries the template of a permuted source cell; a handful
@@ -487,23 +616,25 @@ def gen_background(world, rng, pid=0):
     sigma_id = world.config.sigma_id
     c, gx, gy = world.dims
     n = gx * gy
-    n_aligned = int(rng.gen.integers(3, 5))
-    src = _bg_cell_permutation(world, rng, n_aligned)
-    parts = world.part_grid.reshape(-1)
-    src_parts = parts[src]
-    field = world.templates[src_parts].T.reshape(c, gx, gy).astype(np.float64)
+    n_aligned = int(gen.integers(3, 5))
+    src = _bg_cell_permutation(world, gen, n_aligned)
+    field = world.field.reshape(c, n)[:, src]
     if sigma_id > 0:
-        field = field + rng.gen.normal(size=(c, gx, gy)) * (3.0 * sigma_id)
-    amp = np.where(rng.gen.random(n) < BG_STRONG_FRAC,
-                   rng.gen.uniform(*BG_AMP_STRONG, size=n),
-                   rng.gen.uniform(*BG_AMP_WEAK, size=n))
-    aligned = src_parts == parts
-    amp[aligned] = rng.gen.uniform(*BG_AMP_ALIGNED, size=int(aligned.sum()))
-    field = field * amp.reshape(gx, gy)[None, :, :]
-    scale = sample_scale(rng)
-    feats = (scale / SCALE_NORM) * field
-    score = detector_score(BACKGROUND, None, rng)
-    return Proposal(pid, BACKGROUND, scale, _freeze(feats), score).validate()
+        noise = gen.standard_normal((c, n))
+        noise *= 3.0 * sigma_id
+        field += noise
+    amp = np.where(gen.random(n) < BG_STRONG_FRAC,
+                   gen.uniform(*BG_AMP_STRONG, size=n),
+                   gen.uniform(*BG_AMP_WEAK, size=n))
+    parts = world.cell_parts
+    aligned = [k for k in range(n) if parts[src[k]] == parts[k]]
+    amp[aligned] = gen.uniform(*BG_AMP_ALIGNED, size=len(aligned))
+    field *= amp
+    scale = sample_scale(gen)
+    field *= scale / SCALE_NORM
+    score = detector_score(BACKGROUND, None, gen)
+    return Proposal(pid, BACKGROUND, scale, _freeze(field.reshape(c, gx, gy)),
+                    score).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -521,29 +652,41 @@ _LABEL_CODE = {BACKGROUND: 0, PEDESTRIAN: 1}
 _LABEL_NAME = {v: k for k, v in _LABEL_CODE.items()}
 
 
+_RECORD = struct.Struct("<QBdddB")
+
+
 def write_dataset(proposals, path, dims=None):
-    """Serialize proposals; `dims` (C, X, Y) is required when the list is empty."""
-    if proposals:
+    """Serialize proposals with features of shape `dims` (C, X, Y).
+
+    Without `dims` the first proposal's shape is used, so `dims` is
+    required when the list is empty. Every proposal is validated, and its
+    features must have that shape, before the file is opened. Each record
+    writes the mask's and the features' own bytes, with no copy.
+    """
+    if dims is None:
+        if not proposals:
+            raise PreconditionError("dims (C, X, Y) are required for an empty dataset")
         dims = proposals[0].features.shape
-        for p in proposals:
-            p.validate()
-            if p.features.shape != dims:
-                raise ShapeMismatchError("dataset features", p.features, dims)
-    elif dims is None:
-        raise PreconditionError("dims (C, X, Y) are required for an empty dataset")
     c, x, y = (int(v) for v in dims)
     if min(c, x, y) < 1:
         raise PreconditionError(f"dataset dims must be positive, got {(c, x, y)}")
-    with open(path, "wb") as fh:
+    for p in proposals:
+        p.validate()
+        if p.features.shape != (c, x, y):
+            raise ShapeMismatchError("dataset features", p.features, (c, x, y))
+    # A 1 MiB buffer writes a record of a few KiB in one copy, not one
+    # system call per record.
+    with open(path, "wb", buffering=1 << 20) as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIIII", DATASET_VERSION, len(proposals), c, x, y))
         for p in proposals:
-            fh.write(struct.pack("<QBdddB", p.id, _LABEL_CODE[p.label],
-                                 p.scale, p.score, p.visibility,
-                                 0 if p.true_mask is None else 1))
-            if p.true_mask is not None:
-                fh.write(p.true_mask.grid.astype(np.uint8).tobytes())
-            fh.write(p.features.astype("<f8").tobytes())
+            mask = p.true_mask
+            fh.write(_RECORD.pack(p.id, _LABEL_CODE[p.label], p.scale, p.score,
+                                  p.visibility, 0 if mask is None else 1))
+            if mask is not None:
+                # A bool array's bytes are 0 and 1, the file's mask bytes.
+                fh.write(np.ascontiguousarray(mask.grid))
+            fh.write(np.ascontiguousarray(p.features, dtype="<f8"))
 
 
 class BinaryReader:
@@ -558,34 +701,42 @@ class BinaryReader:
         with open(path, "rb") as fh:
             self.data = fh.read()
         self.pos = 0
-        found = self.take(len(magic), "magic")
+        self.need(len(magic), "magic")
+        found = self.data[:len(magic)]
         if found != magic:
             raise FormatError(0, f"bad magic {found!r}")
+        self.pos = len(magic)
 
     def need(self, count, what):
         """Fail at the current offset unless `count` more bytes remain."""
         if self.pos + count > len(self.data):
             raise FormatError(self.pos, f"truncated {what}")
 
-    def take(self, count, what):
-        self.need(count, what)
-        chunk = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
-
     def unpack(self, fmt, what):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        """The fields of struct format `fmt`, unpacked at the cursor."""
+        size = struct.calcsize(fmt)
+        self.need(size, what)
+        values = struct.unpack_from(fmt, self.data, self.pos)
+        self.pos += size
+        return values
 
-    def floats(self, shape, what):
-        """A read-only float64 array of `shape`; every value must be finite.
+    def array(self, dtype, shape, what):
+        """A read-only array of `dtype` and `shape` at the cursor.
 
         It is a view of the file's bytes, so a parsed file is held once."""
-        start, count = self.pos, math.prod(shape)
-        self.need(8 * count, what)
-        arr = np.frombuffer(self.data, "<f8", count, start).reshape(shape)
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        self.need(dtype.itemsize * count, what)
+        arr = np.frombuffer(self.data, dtype, count, self.pos).reshape(shape)
+        self.pos += dtype.itemsize * count
+        return arr
+
+    def floats(self, shape, what):
+        """A read-only float64 view of `shape`; every value must be finite."""
+        start = self.pos
+        arr = self.array("<f8", shape, what)
         if not np.isfinite(arr).all():
             raise FormatError(start, f"non-finite value in {what}")
-        self.pos += 8 * count
         return arr
 
     def finish(self):
@@ -608,7 +759,7 @@ def read_dataset(path):
     for i in range(count):
         at = r.pos
         pid, label_code, scale, score, visibility, has_mask = r.unpack(
-            "<QBdddB", f"proposal {i} header")
+            _RECORD.format, f"proposal {i} header")
         if label_code not in _LABEL_NAME:
             raise FormatError(at + 8, f"bad label byte {label_code}")
         if not 0 < scale < math.inf:
@@ -617,11 +768,11 @@ def read_dataset(path):
             raise FormatError(at + 33, f"bad mask flag {has_mask}")
         mask = None
         if has_mask:
-            raw = np.frombuffer(r.take(x * y, f"proposal {i} mask"), dtype=np.uint8)
-            bad = np.nonzero((raw != 0) & (raw != 1))[0]
-            if bad.size:
-                raise FormatError(at + 34 + int(bad[0]), f"bad mask byte {raw[bad[0]]}")
-            mask = OcclusionMask(raw.reshape(x, y).astype(bool))
+            raw = r.array(np.uint8, (x, y), f"proposal {i} mask")
+            if raw.max() > 1:
+                bad = int(np.argmax(raw.reshape(-1) > 1))
+                raise FormatError(at + 34 + bad, f"bad mask byte {raw.reshape(-1)[bad]}")
+            mask = OcclusionMask(raw.astype(bool))
         feats = r.floats((c, x, y), f"proposal {i} features")
         try:
             proposals.append(Proposal(pid, _LABEL_NAME[label_code], scale,

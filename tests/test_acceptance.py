@@ -87,8 +87,8 @@ def flagging_bench():
     """Default world at seed 42 with a bank clustered from 800 visible samples."""
     world = gen_world(WorldConfig(), 42)
     rng = Rng(42)
-    members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}")),
-                              rng.split(f"v{i}"), pid=i) for i in range(800)]
+    members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}").gen),
+                              rng.split(f"v{i}").gen, pid=i) for i in range(800)]
     bank = kmeans(build_pool(members), ProtoConfig(k=5, restarts=5), seed=42)
     return world, bank
 
@@ -188,16 +188,16 @@ def test_criterion_03_training_gradients_match_finite_differences():
 def _localization_ious(sigma, kinds, bank_k, count=500):
     world = gen_world(WorldConfig(sigma_id=sigma), 42)
     rng = Rng(42)
-    members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}")),
-                              rng.split(f"v{i}"), pid=i) for i in range(300)]
+    members = [gen_pedestrian(world, sample_scale(rng.split(f"v{i}").gen),
+                              rng.split(f"v{i}").gen, pid=i) for i in range(300)]
     bank = kmeans(build_pool(members), ProtoConfig(k=bank_k, restarts=5), seed=42)
     ious = []
     for i in range(count):
-        pr = rng.split(f"o{i}")
+        pr = rng.split(f"o{i}").gen
         base = gen_pedestrian(world, sample_scale(pr), pr, pid=1000 + i)
-        pattern = MASK_PATTERNS[int(pr.gen.integers(0, len(MASK_PATTERNS)))]
+        pattern = MASK_PATTERNS[int(pr.integers(0, len(MASK_PATTERNS)))]
         mask = sample_mask(world, pattern, pr)
-        kind = kinds[int(pr.gen.random() < 0.5)] if len(kinds) == 2 else kinds[0]
+        kind = kinds[int(pr.random() < 0.5)] if len(kinds) == 2 else kinds[0]
         p = gen_occluded(world, base, mask, kind, pr)
         proto = nearest_prototype(bank, p.scale)
         cmap = correlation_map(p.features, proto.center)
@@ -221,18 +221,18 @@ def test_criterion_05_occlusion_classification(flagging_bench):
     occ_cfg = OcclusionConfig()
     samples = []
     for i in range(500):
-        pr = rng.split(f"e{i}")
+        pr = rng.split(f"e{i}").gen
         samples.append((gen_pedestrian(world, sample_scale(pr), pr,
                                        pid=5000 + i), False))
     drawn = 0
     while sum(occ for _, occ in samples) < 500:
-        pr = rng.split(f"o{drawn}")
+        pr = rng.split(f"o{drawn}").gen
         drawn += 1
         assert drawn < 5000, "occluded sampling failed to reach 500 samples"
         base = gen_pedestrian(world, sample_scale(pr), pr, pid=6000 + drawn)
-        pattern = MASK_PATTERNS[int(pr.gen.integers(0, len(MASK_PATTERNS)))]
+        pattern = MASK_PATTERNS[int(pr.integers(0, len(MASK_PATTERNS)))]
         mask = sample_mask(world, pattern, pr)
-        kind = "object" if pr.gen.random() < 0.5 else "pedestrian"
+        kind = "object" if pr.random() < 0.5 else "pedestrian"
         p = gen_occluded(world, base, mask, kind, pr)
         if p.visibility < 0.65:
             samples.append((p, True))

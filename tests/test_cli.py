@@ -700,6 +700,50 @@ class TestTimingLog:
             f"completed, {len(proposals) - flagged} kept their detector score")
 
 
+    PHASES = {
+        "synth-data": [r"train split: 110 proposals drawn in \d+\.\d\d s, "
+                       r"written in \d+\.\d\d s",
+                       r"eval split: 100 proposals drawn in \d+\.\d\d s, "
+                       r"written in \d+\.\d\d s"],
+        "train": [r"stage 1: 40 iterations in \d+\.\d\d s",
+                  r"stage 2: 40 iterations in \d+\.\d\d s",
+                  r"head pass: \d+ of 50 candidates completed in \d+\.\d\d s; "
+                  r"head fit in \d+\.\d\d s"],
+        "eval": [r"eval phases: completion \d+\.\d\d s, compactness \d+\.\d\d s, "
+                 r"probe \d+\.\d\d s, miss rates \d+\.\d\d s"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(PHASES))
+    def test_phase_times_go_to_the_log_only(self, small_run, tmp_path, monkeypatch,
+                                            caplog, capsys, command):
+        # At info each stage logs its phases' wall times; at error nothing.
+        # Its stdout and every file it writes are the same either way.
+        inputs = {"synth-data": [],
+                  "train": ["--data", str(small_run["train"]),
+                            "--bank", str(small_run["bank"])],
+                  "eval": ["--data", str(small_run["eval"]),
+                           "--bank", str(small_run["bank"]),
+                           "--model", str(small_run["model"])]}[command]
+        records, outputs = {}, {}
+        for level in ("error", "info"):
+            out = tmp_path / level
+            monkeypatch.setenv("OCCFILL_LOG", level)
+            caplog.clear()
+            capsys.readouterr()
+            with caplog.at_level(logging.DEBUG, logger="occfill"):
+                run_ok([command, "--config", str(small_run["cfg"]), *inputs,
+                        "--out", str(out)])
+            records[level] = [r.getMessage() for r in caplog.records
+                              if r.name.startswith("occfill")]
+            outputs[level] = (capsys.readouterr().out.replace(str(out), "OUT"),
+                              {f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs["info"] == outputs["error"]
+        assert records["error"] == []
+        for pattern in self.PHASES[command]:
+            assert sum(bool(re.fullmatch(pattern, m)) for m in records["info"]) == 1, \
+                (pattern, records["info"])
+
+
 # Bytes of one map of the default world, 16 channels on a 7 x 7 grid.
 MAP_BYTES = 16 * 7 * 7 * 8
 
@@ -851,6 +895,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: k-means: squared distances") and "overflow" in err
         assert not (tmp_path / "b/bank.fcpb").exists()
+
+    def test_overflowing_squared_sums_in_eval_fail_fast(self, tmp_path, capsys):
+        # Eval features scaled by 1e155 are finite, but their squares are
+        # not: the head's rms of every flagged map was inf, so each scored
+        # sigmoid(bias), and the compactness ratio read nan, with exit 0.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 3\ndata.train_visible = 60\n"
+                       "data.train_occluded = 40\ndata.train_background = 40\n"
+                       "data.eval_pedestrians = 120\ndata.eval_background = 60\n"
+                       "proto.k = 3\ntrain1.iterations = 5\n"
+                       "train2.iterations = 5\nhead.iterations = 5\n")
+        common = ["--config", str(cfg)]
+        run_ok(["synth-data", *common, "--out", str(tmp_path / "s")])
+        run_ok(["build-prototypes", *common, "--data", str(tmp_path / "s/train.fcds"),
+                "--out", str(tmp_path / "b")])
+        run_ok(["train", *common, "--data", str(tmp_path / "s/train.fcds"),
+                "--bank", str(tmp_path / "b/bank.fcpb"), "--out", str(tmp_path / "t")])
+        scaled = [dataclasses.replace(p, features=p.features * 1e155)
+                  for p in read_dataset(tmp_path / "s/eval.fcds")]
+        write_dataset(scaled, tmp_path / "huge.fcds")
+        capsys.readouterr()
+        code = main(["eval", *common, "--data", str(tmp_path / "huge.fcds"),
+                     "--bank", str(tmp_path / "b/bank.fcpb"),
+                     "--model", str(tmp_path / "t/model.fcgd"),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scoring head:") and "overflows" in err
+        assert not (tmp_path / "e/metrics.csv").exists()
 
     def test_two_by_two_grid_fails_fast(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

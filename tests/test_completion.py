@@ -863,11 +863,11 @@ class TestTrainAdversarial:
 def build_training_world(sigma, seed, scale=105.0, n_vis=60, n_occ=40):
     world = gen_world(WorldConfig(sigma_id=sigma), seed)
     rng = Rng(seed + 100)
-    vis = [gen_pedestrian(world, scale, rng.split(f"v{i}"), pid=i)
+    vis = [gen_pedestrian(world, scale, rng.split(f"v{i}").gen, pid=i)
            for i in range(n_vis)]
     occluded = []
     for i in range(n_occ):
-        r = rng.split(f"o{i}")
+        r = rng.split(f"o{i}").gen
         base = gen_pedestrian(world, scale, r, pid=1000 + i)
         mask = sample_mask(world, MASK_PATTERNS[i % len(MASK_PATTERNS)], r)
         occluded.append(gen_occluded(world, base, mask, "object", r))
@@ -1030,6 +1030,16 @@ class TestScoringHead:
         x = rng.split("x").gen.normal(size=(2, 3, 3))[None]
         assert head.probability(x * 37.0) == pytest.approx(
             head.probability(x), abs=1e-12)
+
+    def test_overflowing_squared_sums_are_refused(self):
+        # Finite maps whose squares overflow float64 had an rms of inf, so
+        # every value normalized to 0 and the head scored sigmoid(bias).
+        head = ScoringHead.init(18, Rng(0))
+        x = Rng(27).gen.normal(size=(3, 2, 3, 3)) * 1e155
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            head.probability(x)
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            train_scoring_head(x.copy(), 1, Rng(0), HEAD_FIT)
 
     def test_training_separates_offset_pools(self):
         rng = Rng(25)

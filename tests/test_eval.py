@@ -299,6 +299,16 @@ class TestCompactnessRatio:
         with pytest.raises(PreconditionError):
             compactness_ratio(vis[:2], vis[:2] + 1.0, vis)
 
+    @pytest.mark.parametrize("side", ["raw", "completed"])
+    def test_overflowing_squared_distances_are_refused(self, side):
+        # Finite features whose squared distances overflow float64: the
+        # ratio read nan (inf over inf) or inf.
+        rng = Rng(69)
+        sets = {k: rng.split(k).gen.normal(size=(6, 2, 3, 3)) for k in ("raw", "completed", "vis")}
+        sets[side] = sets[side] * 1e155
+        with pytest.raises(PreconditionError, match="overflow"):
+            compactness_ratio(sets["raw"], sets["completed"], sets["vis"])
+
     def test_blocks_give_the_bits_of_one_full_pass(self):
         rng = Rng(67)
         n = 2 * eval_module.COMPACTNESS_BLOCK + 5

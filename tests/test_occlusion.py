@@ -62,11 +62,11 @@ def xor_toy_check(seed=0, trials=20):
     rng = Rng(seed).split("xor-toy")
     gx, gy = world.config.grid_x, world.config.grid_y
     scale = SCALE_MEANS[1]
-    base = gen_pedestrian(world, scale, rng.split("base"))
+    base = gen_pedestrian(world, scale, rng.split("base").gen)
     target = (scale / SCALE_NORM) ** 2
 
     def visible_cells(mask, tag):
-        sample = gen_occluded(world, base, mask, "object", rng.split(tag))
+        sample = gen_occluded(world, base, mask, "object", rng.split(tag).gen)
         cmap = correlation_map(base.features, sample.features)
         return np.abs(cmap.grid - target) <= 1e-9 * target
 
@@ -234,13 +234,13 @@ class TestSyntheticRecovery:
         world = gen_world(WorldConfig(sigma_id=0.0), 5)
         rng = Rng(55)
         pool = build_pool([
-            gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
-                           rng.split(f"p{i}"), pid=i)
+            gen_pedestrian(world, sample_scale(rng.split(f"s{i}").gen),
+                           rng.split(f"p{i}").gen, pid=i)
             for i in range(60)
         ])
         bank = kmeans(pool, ProtoConfig(k=3), seed=1)
         for i in range(30):
-            r = rng.split(f"occ{i}")
+            r = rng.split(f"occ{i}").gen
             base = gen_pedestrian(world, sample_scale(r), r, pid=100 + i)
             pattern = MASK_PATTERNS[i % len(MASK_PATTERNS)]
             mask = sample_mask(world, pattern, r)
@@ -254,15 +254,15 @@ class TestSyntheticRecovery:
         world = gen_world(WorldConfig(), 11)
         rng = Rng(77)
         pool = build_pool([
-            gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
-                           rng.split(f"p{i}"), pid=i)
+            gen_pedestrian(world, sample_scale(rng.split(f"s{i}").gen),
+                           rng.split(f"p{i}").gen, pid=i)
             for i in range(300)
         ])
         bank = kmeans(pool, ProtoConfig(k=4), seed=2)
         wins = 0
         trials = 1000
         for i in range(trials):
-            r = rng.split(f"t{i}")
+            r = rng.split(f"t{i}").gen
             ped = gen_pedestrian(world, sample_scale(r), r, pid=1000 + i)
             bg = gen_background(world, r, pid=5000 + i)
             proto = nearest_prototype(bank, ped.scale)
@@ -286,17 +286,17 @@ def analysis_set():
     """A seeded bank plus visible, occluded and background proposals."""
     world = gen_world(WorldConfig(), 21)
     rng = Rng(210)
-    visible = [gen_pedestrian(world, sample_scale(rng.split(f"s{i}")),
-                              rng.split(f"v{i}"), pid=i) for i in range(80)]
+    visible = [gen_pedestrian(world, sample_scale(rng.split(f"s{i}").gen),
+                              rng.split(f"v{i}").gen, pid=i) for i in range(80)]
     bank = kmeans(build_pool(visible), ProtoConfig(k=3), seed=4)
     occluded = []
     for i in range(40):
-        r = rng.split(f"o{i}")
+        r = rng.split(f"o{i}").gen
         base = gen_pedestrian(world, sample_scale(r), r, pid=100 + i)
         mask = sample_mask(world, MASK_PATTERNS[i % len(MASK_PATTERNS)], r)
         kind = "object" if i % 2 else "pedestrian"
         occluded.append(gen_occluded(world, base, mask, kind, r))
-    background = [gen_background(world, rng.split(f"b{i}"), pid=200 + i)
+    background = [gen_background(world, rng.split(f"b{i}").gen, pid=200 + i)
                   for i in range(30)]
     proposals = visible[:20] + occluded + background
     pool = FeaturePool(np.stack([p.features for p in occluded]),

@@ -52,7 +52,7 @@ def brute_force_objective(flat, k):
 
 
 def _mini_dataset():
-    rng = Rng(40)
+    rng = Rng(40).gen
     out = []
     for i in range(10):
         out.append(synth.gen_pedestrian(WORLD, 100.0 + i, rng, pid=i))

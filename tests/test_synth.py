@@ -3,14 +3,17 @@
 import hashlib
 import struct
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import synth_reference
 from occfill import synth
+from occfill.cli import DataConfig, RunConfig, synthesize
 from occfill.errors import FormatError, PreconditionError, ShapeMismatchError
-from occfill.ndnum import Rng
+from occfill.ndnum import RekeyedGenerator, Rng
 
 WORLD = synth.gen_world(synth.WorldConfig(), 0)
 QUIET = synth.gen_world(synth.WorldConfig(sigma_id=0.0), 0)
@@ -118,7 +121,7 @@ def test_scale_rejection_loop_is_bounded(monkeypatch):
     monkeypatch.setattr(synth, "SCALE_WEIGHTS", (1.0,))
     monkeypatch.setattr(synth, "MAX_SCALE_DRAWS", 50)
     with pytest.raises(PreconditionError, match="50 draws"):
-        synth.sample_scale(Rng(0))
+        synth.sample_scale(Rng(0).gen)
 
 
 def test_config_validation():
@@ -133,7 +136,7 @@ def test_config_validation():
 
 
 def test_pedestrian_shape_and_flags():
-    p = synth.gen_pedestrian(WORLD, 105.0, Rng(1))
+    p = synth.gen_pedestrian(WORLD, 105.0, Rng(1).gen)
     assert p.features.shape == (16, 7, 7)
     assert p.visibility == 1.0
     assert p.true_mask is None
@@ -142,26 +145,26 @@ def test_pedestrian_shape_and_flags():
 
 
 def test_pedestrian_determinism():
-    a = synth.gen_pedestrian(WORLD, 105.0, Rng(11))
-    b = synth.gen_pedestrian(WORLD, 105.0, Rng(11))
+    a = synth.gen_pedestrian(WORLD, 105.0, Rng(11).gen)
+    b = synth.gen_pedestrian(WORLD, 105.0, Rng(11).gen)
     assert np.array_equal(a.features, b.features)
     assert a.score == b.score
 
 
 def test_pedestrian_rejects_nonpositive_scale():
     with pytest.raises(PreconditionError):
-        synth.gen_pedestrian(WORLD, 0.0, Rng(1))
+        synth.gen_pedestrian(WORLD, 0.0, Rng(1).gen)
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf])
 def test_proposal_rejects_non_finite_scale(scale):
-    p = synth.gen_pedestrian(WORLD, 105.0, Rng(1))
+    p = synth.gen_pedestrian(WORLD, 105.0, Rng(1).gen)
     with pytest.raises(PreconditionError, match="scale"):
         synth.Proposal(p.id, p.label, scale, p.features, p.score).validate()
 
 
 def test_sample_scale_respects_floor():
-    rng = Rng(5)
+    rng = Rng(5).gen
     draws = [synth.sample_scale(rng) for _ in range(500)]
     assert min(draws) >= synth.MIN_SCALE
 
@@ -171,7 +174,7 @@ def test_sample_scale_draws_land_in_component_bands():
     # its mean and floored just past the midpoint to the previous mean,
     # so the four crowds occupy disjoint height bands.
     bands = [(8.0, 78.16), (85.55, 134.0), (144.81, 235.93), (263.9, 537.0)]
-    rng = Rng(6)
+    rng = Rng(6).gen
     draws = [synth.sample_scale(rng) for _ in range(2000)]
     hits = [0] * len(bands)
     for s in draws:
@@ -183,7 +186,7 @@ def test_sample_scale_draws_land_in_component_bands():
 
 
 def test_zero_noise_pedestrian_is_pure_template():
-    p = synth.gen_pedestrian(QUIET, 181.0, Rng(2))
+    p = synth.gen_pedestrian(QUIET, 181.0, Rng(2).gen)
     expect = archetype(QUIET, 181.0)
     assert np.array_equal(p.features, expect)
 
@@ -193,7 +196,7 @@ def test_zero_noise_pedestrian_is_pure_template():
 
 
 def test_left_half_mask_is_21_or_28_cells():
-    rng = Rng(3)
+    rng = Rng(3).gen
     seen = set()
     for _ in range(50):
         m = synth.sample_mask(WORLD, "left-half", rng)
@@ -207,14 +210,14 @@ def test_left_half_mask_is_21_or_28_cells():
 
 
 def test_right_half_mask_hugs_right_edge():
-    m = synth.sample_mask(WORLD, "right-half", Rng(4))
+    m = synth.sample_mask(WORLD, "right-half", Rng(4).gen)
     assert m.count in (21, 28)
     assert m.grid[-1, :].all()
     assert not m.grid[0, :].any()
 
 
 def test_mask_fractions_bounded():
-    rng = Rng(6)
+    rng = Rng(6).gen
     for pattern in synth.MASK_PATTERNS:
         for _ in range(40):
             m = synth.sample_mask(WORLD, pattern, rng)
@@ -222,7 +225,7 @@ def test_mask_fractions_bounded():
 
 
 def test_person_shape_mask_records_shift():
-    rng = Rng(7)
+    rng = Rng(7).gen
     m = synth.sample_mask(WORLD, "person-shape", rng)
     assert m.shift is not None
     dx, dy = m.shift
@@ -231,7 +234,7 @@ def test_person_shape_mask_records_shift():
 
 def test_mask_pattern_validation():
     with pytest.raises(PreconditionError):
-        synth.sample_mask(WORLD, "diagonal", Rng(1))
+        synth.sample_mask(WORLD, "diagonal", Rng(1).gen)
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +248,28 @@ def _mask_of(cells):
 
 
 def test_empty_mask_keeps_proposal_identical():
-    base = synth.gen_pedestrian(WORLD, 105.0, Rng(8))
-    q = synth.gen_occluded(WORLD, base, _mask_of([]), "object", Rng(9))
+    base = synth.gen_pedestrian(WORLD, 105.0, Rng(8).gen)
+    q = synth.gen_occluded(WORLD, base, _mask_of([]), "object", Rng(9).gen)
     assert np.array_equal(q.features, base.features)
     assert q.visibility == 1.0
 
 
 def test_full_mask_zeroes_visibility():
-    base = synth.gen_pedestrian(WORLD, 105.0, Rng(10))
-    q = synth.gen_occluded(WORLD, base, _mask_of(range(49)), "object", Rng(11))
+    base = synth.gen_pedestrian(WORLD, 105.0, Rng(10).gen)
+    q = synth.gen_occluded(WORLD, base, _mask_of(range(49)), "object", Rng(11).gen)
     assert q.visibility == 0.0
 
 
 def test_ten_cell_mask_visibility():
-    base = synth.gen_pedestrian(WORLD, 105.0, Rng(12))
-    q = synth.gen_occluded(WORLD, base, _mask_of(range(10)), "object", Rng(13))
+    base = synth.gen_pedestrian(WORLD, 105.0, Rng(12).gen)
+    q = synth.gen_occluded(WORLD, base, _mask_of(range(10)), "object", Rng(13).gen)
     assert abs(q.visibility - 39.0 / 49.0) < 1e-12
 
 
 def test_object_occluder_stamps_one_template():
-    base = synth.gen_pedestrian(QUIET, 105.0, Rng(14))
-    mask = synth.sample_mask(QUIET, "rect", Rng(15))
-    q = synth.gen_occluded(QUIET, base, mask, "object", Rng(16))
+    base = synth.gen_pedestrian(QUIET, 105.0, Rng(14).gen)
+    mask = synth.sample_mask(QUIET, "rect", Rng(15).gen)
+    q = synth.gen_occluded(QUIET, base, mask, "object", Rng(16).gen)
     m = mask.grid
     assert np.array_equal(q.features[:, ~m], base.features[:, ~m])
     block = q.features[:, m]
@@ -276,9 +279,9 @@ def test_object_occluder_stamps_one_template():
 
 
 def test_pedestrian_occluder_touches_only_masked_cells():
-    base = synth.gen_pedestrian(WORLD, 105.0, Rng(17))
-    mask = synth.sample_mask(WORLD, "person-shape", Rng(18))
-    q = synth.gen_occluded(WORLD, base, mask, "pedestrian", Rng(19))
+    base = synth.gen_pedestrian(WORLD, 105.0, Rng(17).gen)
+    mask = synth.sample_mask(WORLD, "person-shape", Rng(18).gen)
+    q = synth.gen_occluded(WORLD, base, mask, "pedestrian", Rng(19).gen)
     m = mask.grid
     assert np.array_equal(q.features[:, ~m], base.features[:, ~m])
     assert not np.array_equal(q.features[:, m], base.features[:, m])
@@ -286,27 +289,27 @@ def test_pedestrian_occluder_touches_only_masked_cells():
 
 
 def test_occlusion_preconditions():
-    base = synth.gen_pedestrian(WORLD, 105.0, Rng(20))
+    base = synth.gen_pedestrian(WORLD, 105.0, Rng(20).gen)
     mask = _mask_of(range(12))
     with pytest.raises(PreconditionError):
-        synth.gen_occluded(WORLD, base, mask, "fog", Rng(21))
-    bg = synth.gen_background(WORLD, Rng(22))
+        synth.gen_occluded(WORLD, base, mask, "fog", Rng(21).gen)
+    bg = synth.gen_background(WORLD, Rng(22).gen)
     with pytest.raises(PreconditionError):
-        synth.gen_occluded(WORLD, bg, mask, "object", Rng(23))
-    once = synth.gen_occluded(WORLD, base, mask, "object", Rng(24))
+        synth.gen_occluded(WORLD, bg, mask, "object", Rng(23).gen)
+    once = synth.gen_occluded(WORLD, base, mask, "object", Rng(24).gen)
     with pytest.raises(PreconditionError):
-        synth.gen_occluded(WORLD, once, mask, "object", Rng(25))
+        synth.gen_occluded(WORLD, once, mask, "object", Rng(25).gen)
     small = synth.OcclusionMask(np.zeros((3, 3), dtype=bool))
     with pytest.raises(ShapeMismatchError):
-        synth.gen_occluded(WORLD, base, small, "object", Rng(26))
+        synth.gen_occluded(WORLD, base, small, "object", Rng(26).gen)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sets(st.integers(min_value=0, max_value=48)))
 def test_visibility_complements_mask_fraction(cells):
-    base = synth.gen_pedestrian(QUIET, 105.0, Rng(27))
+    base = synth.gen_pedestrian(QUIET, 105.0, Rng(27).gen)
     mask = _mask_of(cells)
-    q = synth.gen_occluded(QUIET, base, mask, "object", Rng(28))
+    q = synth.gen_occluded(QUIET, base, mask, "object", Rng(28).gen)
     assert abs(q.visibility - (1.0 - len(cells) / 49.0)) < 1e-12
     assert np.array_equal(q.features[:, ~mask.grid], base.features[:, ~mask.grid])
 
@@ -316,7 +319,7 @@ def test_visibility_complements_mask_fraction(cells):
 
 
 def test_background_has_no_mask():
-    b = synth.gen_background(WORLD, Rng(29))
+    b = synth.gen_background(WORLD, Rng(29).gen)
     assert b.label == synth.BACKGROUND
     assert b.true_mask is None
     assert b.visibility == 1.0
@@ -325,7 +328,7 @@ def test_background_has_no_mask():
 
 def test_background_cell_permutation_alignment_count():
     parts = WORLD.part_grid.reshape(-1)
-    rng = Rng(30)
+    rng = Rng(30).gen
     for k in (3, 4):
         src = synth._bg_cell_permutation(WORLD, rng, k)
         assert sorted(src) == list(range(49))
@@ -348,20 +351,21 @@ def test_every_accepted_small_grid_draws_backgrounds():
             world = synth.gen_world(config, 0)
             parts = world.part_grid.reshape(-1)
             for seed in range(40):
-                b = synth.gen_background(world, Rng(seed))
+                b = synth.gen_background(world, Rng(seed).gen)
                 assert b.features.shape == (7, gx, gy)
             for k in (3, 4):
-                src = synth._bg_cell_permutation(world, Rng(k), k)
+                src = synth._bg_cell_permutation(world, Rng(k).gen, k)
                 assert sorted(src) == list(range(gx * gy))
                 assert (parts[src] == parts).sum() == k
 
 
-def reference_bg_cell_draw(parts, rng, n_aligned):
+def reference_bg_cell_draw(world, gen, n_aligned):
     """`synth._bg_cell_draw` as first written: a stalled swap search spins
     through all of its 10,000 attempts before it gives up."""
+    parts = world.part_grid.reshape(-1)
     n = parts.size
     for _ in range(1000):
-        order = rng.gen.permutation(n)
+        order = gen.permutation(n)
         aligned, rest = order[:n_aligned], order[n_aligned:]
         counts = np.bincount(parts[aligned], minlength=parts.max() + 1)
         if (counts <= np.bincount(parts, minlength=parts.max() + 1)).all():
@@ -370,17 +374,17 @@ def reference_bg_cell_draw(parts, rng, n_aligned):
     used = np.zeros(n, dtype=bool)
     for a in aligned:
         cand = np.flatnonzero((parts == parts[a]) & ~used)
-        pick = cand[int(rng.gen.integers(0, len(cand)))]
+        pick = cand[int(gen.integers(0, len(cand)))]
         src[a] = pick
         used[pick] = True
     pool = np.flatnonzero(~used)
-    src[rest] = pool[rng.gen.permutation(pool.size)]
+    src[rest] = pool[gen.permutation(pool.size)]
     for _ in range(10000):
         bad = rest[parts[src[rest]] == parts[rest]]
         if bad.size == 0:
             return src
         i = bad[0]
-        j = rest[int(rng.gen.integers(0, rest.size))]
+        j = rest[int(gen.integers(0, rest.size))]
         if parts[src[j]] != parts[i] and parts[src[i]] != parts[j]:
             src[i], src[j] = src[j], src[i]
     return None
@@ -392,9 +396,9 @@ def test_backgrounds_equal_the_full_swap_search(monkeypatch, gx, gy):
     # grids where draws stall; an early give-up must leave the stream where
     # the full search would, so every background comes out the same
     world = synth.gen_world(synth.WorldConfig(channels=7, grid_x=gx, grid_y=gy), 0)
-    got = [synth.gen_background(world, Rng(seed)) for seed in range(120)]
+    got = [synth.gen_background(world, Rng(seed).gen) for seed in range(120)]
     monkeypatch.setattr(synth, "_bg_cell_draw", reference_bg_cell_draw)
-    want = [synth.gen_background(world, Rng(seed)) for seed in range(120)]
+    want = [synth.gen_background(world, Rng(seed).gen) for seed in range(120)]
     for a, b in zip(got, want):
         assert a.features.tobytes() == b.features.tobytes()
         assert (a.scale, a.score) == (b.scale, b.score)
@@ -414,30 +418,120 @@ class CountingGenerator(np.random.Generator):
 
 def test_a_stalled_background_draw_gives_up_at_once():
     world = synth.gen_world(synth.WorldConfig(channels=7, grid_x=3, grid_y=2), 0)
-    parts = world.part_grid.reshape(-1)
     stalls = 0
     for seed in range(40):
-        rng = Rng(seed)
-        rng.gen = CountingGenerator(rng.gen.bit_generator)
-        if synth._bg_cell_draw(parts, rng, 3) is None:
+        gen = CountingGenerator(Rng(seed).gen.bit_generator)
+        if synth._bg_cell_draw(world, gen, 3) is None:
             stalls += 1
             # the aligned picks, a few swap attempts and one bulk draw, not
             # one call per remaining attempt
-            assert rng.gen.integer_calls < 50
+            assert gen.integer_calls < 50
     assert stalls > 0
 
 
 def test_background_redraws_are_bounded(monkeypatch):
     calls = []
 
-    def stalled(parts, rng, n_aligned):
+    def stalled(world, gen, n_aligned):
         calls.append(n_aligned)
         return None
 
     monkeypatch.setattr(synth, "_bg_cell_draw", stalled)
     with pytest.raises(PreconditionError, match=f"{synth.MAX_BG_DRAWS} draws"):
-        synth.gen_background(WORLD, Rng(0))
+        synth.gen_background(WORLD, Rng(0).gen)
     assert len(calls) == synth.MAX_BG_DRAWS
+
+
+# ---------------------------------------------------------------------------
+# the generators against their first form (tests/synth_reference.py)
+
+SMALL_DATA = DataConfig(train_visible=40, train_occluded=40,
+                        train_background=40, eval_pedestrians=40,
+                        eval_background=40)
+REFERENCE_WORLDS = {
+    "default": synth.WorldConfig(),
+    "noise-free": synth.WorldConfig(sigma_id=0.0),
+    "qr-basis": synth.WorldConfig(channels=12),
+    # small grids, where background swap searches stall and redraw
+    "grid-2x3": synth.WorldConfig(channels=7, grid_x=2, grid_y=3),
+    "grid-3x2": synth.WorldConfig(channels=7, grid_x=3, grid_y=2),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 11, 42])
+@pytest.mark.parametrize("world", sorted(REFERENCE_WORLDS))
+def test_synthesis_writes_the_reference_bytes(tmp_path, world, seed):
+    config = RunConfig(seed=seed, world=REFERENCE_WORLDS[world],
+                       data=SMALL_DATA).validate()
+    (tmp_path / "got").mkdir()
+    (tmp_path / "want").mkdir()
+    synthesize(config, tmp_path / "got")
+    synth_reference.synthesize(config, tmp_path / "want")
+    for name in ("train.fcds", "eval.fcds", "manifest.json"):
+        got = (tmp_path / "got" / name).read_bytes()
+        assert got == (tmp_path / "want" / name).read_bytes(), name
+
+
+def streams(count, seed=2024):
+    """`count` labelled streams, each as a re-keyed generator at its start
+    and as an `Rng` whose own generator is not used yet."""
+    rekeyed = RekeyedGenerator()
+    root = Rng(seed)
+    for i in range(count):
+        stream = root.split(f"k{i}")
+        yield rekeyed.start(stream), stream
+
+
+def test_scale_component_is_the_one_choice_picks():
+    cdf, components = synth._scale_mixture(synth.SCALE_MEANS, synth.SCALE_STDS,
+                                           synth.SCALE_WEIGHTS)
+    assert len(components) == len(cdf) == len(synth.SCALE_WEIGHTS)
+    picked = set()
+    for gen, stream in streams(12_000):
+        comp = bisect_right(cdf, gen.random())
+        assert comp == int(stream.gen.choice(len(cdf), p=np.array(synth.SCALE_WEIGHTS)))
+        # and both have moved on by the same draws
+        assert gen.random() == stream.gen.random()
+        picked.add(comp)
+    assert picked == set(range(len(cdf)))
+
+
+def test_scale_draws_equal_the_reference():
+    for gen, stream in streams(3000, seed=2025):
+        assert synth.sample_scale(gen) == synth_reference.sample_scale(stream)
+        assert gen.random() == stream.gen.random()
+
+
+@pytest.mark.parametrize("n, ks", [(6, range(1, 7)), (12, range(1, 13)),
+                                   (49, range(1, 50)), (10_000, (150, 250)),
+                                   (10_001, (150, 250))])
+def test_distinct_picks_what_choice_picks(n, ks):
+    # Above 10,000 numpy takes another algorithm when k > n // 50.
+    for k in ks:
+        for gen, stream in streams(40):
+            want = stream.gen.choice(n, size=k, replace=False)
+            assert synth._distinct(gen, n, k) == set(want.tolist())
+            assert gen.random() == stream.gen.random()
+
+
+@pytest.mark.parametrize("name", ["default", "grid-2x3", "grid-3x2"])
+def test_background_permutation_equals_the_reference(name):
+    # The swap search draws its attempts ahead and puts the stream back;
+    # a stalled search leaves it after all BG_SWAPS attempts.
+    world = synth.gen_world(REFERENCE_WORLDS[name], 0)
+    parts = world.part_grid.reshape(-1)
+    stalls = 0
+    for i, (gen, stream) in enumerate(streams(400)):
+        k = 3 + i % 2
+        got = synth._bg_cell_draw(world, gen, k)
+        want = synth_reference.bg_cell_draw(parts, stream, k)
+        assert (got is None) == (want is None)
+        if got is None:
+            stalls += 1
+        else:
+            assert got == want.tolist()
+        assert gen.random() == stream.gen.random()
+    assert (stalls > 0) == (name != "default")
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +539,7 @@ def test_background_redraws_are_bounded(monkeypatch):
 
 
 def test_same_scale_pedestrians_align_on_ninety_pct_of_cells():
-    rng = Rng(1000)
+    rng = Rng(1000).gen
     fracs = []
     for _ in range(1000):
         scale = synth.sample_scale(rng)
@@ -457,7 +551,7 @@ def test_same_scale_pedestrians_align_on_ninety_pct_of_cells():
 
 
 def test_background_maps_sit_mostly_below_their_mean():
-    rng = Rng(2000)
+    rng = Rng(2000).gen
     below = []
     for _ in range(1000):
         b = synth.gen_background(WORLD, rng)
@@ -471,7 +565,7 @@ def test_background_maps_sit_mostly_below_their_mean():
 
 
 def _sample_proposals():
-    rng = Rng(31)
+    rng = Rng(31).gen
     base = synth.gen_pedestrian(WORLD, 105.0, rng, pid=1)
     mask = synth.sample_mask(WORLD, "left-half", rng)
     occ = synth.gen_occluded(WORLD, base, mask, "pedestrian", rng)
@@ -547,10 +641,20 @@ def test_zero_dim_header_rejected(tmp_path, dims, offset):
 
 def test_write_rejects_mixed_shapes(tmp_path):
     small = synth.gen_world(synth.WorldConfig(channels=8), 1)
-    props = [synth.gen_pedestrian(WORLD, 105.0, Rng(1)),
-             synth.gen_pedestrian(small, 105.0, Rng(2))]
+    props = [synth.gen_pedestrian(WORLD, 105.0, Rng(1).gen),
+             synth.gen_pedestrian(small, 105.0, Rng(2).gen)]
     with pytest.raises(ShapeMismatchError):
         synth.write_dataset(props, tmp_path / "bad.bin")
+
+
+def test_write_refuses_dims_the_proposals_do_not_have(tmp_path):
+    props = _sample_proposals()
+    with pytest.raises(ShapeMismatchError) as err:
+        synth.write_dataset(props, tmp_path / "bad.bin", dims=(8, 7, 7))
+    assert err.value.got == (16, 7, 7) and err.value.expected == (8, 7, 7)
+    assert not (tmp_path / "bad.bin").exists()
+    synth.write_dataset(props, tmp_path / "ok.bin", dims=(16, 7, 7))
+    assert synth.read_dataset(tmp_path / "ok.bin")[0].features.shape == (16, 7, 7)
 
 
 def _valid_bytes(tmp_path):
