@@ -279,7 +279,7 @@ def _complete_into(maps, start, proposals, bank, gen, occ_config):
 
 
 def train_model(proposals, bank, config):
-    """Progressive adversarial training plus the rescoring head.
+    """Adversarial training plus the rescoring head: (gen, head, history).
 
     The head is fit on completed features, the distribution it scores at
     eval time: completed occluded pedestrians against completed backgrounds.
@@ -290,9 +290,9 @@ def train_model(proposals, bank, config):
     visible, occ_pool = _ped_pools(proposals)
     world = gen_world(config.world, config.seed)
     rng = Rng(config.seed)
-    gen, disc, history = progressive_train(visible, occ_pool, bank,
-                                           (config.train1, config.train2),
-                                           rng.split("train"), world)
+    gen, _, history = progressive_train(visible, occ_pool, bank,
+                                        (config.train1, config.train2),
+                                        rng.split("train"), world)
     del visible, occ_pool
     LOG.info("adversarial training done (%d iterations)", len(history))
 
@@ -314,7 +314,7 @@ def train_model(proposals, bank, config):
     LOG.info("head pass: %d of %d candidates completed in %.2f s; "
              "head fit in %.2f s", total, len(maps), passed - start,
              time.perf_counter() - passed)
-    return gen, disc, head, history
+    return gen, head, history
 
 
 def evaluate(proposals, bank, gen, head, config):
@@ -504,10 +504,10 @@ def cmd_train(args):
     out = _prepare_out(args, config)
     proposals = read_dataset(args.data)
     bank = read_bank(args.bank)
-    gen, disc, head, history = train_model(proposals, bank, config)
+    gen, head, history = train_model(proposals, bank, config)
     grid = bank.prototypes[0].center.shape[1:]
-    write_model(out / "model.fcgd", gen, disc, head,
-                (config.train1, config.train2), grid)
+    write_model(out / "model.fcgd", gen, head, (config.train1, config.train2),
+                grid)
     _write_history(out / "history.csv", history)
     print(f"model written to {out / 'model.fcgd'} "
           f"({len(history)} iterations logged)")

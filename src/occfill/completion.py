@@ -41,7 +41,7 @@ from .prototypes import FeaturePool, nearest_prototype
 from .synth import MASK_PATTERNS, BinaryReader, sample_mask
 
 MODEL_MAGIC = b"FCGD"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 DISC_HIDDEN = 64
 # Samples per side of every minibatch, or the smaller pool when one holds fewer.
 BATCH_SIZE = 32
@@ -284,8 +284,9 @@ def planned(plan, count):
     first .. first + n - 1. Each chunk is drawn in one tight loop before
     any of its steps run, and memory stays bounded for any ``count``.
     Drawing ahead is the measured faster layout: drawing each step's
-    indices inline gives the same bytes but slows adversarial training
-    from 1.45 to 1.67 s (2-vCPU host, one BLAS thread).
+    indices as it runs gives the same bytes but slows the probe from 0.344
+    to 0.387 s on the Gram path (350 rows) and from 1.00 to 1.15 s in full
+    space (1400 rows), 2-vCPU x86 host, one BLAS thread, median of 7.
     """
     for first in range(0, count, PLAN_CHUNK):
         yield from zip(*plan(first, min(PLAN_CHUNK, count - first)))
@@ -584,19 +585,20 @@ def rescore(proposal, completed, head, occluded):
 
 
 # ---------------------------------------------------------------------------
-# Model container: generator + discriminator + scoring head + train configs.
+# Model container: generator + scoring head + train configs. Eval never
+# reads the discriminator, so it is not stored.
 
-def write_model(path, gen, disc, head, configs, grid):
+def write_model(path, gen, head, configs, grid):
     """Serialize the trained parts; `grid` is the (x, y) cell layout."""
     c = gen.channels
     gx, gy = (int(v) for v in grid)
     if gx < 1 or gy < 1:
         raise PreconditionError("grid dims must be positive")
-    if disc.in_dim != c * gx * gy or head.in_dim != disc.in_dim:
+    if head.in_dim != c * gx * gy:
         raise PreconditionError("model parts disagree on feature dims")
     chunks = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION),
-              struct.pack("<IIII", c, gx, gy, disc.hidden.out_dim)]
-    for arr in gen.params() + disc.params() + head.params():
+              struct.pack("<III", c, gx, gy)]
+    for arr in gen.params() + head.params():
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     chunks.append(struct.pack("<B", 1 if head.trained else 0))
     chunks.append(struct.pack("<I", len(configs)))
@@ -610,29 +612,24 @@ def write_model(path, gen, disc, head, configs, grid):
 
 
 def read_model(path):
-    """Load (generator, discriminator, head, grid, configs) from a model file."""
+    """Load (generator, None, head, grid, configs) from a model file; the
+    None stands for the discriminator, which the file does not hold."""
     r = BinaryReader(path, MODEL_MAGIC)
     version = r.unpack("<I", "version")[0]
     if version != MODEL_VERSION:
         raise FormatError(4, f"unsupported version {version}")
     head_pos = r.pos
-    c, gx, gy, width = r.unpack("<IIII", "dims")
-    if c < 1 or gx < 1 or gy < 1 or width < 1:
+    c, gx, gy = r.unpack("<III", "dims")
+    if c < 1 or gx < 1 or gy < 1:
         raise FormatError(head_pos, "model dims must be positive")
-    flat_dim = c * gx * gy
 
     gen = Generator(
         DenseLayer(r.floats((c, c), "generator mix weights"),
                    r.floats((c,), "generator mix bias"), "relu"),
         DenseLayer(r.floats((c, c), "generator out weights"),
                    r.floats((c,), "generator out bias"), "identity"))
-    disc = Discriminator(
-        DenseLayer(r.floats((width, flat_dim), "discriminator hidden weights"),
-                   r.floats((width,), "discriminator hidden bias"), "relu"),
-        DenseLayer(r.floats((1, width), "discriminator readout weights"),
-                   r.floats((1,), "discriminator readout bias"), "sigmoid"))
     head = ScoringHead(
-        DenseLayer(r.floats((1, flat_dim), "head weights"),
+        DenseLayer(r.floats((1, c * gx * gy), "head weights"),
                    r.floats((1,), "head bias"), "sigmoid"))
     flag_pos = r.pos
     flag = r.unpack("<B", "head flag")[0]
@@ -654,4 +651,4 @@ def read_model(path):
             raise FormatError(rec_pos, f"invalid train config: {err}") from err
         configs.append(cfg)
     r.finish()
-    return gen, disc, head, (gx, gy), tuple(configs)
+    return gen, None, head, (gx, gy), tuple(configs)

@@ -38,10 +38,6 @@ class CorrelationMap:
             raise PreconditionError("correlation grid must be 2-d")
         check_finite(self.grid, "correlation grid")
 
-    @property
-    def mean(self):
-        return float(self.grid.mean())
-
 
 @dataclass(frozen=True)
 class OcclusionConfig:
@@ -73,13 +69,17 @@ def channel_correlation(f_a, f_b, channel):
     if not (0 <= channel < a.shape[0]):
         raise PreconditionError(
             f"channel {channel} out of range for {a.shape[0]} channels")
-    return CorrelationMap(_correlate(a[channel], b[channel]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CorrelationMap(_correlate(a[channel], b[channel]))
 
 
 def correlation_map(f_a, f_b):
     """Correlate two feature maps and average across channels per cell."""
     a, b = _pair(f_a, f_b)
-    return CorrelationMap(_correlate(a, b).mean(axis=0))
+    # CorrelationMap refuses an overflow's inf or nan with its own message,
+    # so numpy's warnings would only print source lines before it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CorrelationMap(_correlate(a, b).mean(axis=0))
 
 
 def occluded_cells(cmap):

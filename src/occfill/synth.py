@@ -154,10 +154,6 @@ class World:
     spare_templates: np.ndarray  # (C - n_parts, C), occluder pool, orthogonal to parts
 
     @property
-    def n_parts(self):
-        return self.templates.shape[0]
-
-    @property
     def dims(self):
         c = self.config
         return (c.channels, c.grid_x, c.grid_y)
@@ -393,11 +389,11 @@ def detector_score(label, visibility, gen):
 
 def gen_pedestrian(world, scale, gen, pid=0):
     """Fully visible pedestrian at the given pixel height."""
-    if scale <= 0:
-        raise PreconditionError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise PreconditionError(f"scale must be positive and finite, got {scale}")
     feats = (scale / SCALE_NORM) * _identity_field(world, gen)
     score = detector_score(PEDESTRIAN, 1.0, gen)
-    return Proposal(pid, PEDESTRIAN, float(scale), _freeze(feats), score).validate()
+    return Proposal(pid, PEDESTRIAN, float(scale), _freeze(feats), score)
 
 
 def sample_mask(world, pattern, gen):
@@ -508,7 +504,7 @@ def gen_occluded(world, base, mask, occluder, gen):
     visibility = 1.0 - mask.fraction()
     score = detector_score(PEDESTRIAN, visibility, gen)
     return Proposal(base.id, PEDESTRIAN, base.scale, _freeze(feats), score,
-                    visibility=visibility, true_mask=mask).validate()
+                    visibility=visibility, true_mask=mask)
 
 
 def _bg_cell_permutation(world, gen, n_aligned):
@@ -634,7 +630,7 @@ def gen_background(world, gen, pid=0):
     field *= scale / SCALE_NORM
     score = detector_score(BACKGROUND, None, gen)
     return Proposal(pid, BACKGROUND, scale, _freeze(field.reshape(c, gx, gy)),
-                    score).validate()
+                    score)
 
 
 # ---------------------------------------------------------------------------

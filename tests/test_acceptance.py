@@ -99,7 +99,7 @@ def default_pipeline(tmp_path_factory):
     config = RunConfig(seed=42).validate()
     train, eval_set = synthesized(config, tmp_path_factory.mktemp("synth"))
     bank = kmeans(build_pool(train), config.proto, seed=config.seed)
-    gen, _, head, _ = train_model(train, bank, config)
+    gen, head, _ = train_model(train, bank, config)
     rows, diag = evaluate(eval_set, bank, gen, head, config)
     return {"config": config, "train": train, "eval": eval_set, "bank": bank,
             "gen": gen, "head": head, "rows": rows, "diag": diag}

@@ -34,10 +34,11 @@ from occfill.eval import EvalConfig, compactness_ratio, mask_iou
 from occfill.ndnum import Rng
 from occfill.occlusion import (OcclusionConfig, analyze, completion_mask,
                                correlation_map)
-from occfill.prototypes import (FULLY_VISIBLE, ProtoConfig, build_pool, kmeans,
-                                nearest_prototype, read_bank)
-from occfill.synth import (PEDESTRIAN, OcclusionMask, WorldConfig, read_dataset,
-                           write_dataset)
+from occfill.prototypes import (FULLY_VISIBLE, PrototypeBank, ProtoConfig,
+                                build_pool, kmeans, nearest_prototype,
+                                read_bank, write_bank)
+from occfill.synth import (PEDESTRIAN, OcclusionMask, Proposal, WorldConfig,
+                           read_dataset, write_dataset)
 
 SMALL = """\
 seed = 7
@@ -260,6 +261,21 @@ class TestSynthData:
         peds = [p for p in ev if p.label == PEDESTRIAN]
         assert all(p.true_mask is None for p in peds[0::2])
         assert all(p.true_mask is not None for p in peds[1::2])
+
+    def test_each_proposal_is_validated_once(self, tmp_path, monkeypatch):
+        # write_dataset validates every proposal before it opens the file,
+        # and the generators leave that check to it.
+        calls = []
+        validate = Proposal.validate
+
+        def counted(proposal):
+            calls.append(proposal.id)
+            return validate(proposal)
+
+        monkeypatch.setattr(Proposal, "validate", counted)
+        config = config_from_mapping(parse_config_text(SMALL)).validate()
+        manifest = synthesize(config, tmp_path)
+        assert len(calls) == manifest["train"]["total"] + manifest["eval"]["total"]
 
 
 class TestBuildPrototypes:
@@ -819,7 +835,7 @@ class TestMemory:
                            head=TrainConfig(2, 0.5)).validate()
         train, _ = synthesized(config, tmp_path)
         bank = kmeans(build_pool(train), ProtoConfig(k=3, restarts=1), seed=5)
-        (_, _, head, _), peak = traced_peak(lambda: train_model(train, bank, config))
+        (_, head, _), peak = traced_peak(lambda: train_model(train, bank, config))
         assert head.trained
         assert peak <= 1.5 * 750 * MAP_BYTES
 
@@ -837,7 +853,7 @@ class TestMemory:
                            head=TrainConfig(20, 0.5)).validate()
         train, eval_set = synthesized(config, tmp_path)
         bank = kmeans(build_pool(train), ProtoConfig(k=3, restarts=1), seed=6)
-        gen, _, head, _ = train_model(train, bank, config)
+        gen, head, _ = train_model(train, bank, config)
         (_, diagnostics), peak = traced_peak(
             lambda: evaluate(eval_set, bank, gen, head, config))
         assert np.isfinite(diagnostics["probe_accuracy"])
@@ -924,6 +940,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: scoring head:") and "overflows" in err
         assert not (tmp_path / "e/metrics.csv").exists()
+
+    @pytest.fixture
+    def overflowing_pair(self, small_run, tmp_path):
+        # Each side alone keeps the map finite: against a normal-scale map,
+        # (a·b)/(1 + |a − b|) stays near the normal side. Features scaled
+        # by 1e155 against a bank scaled by 1e200 overflow a·b.
+        bank = read_bank(small_run["bank"])
+        write_bank(PrototypeBank(tuple(
+            dataclasses.replace(p, center=p.center * 1e200)
+            for p in bank.prototypes)), tmp_path / "huge.fcpb")
+        write_dataset([dataclasses.replace(p, features=p.features * 1e155)
+                       for p in read_dataset(small_run["eval"])],
+                      tmp_path / "huge.fcds")
+        return ["--config", str(small_run["cfg"]),
+                "--data", str(tmp_path / "huge.fcds"),
+                "--bank", str(tmp_path / "huge.fcpb")]
+
+    # numpy's overflow warnings are errors here, so a warning printed
+    # before the error line fails the test.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_overflowing_correlation_fails_with_one_line(
+            self, small_run, overflowing_pair, tmp_path, command, capsys):
+        extra = {"eval": ["--model", str(small_run["model"])],
+                 "inspect": ["--id", "17"]}[command]
+        code = main([command, *overflowing_pair, *extra,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: correlation grid: non-finite value encountered\n")
 
     def test_two_by_two_grid_fails_fast(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

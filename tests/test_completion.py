@@ -1204,55 +1204,53 @@ class TestRescore:
 def small_model(seed=27):
     rng = Rng(seed)
     gen = random_generator(2, rng.split("g"))
-    disc = random_discriminator(8, 4, rng.split("d"))
     head = ScoringHead.init(8, rng.split("h"))
     head.trained = True
     configs = (TrainConfig(iterations=7),
                TrainConfig(iterations=5, learn_rate=2e-4))
-    return gen, disc, head, configs
+    return gen, head, configs
 
 
 class TestModelFile:
     def test_roundtrip_preserves_everything(self, tmp_path):
-        gen, disc, head, configs = small_model()
+        gen, head, configs = small_model()
         path = tmp_path / "model.bin"
-        write_model(path, gen, disc, head, configs, grid=(2, 2))
+        write_model(path, gen, head, configs, grid=(2, 2))
         gen2, disc2, head2, grid, configs2 = read_model(path)
+        assert disc2 is None
         assert grid == (2, 2)
         assert configs2 == configs
         assert head2.trained
-        for a, b in zip(gen.params() + disc.params() + head.params(),
-                        gen2.params() + disc2.params() + head2.params()):
+        for a, b in zip(gen.params() + head.params(),
+                        gen2.params() + head2.params()):
             assert np.array_equal(a, b)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        gen, disc, head, configs = small_model()
+        gen, head, configs = small_model()
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        write_model(p1, gen, disc, head, configs, grid=(2, 2))
-        gen2, disc2, head2, grid, configs2 = read_model(p1)
-        write_model(p2, gen2, disc2, head2, configs2, grid=grid)
+        write_model(p1, gen, head, configs, grid=(2, 2))
+        gen2, _, head2, grid, configs2 = read_model(p1)
+        write_model(p2, gen2, head2, configs2, grid=grid)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_untrained_flag_roundtrips(self, tmp_path):
-        gen, disc, head, configs = small_model()
+        gen, head, configs = small_model()
         head.trained = False
         path = tmp_path / "model.bin"
-        write_model(path, gen, disc, head, configs, grid=(2, 2))
+        write_model(path, gen, head, configs, grid=(2, 2))
         assert not read_model(path)[2].trained
 
     def test_refuses_disagreeing_dims(self, tmp_path):
-        gen, disc, head, configs = small_model()
+        gen, head, configs = small_model()
         with pytest.raises(PreconditionError):
-            write_model(tmp_path / "m.bin", gen, disc, head, configs, grid=(3, 2))
+            write_model(tmp_path / "m.bin", gen, head, configs, grid=(3, 2))
 
-    def layout(self, c=2, gx=2, gy=2, width=4):
+    def layout(self, c=2, gx=2, gy=2):
         """Independent byte layout arithmetic for the model format."""
         flat = c * gx * gy
-        sizes = [("magic", 4), ("version", 4), ("dims", 16),
+        sizes = [("magic", 4), ("version", 4), ("dims", 12),
                  ("gen_mix_w", c * c * 8), ("gen_mix_b", c * 8),
                  ("gen_out_w", c * c * 8), ("gen_out_b", c * 8),
-                 ("disc_hid_w", width * flat * 8), ("disc_hid_b", width * 8),
-                 ("disc_read_w", width * 8), ("disc_read_b", 8),
                  ("head_w", flat * 8), ("head_b", 8),
                  ("flag", 1), ("count", 4), ("cfg0", 12), ("cfg1", 12)]
         offsets = {}
@@ -1264,9 +1262,9 @@ class TestModelFile:
         return offsets
 
     def written(self, tmp_path):
-        gen, disc, head, configs = small_model()
+        gen, head, configs = small_model()
         path = tmp_path / "model.bin"
-        write_model(path, gen, disc, head, configs, grid=(2, 2))
+        write_model(path, gen, head, configs, grid=(2, 2))
         return path, bytearray(path.read_bytes())
 
     def test_total_size_matches_layout(self, tmp_path):
@@ -1299,11 +1297,11 @@ class TestModelFile:
 
     def test_truncated_weights_offset(self, tmp_path):
         path, data = self.written(tmp_path)
-        cut = self.layout()["disc_hid_w"] + 10
+        cut = self.layout()["head_w"] + 10
         path.write_bytes(data[:cut])
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(FormatError, match="head weights") as err:
             read_model(path)
-        assert err.value.offset == self.layout()["disc_hid_w"]
+        assert err.value.offset == self.layout()["head_w"]
 
     def test_non_finite_weight_offset(self, tmp_path):
         path, data = self.written(tmp_path)
@@ -1320,6 +1318,23 @@ class TestModelFile:
         data[4:8] = struct.pack("<I", 1)
         path.write_bytes(data)
         with pytest.raises(FormatError, match="unsupported version 1") as err:
+            read_model(path)
+        assert err.value.offset == 4
+
+    def test_version_two_model_refused(self, tmp_path):
+        # version 2 also stored the discriminator: a width after the dims,
+        # then its hidden and readout layers between generator and head
+        gen, head, configs = small_model()
+        disc = random_discriminator(8, 4, Rng(28))
+        chunks = [MODEL_MAGIC, struct.pack("<IIIII", 2, 2, 2, 2, 4)]
+        chunks += [np.ascontiguousarray(a, dtype="<f8").tobytes()
+                   for a in gen.params() + disc.params() + head.params()]
+        chunks += [b"\x01", struct.pack("<I", 2)]
+        chunks += [struct.pack("<Id", cfg.iterations, cfg.learn_rate)
+                   for cfg in configs]
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"".join(chunks))
+        with pytest.raises(FormatError, match="unsupported version 2") as err:
             read_model(path)
         assert err.value.offset == 4
 

@@ -173,6 +173,17 @@ class TestCorrelationMap:
         with pytest.raises(PreconditionError):
             CorrelationMap(np.ones(4))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_refused_without_numpy_warning(self):
+        # a·b overflows to +inf on channel 0 and -inf on channel 1, whose
+        # mean is nan; the map's own check reports it, not a numpy warning.
+        a = np.full((2, 2, 2), 1e200)
+        b = a * np.array([1.0, -1.0])[:, None, None]
+        for make in (lambda: correlation_map(a, b),
+                     lambda: channel_correlation(a, b, 1)):
+            with pytest.raises(PreconditionError, match="non-finite"):
+                make()
+
 
 class TestOccludedCells:
     def test_uniform_map_empty(self):
@@ -266,8 +277,8 @@ class TestSyntheticRecovery:
             ped = gen_pedestrian(world, sample_scale(r), r, pid=1000 + i)
             bg = gen_background(world, r, pid=5000 + i)
             proto = nearest_prototype(bank, ped.scale)
-            ped_mean = correlation_map(ped.features, proto.center).mean
-            bg_mean = correlation_map(bg.features, proto.center).mean
+            ped_mean = correlation_map(ped.features, proto.center).grid.mean()
+            bg_mean = correlation_map(bg.features, proto.center).grid.mean()
             wins += ped_mean > bg_mean
         assert wins >= 0.99 * trials
 

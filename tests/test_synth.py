@@ -157,6 +157,12 @@ def test_pedestrian_rejects_nonpositive_scale():
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf])
+def test_pedestrian_rejects_non_finite_scale(scale):
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        synth.gen_pedestrian(WORLD, scale, Rng(1).gen)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf])
 def test_proposal_rejects_non_finite_scale(scale):
     p = synth.gen_pedestrian(WORLD, 105.0, Rng(1).gen)
     with pytest.raises(PreconditionError, match="scale"):
