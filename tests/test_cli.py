@@ -884,6 +884,15 @@ class TestExitCodes:
         assert code == 2
         assert "at least 7 channels" in capsys.readouterr().err
 
+    def test_huge_fppi_count_fails_fast(self, tmp_path, capsys):
+        # Unbounded, eval died on numpy's "array is too big" for the grid.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"eval.fppi_count = {2**62}\n")
+        code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: eval.fppi_count" in capsys.readouterr().err
+        assert not (tmp_path / "train.fcds").exists()
+
     def test_nan_identity_noise_fails_fast(self, tmp_path, capsys):
         # NaN fails every `sigma_id > 0` test, so synthesis would draw a
         # noise-free world and exit 0.

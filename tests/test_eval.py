@@ -11,6 +11,7 @@ from occfill.completion import PLAN_CHUNK, Discriminator, minibatch, planned
 from occfill.errors import PreconditionError, ShapeMismatchError
 from occfill.eval import (
     plan_probe,
+    MAX_FPPI_COUNT,
     EvalConfig,
     compactness_ratio,
     in_subset,
@@ -247,12 +248,12 @@ class TestEvalConfig:
         assert np.allclose(pts, np.logspace(-2, 0, 9))
 
     def test_rejects_bad_grids(self):
-        for count in (1, 0, -1):
+        for count in (1, 0, -1, MAX_FPPI_COUNT + 1, 2**62):
             with pytest.raises(PreconditionError, match="eval.fppi_count"):
                 EvalConfig(fppi_count=count).validate()
 
     def test_points_span_the_range_at_any_count(self):
-        for count in (2, 3, 9, 20):
+        for count in (2, 3, 9, 20, MAX_FPPI_COUNT):
             pts = EvalConfig(fppi_count=count).validate().fppi_points
             assert len(pts) == count
             assert pts[0] == 1e-2 and pts[-1] == 1.0
