@@ -12,7 +12,9 @@ import logging
 import os
 import sys
 import time
+from array import array
 from dataclasses import dataclass, is_dataclass, replace
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -31,9 +33,9 @@ from .occlusion import Analysis, OcclusionConfig, analyze, channel_correlation
 from .occlusion import correlation_map  # noqa: F401
 from .prototypes import (FULLY_VISIBLE, FeaturePool, ProtoConfig, build_pool,
                          kmeans, read_bank, write_bank)
-from .synth import (MASK_PATTERNS, PEDESTRIAN, WorldConfig, gen_background,
-                    gen_occluded, gen_pedestrian, gen_world, read_dataset,
-                    sample_mask, sample_scale, write_dataset)
+from .synth import (MASK_PATTERNS, PEDESTRIAN, DatasetFile, WorldConfig,
+                    gen_background, gen_occluded, gen_pedestrian, gen_world,
+                    iter_dataset, sample_mask, sample_scale, write_dataset)
 
 LOG = logging.getLogger("occfill")
 
@@ -155,16 +157,42 @@ def config_to_text(config):
 # ---------------------------------------------------------------------------
 # Pipeline stages, importable without going through the argument parser.
 
+class _Drawn:
+    """One split's proposals as they are drawn, once.
+
+    It tallies what the manifest counts, the split's size and each
+    pedestrian's visibility, and the seconds spent drawing, apart from the
+    time its consumer spends on each proposal.
+    """
+
+    def __init__(self, groups):
+        self._proposals = chain(*groups)
+        self.seconds = 0.0
+        self.total = 0
+        self.visibility = array("d")
+
+    def __iter__(self):
+        while True:
+            start = time.perf_counter()
+            p = next(self._proposals, None)
+            self.seconds += time.perf_counter() - start
+            if p is None:
+                return
+            self.total += 1
+            if p.label == PEDESTRIAN:
+                self.visibility.append(p.visibility)
+            yield p
+
+
 def synthesize(config, out):
     """Draw the train and eval proposal sets into `out`; returns the manifest.
 
-    Each split is drawn, written to `<split>.fcds` and released before the
-    next is drawn, so only one split is held at a time. Every split draws
-    from its own labelled streams, so the order changes no byte. The
-    manifest of per-split counts goes to `manifest.json`, last. The
-    manifest and split files of an earlier run in `out` are removed first,
-    so a run that fails part way leaves no manifest and no stale split
-    beside the splits it wrote.
+    Each proposal is written to `<split>.fcds` as it is drawn, so no split
+    is held whole. Every split draws from its own labelled streams, so the
+    order changes no byte. The manifest of per-split counts goes to
+    `manifest.json`, last. The manifest and split files of an earlier run
+    in `out` are removed first, so a run that fails part way leaves no
+    manifest and no stale split beside the splits it wrote.
 
     Proposal i of a group draws everything it needs, in order, from the
     group's stream `p{i}`: one Philox generator is re-keyed to each such
@@ -177,8 +205,8 @@ def synthesize(config, out):
     data = config.data
     streams = RekeyedGenerator()
 
-    def pedestrians(rng, n, start_id, occlude):
-        drawn = []
+    def pedestrians(group, n, start_id, occlude):
+        rng = root.split(group)
         for i in range(n):
             gen = streams.start(rng.split(f"p{i}"))
             base = gen_pedestrian(world, sample_scale(gen), gen, pid=start_id + i)
@@ -187,52 +215,45 @@ def synthesize(config, out):
                 mask = sample_mask(world, pattern, gen)
                 kind = "object" if gen.random() < 0.5 else "pedestrian"
                 base = gen_occluded(world, base, mask, kind, gen)
-            drawn.append(base)
-        return drawn
+            yield base
 
-    def backgrounds(rng, n, start_id):
-        return [gen_background(world, streams.start(rng.split(f"p{i}")),
-                               pid=start_id + i)
-                for i in range(n)]
+    def backgrounds(group, n, start_id):
+        rng = root.split(group)
+        for i in range(n):
+            yield gen_background(world, streams.start(rng.split(f"p{i}")),
+                                 pid=start_id + i)
 
-    def draw_train():
-        train = pedestrians(root.split("train-visible"), data.train_visible,
-                            0, "never")
-        train += pedestrians(root.split("train-occluded"),
-                             data.train_occluded, len(train), "always")
-        train += backgrounds(root.split("train-background"),
-                             data.train_background, len(train))
-        return train
+    visible, occluded = data.train_visible, data.train_occluded
+    splits = {
+        "train": (pedestrians("train-visible", visible, 0, "never"),
+                  pedestrians("train-occluded", occluded, visible, "always"),
+                  backgrounds("train-background", data.train_background,
+                              visible + occluded)),
+        "eval": (pedestrians("eval-pedestrians", data.eval_pedestrians, 0, "half"),
+                 backgrounds("eval-background", data.eval_background,
+                             data.eval_pedestrians)),
+    }
 
-    def draw_eval():
-        eval_set = pedestrians(root.split("eval-pedestrians"),
-                               data.eval_pedestrians, 0, "half")
-        eval_set += backgrounds(root.split("eval-background"),
-                                data.eval_background, len(eval_set))
-        return eval_set
-
-    def counts(proposals):
-        visibility = np.array([p.visibility for p in proposals
-                               if p.label == PEDESTRIAN])
+    def counts(drawn):
+        visibility = np.frombuffer(drawn.visibility)
         tally = {name: int(in_subset(visibility, name).sum())
                  for name in SUBSETS}
         tally["pedestrian"] = len(visibility)
-        tally["background"] = len(proposals) - len(visibility)
-        tally["total"] = len(proposals)
-        tally["images"] = -(-len(proposals) // data.proposals_per_image)
+        tally["background"] = drawn.total - len(visibility)
+        tally["total"] = drawn.total
+        tally["images"] = -(-drawn.total // data.proposals_per_image)
         return tally
 
     manifest = {"seed": config.seed, "dims": list(world.dims),
                 "proposals_per_image": data.proposals_per_image}
-    for split, draw in (("train", draw_train), ("eval", draw_eval)):
+    for split, groups in splits.items():
+        drawn = _Drawn(groups)
         start = time.perf_counter()
-        proposals = draw()
-        drawn = time.perf_counter()
-        write_dataset(proposals, out / f"{split}.fcds", dims=world.dims)
+        write_dataset(drawn, out / f"{split}.fcds", dims=world.dims)
         LOG.info("%s split: %d proposals drawn in %.2f s, written in %.2f s",
-                 split, len(proposals), drawn - start, time.perf_counter() - drawn)
-        manifest[split] = counts(proposals)
-        del proposals
+                 split, drawn.total, drawn.seconds,
+                 time.perf_counter() - start - drawn.seconds)
+        manifest[split] = counts(drawn)
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
@@ -255,39 +276,77 @@ def complete_proposal(features, scale, bank, gen, occ_config):
     return ProposalReport(**vars(found), completed=completed)
 
 
-def _ped_pools(proposals):
-    visible = build_pool(proposals)
-    occluded = [p for p in proposals
-                if p.label == PEDESTRIAN and p.visibility < FULLY_VISIBLE]
+# What a record is to `train_model` and `evaluate`, one byte per record.
+BACKGROUND_KIND, VISIBLE_KIND, OCCLUDED_KIND = 0, 1, 2
+
+
+def _kind(proposal):
+    if proposal.label != PEDESTRIAN:
+        return BACKGROUND_KIND
+    return VISIBLE_KIND if proposal.visibility >= FULLY_VISIBLE else OCCLUDED_KIND
+
+
+def _second_pass(proposals, kinds):
+    """The second pass over `proposals`: (index, proposal) pairs.
+
+    Each record must have the kind the first pass recorded in `kinds`, and
+    there must be as many records. Otherwise PreconditionError names the
+    record, raised before its pair is yielded, so a consumer never writes
+    past the arrays the first pass sized.
+    """
+    count = 0
+    for i, p in enumerate(proposals):
+        if i >= len(kinds) or _kind(p) != kinds[i]:
+            raise PreconditionError(
+                f"dataset changed between passes: record {i} (id {p.id}) is "
+                "not the one the first pass read")
+        count = i + 1
+        yield i, p
+    if count != len(kinds):
+        raise PreconditionError(
+            f"dataset changed between passes: the second pass ended at record "
+            f"{count} of {len(kinds)}")
+
+
+def training_pools(proposals):
+    """The first pass of `train_model`: (visible pool, occluded pool, kinds).
+
+    The visible pool stacks the fully visible pedestrians' maps; the
+    occluded pool holds the occluded pedestrians' own maps, uncopied;
+    `kinds` holds every record's kind for the second pass to check.
+    """
+    visible, occluded, scales = [], [], []
+    kinds = bytearray()
+    for p in proposals:
+        kind = _kind(p)
+        kinds.append(kind)
+        if kind == VISIBLE_KIND:
+            visible.append(p)
+        elif kind == OCCLUDED_KIND:
+            occluded.append(p.features)
+            scales.append(p.scale)
+    pool = build_pool(visible)
     if not occluded:
         raise PreconditionError("training dataset holds no occluded pedestrians")
-    # The dataset's own feature views: the pool holds no copy of them.
-    features = [p.features for p in occluded]
-    scales = np.array([p.scale for p in occluded], dtype=np.float64)
-    return visible, FeaturePool(features, scales)
-
-
-def _complete_into(maps, start, proposals, bank, gen, occ_config):
-    """Write the completed map of each flagged proposal, in order, into
-    ``maps`` from row ``start``; returns the row after the last one."""
-    for p in proposals:
-        report = complete_proposal(p.features, p.scale, bank, gen, occ_config)
-        if report.occluded:
-            maps[start] = report.completed
-            start += 1
-    return start
+    return pool, FeaturePool(occluded, np.array(scales, dtype=np.float64)), kinds
 
 
 def train_model(proposals, bank, config):
     """Adversarial training plus the rescoring head: (gen, head, history).
 
-    The head is fit on completed features, the distribution it scores at
-    eval time: completed occluded pedestrians against completed backgrounds.
-    Each completed map goes straight into one array, positives then
-    negatives, each in proposal order, and the fit normalizes that array in
-    place: beyond the dataset, the head holds one array of maps.
+    `proposals` is any dataset that can be iterated twice, such as a list
+    or a `DatasetFile`. The first pass collects the training pools
+    (`training_pools`). The head is fit on completed features, the
+    distribution it scores at eval time: completed occluded pedestrians
+    against completed backgrounds. The second pass writes each completed
+    map straight into one array, positives from its first row and
+    negatives from the row after the last possible positive, each in
+    proposal order; the negatives are then moved up behind the positives,
+    and the fit normalizes that array in place. So the head holds one
+    array of maps, and no split is held whole.
     """
-    visible, occ_pool = _ped_pools(proposals)
+    visible, occ_pool, kinds = training_pools(proposals)
+    dims = visible.features.shape[1:]
     world = gen_world(config.world, config.seed)
     rng = Rng(config.seed)
     gen, _, history = progressive_train(visible, occ_pool, bank,
@@ -296,14 +355,27 @@ def train_model(proposals, bank, config):
     del visible, occ_pool
     LOG.info("adversarial training done (%d iterations)", len(history))
 
-    occluded = [p for p in proposals
-                if p.label == PEDESTRIAN and p.visibility < FULLY_VISIBLE]
-    backgrounds = [p for p in proposals if p.label != PEDESTRIAN]
     start = time.perf_counter()
-    maps = np.empty((len(occluded) + len(backgrounds),)
-                    + proposals[0].features.shape)
-    positives = _complete_into(maps, 0, occluded, bank, gen, config.occ)
-    total = _complete_into(maps, positives, backgrounds, bank, gen, config.occ)
+    first_negative = kinds.count(OCCLUDED_KIND)
+    maps = np.empty((first_negative + kinds.count(BACKGROUND_KIND),) + dims)
+    positives, row = 0, first_negative
+    for i, p in _second_pass(proposals, kinds):
+        if kinds[i] == VISIBLE_KIND:
+            continue
+        report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
+        if not report.occluded:
+            continue
+        if kinds[i] == OCCLUDED_KIND:
+            maps[positives] = report.completed
+            positives += 1
+        else:
+            maps[row] = report.completed
+            row += 1
+    # One row at a time: a slice assignment between overlapping rows
+    # would copy them through a temporary as large as the negatives.
+    for src in range(first_negative, row):
+        maps[positives + src - first_negative] = maps[src]
+    total = positives + row - first_negative
     if positives == 0 or positives == total:
         raise PreconditionError("no completed samples to fit the scoring head on")
     passed = time.perf_counter()
@@ -327,37 +399,50 @@ def evaluate(proposals, bank, gen, head, config):
     even though every background proposal is a potential false positive.
     A subset without ground truths gets NaN miss rates; the others are
     still computed.
+
+    `proposals` is any dataset that can be iterated twice. The first pass
+    reads each record's label, visibility and detector score; the second
+    completes each proposal, writing the occluded pedestrians' raw and
+    completed maps and the fully visible ones' maps into arrays the first
+    pass sized.
     """
-    images = -(-len(proposals) // config.data.proposals_per_image)
-    pedestrian = np.array([p.label == PEDESTRIAN for p in proposals], dtype=bool)
-    visibility = np.array([p.visibility for p in proposals], dtype=np.float64)
-    baseline = np.array([p.score for p in proposals], dtype=np.float64)
+    kinds, visibility, baseline, dims = bytearray(), [], [], ()
+    for p in proposals:
+        kinds.append(_kind(p))
+        visibility.append(p.visibility)
+        baseline.append(p.score)
+        dims = p.features.shape
+    pedestrian = np.frombuffer(kinds, dtype=np.uint8) != BACKGROUND_KIND
+    visibility = np.array(visibility, dtype=np.float64)
+    baseline = np.array(baseline, dtype=np.float64)
+    images = -(-len(kinds) // config.data.proposals_per_image)
     completed = np.empty_like(baseline)
     flagged = 0
-    # Occluded pedestrians after completion, in one array; the raw and
-    # visible maps stay views of the dataset until the diagnostics.
-    n_occluded = int(np.sum(pedestrian & (visibility < FULLY_VISIBLE)))
-    dims = proposals[0].features.shape if proposals else ()
-    comp_occ = np.empty((n_occluded,) + dims)
-    raw_occ, vis_feats, ious = [], [], []
+    raw_occ = np.empty((kinds.count(OCCLUDED_KIND),) + dims)
+    comp_occ = np.empty_like(raw_occ)
+    vis_feats = np.empty((kinds.count(VISIBLE_KIND),) + dims)
+    n_occ = n_vis = 0
+    ious = []
     clock = time.perf_counter()
-    for i, p in enumerate(proposals):
+    for i, p in _second_pass(proposals, kinds):
         report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
         completed[i] = rescore(p, report.completed, head, report.occluded)
         flagged += report.occluded
-        if p.label != PEDESTRIAN:
+        if kinds[i] == BACKGROUND_KIND:
             continue
         if p.true_mask is not None:
             ious.append(mask_iou(report.mask, p.true_mask))
-        if p.visibility >= FULLY_VISIBLE:
-            vis_feats.append(p.features)
+        if kinds[i] == VISIBLE_KIND:
+            vis_feats[n_vis] = p.features
+            n_vis += 1
         else:
-            comp_occ[len(raw_occ)] = report.completed if report.occluded else p.features
-            raw_occ.append(p.features)
+            raw_occ[n_occ] = p.features
+            comp_occ[n_occ] = report.completed if report.occluded else p.features
+            n_occ += 1
 
     LOG.info("eval scored %d proposals: %d flagged and completed, "
-             "%d kept their detector score", len(proposals), flagged,
-             len(proposals) - flagged)
+             "%d kept their detector score", len(kinds), flagged,
+             len(kinds) - flagged)
     diagnostics = {"images": images,
                    "mean_mask_iou": float(np.mean(ious)) if ious else float("nan"),
                    "compactness_ratio": float("nan"),
@@ -365,17 +450,18 @@ def evaluate(proposals, bank, gen, head, config):
     # Wall seconds per phase, for the log only.
     seconds = {"completion": time.perf_counter() - clock, "compactness": 0.0,
                "probe": 0.0}
-    if raw_occ and vis_feats:
+    if n_occ and n_vis:
         clock = time.perf_counter()
-        vis_feats = np.stack(vis_feats)
         diagnostics["compactness_ratio"] = compactness_ratio(
-            np.stack(raw_occ), comp_occ, vis_feats)
+            raw_occ, comp_occ, vis_feats)
         seconds["compactness"] = time.perf_counter() - clock
-        if min(len(comp_occ), len(vis_feats)) >= PROBE_MIN_SAMPLES:
-            clock = time.perf_counter()
-            diagnostics["probe_accuracy"] = probe_accuracy(
-                comp_occ, vis_feats, seed=config.seed)
-            seconds["probe"] = time.perf_counter() - clock
+    # The probe reads only the completed and visible maps.
+    del raw_occ
+    if min(n_occ, n_vis) >= PROBE_MIN_SAMPLES:
+        clock = time.perf_counter()
+        diagnostics["probe_accuracy"] = probe_accuracy(
+            comp_occ, vis_feats, seed=config.seed)
+        seconds["probe"] = time.perf_counter() - clock
     # The miss rates need only the per-proposal vectors.
     del comp_occ, vis_feats
     clock = time.perf_counter()
@@ -489,7 +575,7 @@ def cmd_synth(args):
 def cmd_build_prototypes(args):
     config = _load_config(args)
     out = _prepare_out(args, config)
-    pool = build_pool(read_dataset(args.data))
+    pool = build_pool(iter_dataset(args.data))
     bank = kmeans(pool, config.proto, seed=config.seed)
     write_bank(bank, out / "bank.fcpb")
     for i, proto in enumerate(bank.prototypes):
@@ -502,9 +588,8 @@ def cmd_build_prototypes(args):
 def cmd_train(args):
     config = _load_config(args)
     out = _prepare_out(args, config)
-    proposals = read_dataset(args.data)
     bank = read_bank(args.bank)
-    gen, head, history = train_model(proposals, bank, config)
+    gen, head, history = train_model(DatasetFile(args.data), bank, config)
     grid = bank.prototypes[0].center.shape[1:]
     write_model(out / "model.fcgd", gen, head, (config.train1, config.train2),
                 grid)
@@ -517,10 +602,9 @@ def cmd_train(args):
 def cmd_eval(args):
     config = _load_config(args)
     out = _prepare_out(args, config)
-    proposals = read_dataset(args.data)
     bank = read_bank(args.bank)
     gen, _, head, _, _ = read_model(args.model)
-    rows, diagnostics = evaluate(proposals, bank, gen, head, config)
+    rows, diagnostics = evaluate(DatasetFile(args.data), bank, gen, head, config)
     _write_metrics(out / "metrics.csv", rows, diagnostics)
     for row in rows:
         print(f"{row['subset']}: MR {row['mr_baseline']:.4f} -> "
@@ -532,9 +616,8 @@ def cmd_eval(args):
 def cmd_inspect(args):
     config = _load_config(args)
     out = _prepare_out(args, config)
-    proposals = read_dataset(args.data)
     bank = read_bank(args.bank)
-    matches = [p for p in proposals if p.id == args.id]
+    matches = [p for p in iter_dataset(args.data) if p.id == args.id]
     if not matches:
         raise PreconditionError(f"no proposal with id {args.id}")
     if len(matches) > 1:

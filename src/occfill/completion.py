@@ -421,7 +421,7 @@ def progressive_train(visible_pool, real_occluded_pool, bank, stage_configs, rng
 
     ``visible_pool.features`` must be one (N, C, X, Y) array. Only
     ``real_occluded_pool.features`` may be a sequence of (C, X, Y) maps, as
-    `train_model` passes the dataset's own views, since it is only iterated.
+    `train_model` passes the records' own maps, since it is only iterated.
     """
     configs = [c.validate() for c in stage_configs]
     if len(configs) != 2:
@@ -610,41 +610,41 @@ def write_model(path, gen, head, configs, grid):
 def read_model(path):
     """Load (generator, None, head, grid, configs) from a model file; the
     None stands for the discriminator, which the file does not hold."""
-    r = BinaryReader(path, MODEL_MAGIC)
-    version = r.unpack("<I", "version")[0]
-    if version != MODEL_VERSION:
-        raise FormatError(4, f"unsupported version {version}")
-    head_pos = r.pos
-    c, gx, gy = r.unpack("<III", "dims")
-    if c < 1 or gx < 1 or gy < 1:
-        raise FormatError(head_pos, "model dims must be positive")
+    with BinaryReader(path, MODEL_MAGIC) as r:
+        version = r.unpack("<I", "version")[0]
+        if version != MODEL_VERSION:
+            raise FormatError(4, f"unsupported version {version}")
+        head_pos = r.pos
+        c, gx, gy = r.unpack("<III", "dims")
+        if c < 1 or gx < 1 or gy < 1:
+            raise FormatError(head_pos, "model dims must be positive")
 
-    gen = Generator(
-        DenseLayer(r.floats((c, c), "generator mix weights"),
-                   r.floats((c,), "generator mix bias"), "relu"),
-        DenseLayer(r.floats((c, c), "generator out weights"),
-                   r.floats((c,), "generator out bias"), "identity"))
-    head = ScoringHead(
-        DenseLayer(r.floats((1, c * gx * gy), "head weights"),
-                   r.floats((1,), "head bias"), "sigmoid"))
-    flag_pos = r.pos
-    flag = r.unpack("<B", "head flag")[0]
-    if flag not in (0, 1):
-        raise FormatError(flag_pos, f"bad head flag {flag}")
-    head.trained = flag == 1
+        gen = Generator(
+            DenseLayer(r.floats((c, c), "generator mix weights"),
+                       r.floats((c,), "generator mix bias"), "relu"),
+            DenseLayer(r.floats((c, c), "generator out weights"),
+                       r.floats((c,), "generator out bias"), "identity"))
+        head = ScoringHead(
+            DenseLayer(r.floats((1, c * gx * gy), "head weights"),
+                       r.floats((1,), "head bias"), "sigmoid"))
+        flag_pos = r.pos
+        flag = r.unpack("<B", "head flag")[0]
+        if flag not in (0, 1):
+            raise FormatError(flag_pos, f"bad head flag {flag}")
+        head.trained = flag == 1
 
-    count_pos = r.pos
-    n_cfg = r.unpack("<I", "config count")[0]
-    if n_cfg > 16:
-        raise FormatError(count_pos, f"implausible config count {n_cfg}")
-    configs = []
-    for i in range(n_cfg):
-        rec_pos = r.pos
-        cfg = TrainConfig(*r.unpack("<Id", f"train config {i}"))
-        try:
-            cfg.validate()
-        except PreconditionError as err:
-            raise FormatError(rec_pos, f"invalid train config: {err}") from err
-        configs.append(cfg)
-    r.finish()
+        count_pos = r.pos
+        n_cfg = r.unpack("<I", "config count")[0]
+        if n_cfg > 16:
+            raise FormatError(count_pos, f"implausible config count {n_cfg}")
+        configs = []
+        for i in range(n_cfg):
+            rec_pos = r.pos
+            cfg = TrainConfig(*r.unpack("<Id", f"train config {i}"))
+            try:
+                cfg.validate()
+            except PreconditionError as err:
+                raise FormatError(rec_pos, f"invalid train config: {err}") from err
+            configs.append(cfg)
+        r.finish()
     return gen, None, head, (gx, gy), tuple(configs)

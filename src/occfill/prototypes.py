@@ -85,7 +85,10 @@ class FeaturePool:
 
 
 def build_pool(proposals):
-    """Collect the fully visible pedestrians of a dataset into a pool."""
+    """Collect the fully visible pedestrians of a dataset into a pool.
+
+    `proposals` is any iterable, walked once, such as a dataset file's
+    `synth.iter_dataset`: only the pool's proposals are kept."""
     keep = [p for p in proposals
             if p.label == PEDESTRIAN and p.visibility >= FULLY_VISIBLE]
     if not keep:
@@ -174,7 +177,21 @@ def _lloyd(flat, k, rng, max_iters):
         labels = new_labels
         for j in range(k):
             centers[j] = flat[labels == j].mean(axis=0)
-    return labels, centers, float(np.sum((flat - centers[labels]) ** 2))
+    return labels, centers, _objective(flat, centers, labels)
+
+
+def _objective(flat, centers, labels):
+    """Sum of squared distances of the rows of `flat` to their centers.
+
+    The differences are squared in place in the one n x d gather
+    `centers[labels]`: the same contiguous values summed in the same
+    order as `np.sum((flat - centers[labels]) ** 2)`, so the same bits,
+    which pick the winning restart, with one temporary instead of two.
+    """
+    diff = centers[labels]
+    np.subtract(flat, diff, out=diff)
+    np.square(diff, out=diff)
+    return float(np.sum(diff))
 
 
 def _fill_empty(labels, own, k):
@@ -259,31 +276,31 @@ def write_bank(bank, path):
 
 
 def read_bank(path):
-    r = BinaryReader(path, BANK_MAGIC)
-    version, k, c, x, y = r.unpack("<IIIII", "header")
-    if version != BANK_VERSION:
-        raise FormatError(4, f"unsupported version {version}")
-    if k < 1:
-        raise FormatError(8, "bank must hold at least one prototype")
-    for offset, name, dim in ((12, "C", c), (16, "X", x), (20, "Y", y)):
-        if dim == 0:
-            raise FormatError(offset, f"feature dim {name} is zero")
-    protos = []
-    for i in range(k):
-        at = r.pos
-        r.need(20 + c * x * y * 8, f"prototype {i}")
-        mean, std, count = r.unpack("<ddI", f"prototype {i}")
-        if not 0 < mean < math.inf:
-            raise FormatError(at, f"prototype {i} has scale mean {mean}, "
-                                  "not positive and finite")
-        if not 0 <= std < math.inf:
-            raise FormatError(at + 8, f"prototype {i} has scale std {std}, "
-                                      "not non-negative and finite")
-        if count < 1:
-            raise FormatError(at + 16, f"prototype {i} has no members")
-        center = r.floats((c, x, y), f"center of prototype {i}")
-        protos.append(Prototype(center, mean, std, count))
-    r.finish()
+    with BinaryReader(path, BANK_MAGIC) as r:
+        version, k, c, x, y = r.unpack("<IIIII", "header")
+        if version != BANK_VERSION:
+            raise FormatError(4, f"unsupported version {version}")
+        if k < 1:
+            raise FormatError(8, "bank must hold at least one prototype")
+        for offset, name, dim in ((12, "C", c), (16, "X", x), (20, "Y", y)):
+            if dim == 0:
+                raise FormatError(offset, f"feature dim {name} is zero")
+        protos = []
+        for i in range(k):
+            at = r.pos
+            r.need(20 + c * x * y * 8, f"prototype {i}")
+            mean, std, count = r.unpack("<ddI", f"prototype {i}")
+            if not 0 < mean < math.inf:
+                raise FormatError(at, f"prototype {i} has scale mean {mean}, "
+                                      "not positive and finite")
+            if not 0 <= std < math.inf:
+                raise FormatError(at + 8, f"prototype {i} has scale std {std}, "
+                                          "not non-negative and finite")
+            if count < 1:
+                raise FormatError(at + 16, f"prototype {i} has no members")
+            center = r.floats((c, x, y), f"center of prototype {i}")
+            protos.append(Prototype(center, mean, std, count))
+        r.finish()
     if any(b.scale_mean < a.scale_mean for a, b in zip(protos, protos[1:])):
         raise FormatError(24, "prototypes out of scale order")
     return PrototypeBank(tuple(protos)).validate()

@@ -15,11 +15,11 @@ from occfill import completion
 from occfill.cli import (
     DataConfig,
     RunConfig,
-    _ped_pools,
     complete_proposal,
     evaluate,
     main,
     train_model,
+    training_pools,
 )
 from occfill.completion import TrainConfig, progressive_train
 from occfill.eval import (
@@ -75,7 +75,7 @@ def eval_compactness(eval_set, bank, gen, occ_config):
 
 
 def identity_generator(train, bank, config):
-    visible, occ_pool = _ped_pools(train)
+    visible, occ_pool, _ = training_pools(train)
     world = gen_world(config.world, config.seed)
     zero = (TrainConfig(0), TrainConfig(0))
     gen, _, _ = progressive_train(visible, occ_pool, bank, zero, Rng(0), world)
@@ -282,7 +282,7 @@ def test_criterion_08_progressive_training_is_better_and_steadier(tmp_path):
                                        eval_background=0)).validate()
     train, eval_set = synthesized(config, tmp_path)
     bank = kmeans(build_pool(train), ProtoConfig(k=5, restarts=5), seed=42)
-    visible, occ_pool = _ped_pools(train)
+    visible, occ_pool, _ = training_pools(train)
     world = gen_world(config.world, config.seed)
     occ_cfg = config.occ
 

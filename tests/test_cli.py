@@ -37,8 +37,8 @@ from occfill.occlusion import (OcclusionConfig, analyze, completion_mask,
 from occfill.prototypes import (FULLY_VISIBLE, PrototypeBank, ProtoConfig,
                                 build_pool, kmeans, nearest_prototype,
                                 read_bank, write_bank)
-from occfill.synth import (PEDESTRIAN, OcclusionMask, Proposal, WorldConfig,
-                           read_dataset, write_dataset)
+from occfill.synth import (IO_BUFFER, PEDESTRIAN, OcclusionMask, Proposal,
+                           WorldConfig, read_dataset, write_dataset)
 
 SMALL = """\
 seed = 7
@@ -263,8 +263,8 @@ class TestSynthData:
         assert all(p.true_mask is not None for p in peds[1::2])
 
     def test_each_proposal_is_validated_once(self, tmp_path, monkeypatch):
-        # write_dataset validates every proposal before it opens the file,
-        # and the generators leave that check to it.
+        # write_dataset validates every proposal as it writes it, and the
+        # generators leave that check to it.
         calls = []
         validate = Proposal.validate
 
@@ -780,6 +780,62 @@ def synthesized(config, out):
     return read_dataset(out / "train.fcds"), read_dataset(out / "eval.fcds")
 
 
+class TwoPasses:
+    """A dataset whose first pass yields `first` and every later one `then`."""
+
+    def __init__(self, first, then):
+        self.passes = [first, then]
+
+    def __iter__(self):
+        return iter(self.passes.pop(0) if len(self.passes) > 1 else self.passes[0])
+
+
+def changed(proposals, how):
+    """`proposals` with one change the first pass cannot see coming, and the
+    index of the record the second pass must name."""
+    first_background = next(i for i, p in enumerate(proposals)
+                            if p.label != PEDESTRIAN)
+    first_occluded = next(i for i, p in enumerate(proposals)
+                          if p.label == PEDESTRIAN and p.visibility < FULLY_VISIBLE)
+    out = list(proposals)
+    if how == "shorter":
+        return out[:-1], len(out) - 1
+    if how == "longer":
+        return out + out[:1], len(out)
+    if how == "label":
+        out[first_background] = proposals[0]
+        return out, first_background
+    # Subset: an occluded pedestrian turns fully visible.
+    out[first_occluded] = dataclasses.replace(
+        proposals[first_occluded], visibility=1.0, true_mask=None)
+    return out, first_occluded
+
+
+HOW = ["shorter", "longer", "label", "subset"]
+
+
+@pytest.mark.parametrize("how", HOW)
+def test_train_refuses_a_dataset_that_changes_between_passes(small_run, how):
+    config = dataclasses.replace(
+        config_from_mapping(parse_config_text(SMALL)),
+        train1=TrainConfig(0, 2e-3), train2=TrainConfig(0, 2e-4)).validate()
+    train = read_dataset(small_run["train"])
+    second, record = changed(train, how)
+    with pytest.raises(PreconditionError, match=f"changed between passes.* {record}"):
+        train_model(TwoPasses(train, second), read_bank(small_run["bank"]), config)
+
+
+@pytest.mark.parametrize("how", HOW)
+def test_eval_refuses_a_dataset_that_changes_between_passes(small_run, how):
+    config = config_from_mapping(parse_config_text(SMALL)).validate()
+    gen, _, head, _, _ = read_model(small_run["model"])
+    eval_set = read_dataset(small_run["eval"])
+    second, record = changed(eval_set, how)
+    with pytest.raises(PreconditionError, match=f"changed between passes.* {record}"):
+        evaluate(TwoPasses(eval_set, second), read_bank(small_run["bank"]), gen,
+                 head, config)
+
+
 def test_failed_synthesis_leaves_no_stale_split_or_manifest(tmp_path,
                                                              monkeypatch):
     # An earlier run's files, then a run that fails writing the eval split:
@@ -805,10 +861,84 @@ def test_failed_synthesis_leaves_no_stale_split_or_manifest(tmp_path,
     assert (tmp_path / "train.fcds").read_bytes() != old_train
 
 
+@pytest.fixture(scope="class")
+def streamed(tmp_path_factory):
+    """Tracemalloc peaks of build-prototypes, train and eval, each run
+    through `main` on splits that synth-data wrote, with the sizes of the
+    split files they read."""
+    base = tmp_path_factory.mktemp("streamed")
+    data = DataConfig(train_visible=100, train_occluded=100,
+                      train_background=300, eval_pedestrians=200,
+                      eval_background=600)
+    config = RunConfig(seed=5, data=data, proto=ProtoConfig(k=3, restarts=1),
+                       train1=TrainConfig(0, 2e-3), train2=TrainConfig(0, 2e-4),
+                       head=TrainConfig(2, 0.5)).validate()
+    cfg = base / "cfg.txt"
+    cfg.write_text(config_to_text(config))
+    common = ["--config", str(cfg)]
+    s, b, t = base / "s", base / "b", base / "t"
+    run_ok(["synth-data", *common, "--out", str(s)])
+    stages = {
+        "build-prototypes": ["--data", str(s / "train.fcds"), "--out", str(b)],
+        "train": ["--data", str(s / "train.fcds"), "--bank", str(b / "bank.fcpb"),
+                  "--out", str(t)],
+        "eval": ["--data", str(s / "eval.fcds"), "--bank", str(b / "bank.fcpb"),
+                 "--model", str(t / "model.fcgd"), "--out", str(base / "e")],
+    }
+    peaks = {stage: traced_peak(lambda: run_ok([stage, *common, *args]))[1]
+             for stage, args in stages.items()}
+    return {"data": data, "peaks": peaks,
+            "train": (s / "train.fcds").stat().st_size,
+            "eval": (s / "eval.fcds").stat().st_size}
+
+
 class TestMemory:
-    """Each stage holds its dataset once plus one working array. The bounds
-    are in maps of the default world; the comments give what each stage
-    held before it wrote its maps into one array."""
+    """Each stage holds the arrays it works on and no split whole. The
+    bounds are in maps of the default world; the comments give what each
+    stage held before it read its split one proposal at a time."""
+
+    def test_synthesis_holds_a_few_maps_whatever_the_split_size(self, tmp_path):
+        # Each proposal is written as it is drawn, so synthesis holds the
+        # write buffer and a few maps, for 300 proposals as for 1,200.
+        # Holding one split at a time it peaked at 333 and 826 maps. The
+        # first run only warms up: it imports numpy's random helpers.
+        peaks = []
+        for scale in (1, 1, 4):
+            data = DataConfig(train_visible=50 * scale, train_occluded=50 * scale,
+                              train_background=50 * scale,
+                              eval_pedestrians=75 * scale,
+                              eval_background=75 * scale)
+            config = RunConfig(seed=5, data=data).validate()
+            manifest, peak = traced_peak(lambda: synthesize(config, tmp_path))
+            assert manifest["eval"]["total"] == 150 * scale
+            peaks.append(peak)
+        assert max(peaks[1:]) <= IO_BUFFER + 16 * MAP_BYTES
+
+    # The stages below, run through `main`, may hold beyond the arrays
+    # they must hold less than half the split file they read.
+
+    def test_build_prototypes_holds_the_pool_and_one_temporary(self, streamed):
+        # The pool of 100 visible maps, and its list of maps while it is
+        # stacked or the k-means objective's one temporary. With the whole
+        # train file held it peaked at 655 maps, against 219 now.
+        held = 2 * streamed["data"].train_visible * MAP_BYTES
+        assert streamed["peaks"]["build-prototypes"] <= held + streamed["train"] / 2
+
+    def test_train_holds_the_head_array_and_no_split(self, streamed):
+        # The head's one array of all 400 candidates; the pools of the
+        # adversarial stages hold less. With the whole train file held it
+        # peaked at 1,092 maps, against 548 now.
+        data = streamed["data"]
+        held = (data.train_occluded + data.train_background) * MAP_BYTES
+        assert streamed["peaks"]["train"] <= held + streamed["train"] / 2
+
+    def test_eval_holds_its_three_sets_and_no_split(self, streamed):
+        # The raw and completed occluded maps and the visible ones, 100
+        # each; then the probe's working set, which the raw maps make room
+        # for. With the whole eval file held it peaked at 1,437 maps,
+        # against 570 now.
+        held = 3 * (streamed["data"].eval_pedestrians // 2) * MAP_BYTES
+        assert streamed["peaks"]["eval"] <= held + streamed["eval"] / 2
 
     def test_synthesis_holds_one_split_at_a_time(self, tmp_path):
         # Two splits of 300 proposals. Drawing both before writing either

@@ -1267,6 +1267,14 @@ class TestModelFile:
         write_model(path, gen, head, configs, grid=(2, 2))
         return path, bytearray(path.read_bytes())
 
+    @staticmethod
+    def refused(path, offset, message):
+        """`read_model` refuses the file at `offset` with `message`."""
+        with pytest.raises(FormatError) as err:
+            read_model(path)
+        assert err.value.offset == offset
+        assert str(err.value) == f"{message} (byte offset {offset})"
+
     def test_total_size_matches_layout(self, tmp_path):
         path, data = self.written(tmp_path)
         assert len(data) == self.layout()["end"]
@@ -1275,51 +1283,39 @@ class TestModelFile:
         path, data = self.written(tmp_path)
         data[:4] = b"JUNK"
         path.write_bytes(data)
-        with pytest.raises(FormatError) as err:
-            read_model(path)
-        assert err.value.offset == 0
+        self.refused(path, 0, "bad magic b'JUNK'")
 
     def test_bad_version_offset(self, tmp_path):
         path, data = self.written(tmp_path)
         data[4:8] = struct.pack("<I", 99)
         path.write_bytes(data)
-        with pytest.raises(FormatError) as err:
-            read_model(path)
-        assert err.value.offset == 4
+        self.refused(path, 4, "unsupported version 99")
 
     def test_zero_dim_offset(self, tmp_path):
         path, data = self.written(tmp_path)
         data[8:12] = struct.pack("<I", 0)
         path.write_bytes(data)
-        with pytest.raises(FormatError) as err:
-            read_model(path)
-        assert err.value.offset == 8
+        self.refused(path, 8, "model dims must be positive")
 
     def test_truncated_weights_offset(self, tmp_path):
         path, data = self.written(tmp_path)
         cut = self.layout()["head_w"] + 10
         path.write_bytes(data[:cut])
-        with pytest.raises(FormatError, match="head weights") as err:
-            read_model(path)
-        assert err.value.offset == self.layout()["head_w"]
+        self.refused(path, self.layout()["head_w"], "truncated head weights")
 
     def test_non_finite_weight_offset(self, tmp_path):
         path, data = self.written(tmp_path)
         off = self.layout()["gen_out_w"]
         data[off:off + 8] = struct.pack("<d", np.inf)
         path.write_bytes(data)
-        with pytest.raises(FormatError) as err:
-            read_model(path)
-        assert err.value.offset == off
+        self.refused(path, off, "non-finite value in generator out weights")
 
     def test_version_one_model_refused(self, tmp_path):
         # version 1 records carried batch size, discriminator steps and stage
         path, data = self.written(tmp_path)
         data[4:8] = struct.pack("<I", 1)
         path.write_bytes(data)
-        with pytest.raises(FormatError, match="unsupported version 1") as err:
-            read_model(path)
-        assert err.value.offset == 4
+        self.refused(path, 4, "unsupported version 1")
 
     def test_version_two_model_refused(self, tmp_path):
         # version 2 also stored the discriminator: a width after the dims,
@@ -1334,34 +1330,27 @@ class TestModelFile:
                    for cfg in configs]
         path = tmp_path / "model.bin"
         path.write_bytes(b"".join(chunks))
-        with pytest.raises(FormatError, match="unsupported version 2") as err:
-            read_model(path)
-        assert err.value.offset == 4
+        self.refused(path, 4, "unsupported version 2")
 
     def test_invalid_config_values_offset(self, tmp_path):
         path, data = self.written(tmp_path)
         off = self.layout()["cfg1"]
         data[off + 4:off + 12] = struct.pack("<d", 0.0)
         path.write_bytes(data)
-        with pytest.raises(FormatError) as err:
-            read_model(path)
-        assert err.value.offset == off
+        self.refused(path, off, "invalid train config: train.learn_rate must "
+                                "be positive and finite, got 0.0")
 
     def test_implausible_config_count_offset(self, tmp_path):
         path, data = self.written(tmp_path)
         off = self.layout()["count"]
         data[off:off + 4] = struct.pack("<I", 4000)
         path.write_bytes(data)
-        with pytest.raises(FormatError) as err:
-            read_model(path)
-        assert err.value.offset == off
+        self.refused(path, off, "implausible config count 4000")
 
     def test_trailing_bytes_offset(self, tmp_path):
         path, data = self.written(tmp_path)
         path.write_bytes(bytes(data) + b"x")
-        with pytest.raises(FormatError) as err:
-            read_model(path)
-        assert err.value.offset == self.layout()["end"]
+        self.refused(path, self.layout()["end"], "1 trailing bytes")
 
     @pytest.mark.parametrize("flag", [2, 255])
     def test_bad_head_flag_offset(self, tmp_path, flag):
@@ -1369,9 +1358,7 @@ class TestModelFile:
         off = self.layout()["flag"]
         data[off] = flag
         path.write_bytes(data)
-        with pytest.raises(FormatError, match=f"bad head flag {flag}") as err:
-            read_model(path)
-        assert err.value.offset == off
+        self.refused(path, off, f"bad head flag {flag}")
 
     def test_magic_is_first_bytes(self, tmp_path):
         path, data = self.written(tmp_path)

@@ -224,6 +224,34 @@ def test_kmeans_memory_stays_near_the_pool():
     assert peak <= 3.0 * feats.nbytes
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_objective_equals_the_two_temporary_sum(seed):
+    # The sum picks the winning restart, so it must keep its bits.
+    rng = Rng(83).split(f"pool-{seed}").gen
+    n, d, k = (int(v) for v in rng.integers(1, [300, 800, 8]))
+    flat = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0) + rng.normal()
+    centers = rng.normal(size=(k, d))
+    labels = rng.integers(0, k, size=n)
+    want = float(np.sum((flat - centers[labels]) ** 2))
+    assert prototypes._objective(flat, centers, labels) == want
+
+
+def test_objective_holds_one_temporary():
+    # Two n x d temporaries, `centers[labels]` and the difference, peaked
+    # at 2.00x the pool.
+    rng = Rng(84).gen
+    flat = rng.normal(size=(800, 16 * 7 * 7))
+    centers = rng.normal(size=(5, 16 * 7 * 7))
+    labels = rng.integers(0, 5, size=800)
+    tracemalloc.start()
+    try:
+        prototypes._objective(flat, centers, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * flat.nbytes
+
+
 # ---------------------------------------------------------------------------
 # lookup
 
@@ -318,30 +346,31 @@ def _bank_bytes(tmp_path):
     return bytearray(path.read_bytes())
 
 
-def _expect_bank_error(tmp_path, data, offset):
+def _expect_bank_error(tmp_path, data, offset, message):
     path = tmp_path / "broken.bin"
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError) as err:
         prototypes.read_bank(path)
     assert err.value.offset == offset
+    assert str(err.value) == f"{message} (byte offset {offset})"
 
 
 def test_bank_bad_magic(tmp_path):
     data = _bank_bytes(tmp_path)
     data[1] = 0
-    _expect_bank_error(tmp_path, data, 0)
+    _expect_bank_error(tmp_path, data, 0, "bad magic b'F\\x00PB'")
 
 
 def test_bank_bad_version(tmp_path):
     data = _bank_bytes(tmp_path)
     data[4] = 42
-    _expect_bank_error(tmp_path, data, 4)
+    _expect_bank_error(tmp_path, data, 4, "unsupported version 42")
 
 
 def test_bank_zero_clusters(tmp_path):
     data = _bank_bytes(tmp_path)
     data[8:12] = (0).to_bytes(4, "little")
-    _expect_bank_error(tmp_path, data, 8)
+    _expect_bank_error(tmp_path, data, 8, "bank must hold at least one prototype")
 
 
 @pytest.mark.parametrize("dims,offset", [((0, 7, 7), 12), ((16, 0, 7), 16),
@@ -350,33 +379,36 @@ def test_bank_zero_dim_header(tmp_path, dims, offset):
     # one prototype whose zero-sized centre takes no bytes
     data = (prototypes.BANK_MAGIC + struct.pack("<IIIII", 1, 1, *dims)
             + struct.pack("<ddI", 64.0, 9.0, 3))
-    _expect_bank_error(tmp_path, data, offset)
+    name = "CXY"[(offset - 12) // 4]
+    _expect_bank_error(tmp_path, data, offset, f"feature dim {name} is zero")
 
 
 def test_bank_zero_member_count(tmp_path):
     data = _bank_bytes(tmp_path)
     data[24 + 16:24 + 20] = (0).to_bytes(4, "little")
-    _expect_bank_error(tmp_path, data, 24 + 16)
+    _expect_bank_error(tmp_path, data, 24 + 16, "prototype 0 has no members")
 
 
 def test_bank_truncated_record(tmp_path):
     data = _bank_bytes(tmp_path)
     record = 20 + 16 * 7 * 7 * 8
-    _expect_bank_error(tmp_path, data[:-5], 24 + 2 * record)
+    _expect_bank_error(tmp_path, data[:-5], 24 + 2 * record,
+                       "truncated prototype 2")
 
 
 def test_bank_trailing_bytes(tmp_path):
     data = _bank_bytes(tmp_path)
     n = len(data)
     data.extend(b"??")
-    _expect_bank_error(tmp_path, data, n)
+    _expect_bank_error(tmp_path, data, n, "2 trailing bytes")
 
 
 def test_bank_non_finite_center(tmp_path):
     data = _bank_bytes(tmp_path)
     at = 24 + 20
     data[at:at + 8] = np.array([np.inf]).tobytes()
-    _expect_bank_error(tmp_path, data, at)
+    _expect_bank_error(tmp_path, data, at,
+                       "non-finite value in center of prototype 0")
 
 
 @pytest.mark.parametrize("field, value", [(0, np.nan), (0, np.inf), (8, np.nan),
@@ -387,7 +419,9 @@ def test_bank_non_finite_scale(tmp_path, field, value):
     data = _bank_bytes(tmp_path)
     at = 24 + 2 * (20 + 16 * 7 * 7 * 8) + field
     data[at:at + 8] = struct.pack("<d", value)
-    _expect_bank_error(tmp_path, data, at)
+    what = ("mean", "positive") if field == 0 else ("std", "non-negative")
+    _expect_bank_error(tmp_path, data, at, f"prototype 2 has scale {what[0]} "
+                                           f"{value}, not {what[1]} and finite")
 
 
 @pytest.mark.parametrize("field, value", [(0, 0.0), (0, -0.0), (0, -40.0),
@@ -398,7 +432,9 @@ def test_bank_impossible_scale(tmp_path, field, value):
     data = _bank_bytes(tmp_path)
     at = 24 + field
     data[at:at + 8] = struct.pack("<d", value)
-    _expect_bank_error(tmp_path, data, at)
+    what = ("mean", "positive") if field == 0 else ("std", "non-negative")
+    _expect_bank_error(tmp_path, data, at, f"prototype 0 has scale {what[0]} "
+                                           f"{value}, not {what[1]} and finite")
 
 
 def test_bank_zero_scale_std_is_read(tmp_path):
@@ -417,4 +453,4 @@ def test_bank_out_of_order_means(tmp_path):
     second = bytes(data[24 + record:24 + 2 * record])
     data[24:24 + record] = second
     data[24 + record:24 + 2 * record] = first
-    _expect_bank_error(tmp_path, data, 24)
+    _expect_bank_error(tmp_path, data, 24, "prototypes out of scale order")

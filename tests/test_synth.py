@@ -594,8 +594,8 @@ def test_roundtrip_twice_identical_bytes(tmp_path):
 
 
 def test_read_holds_the_file_once(tmp_path):
-    # Feature arrays are views of the file's bytes, so reading holds the
-    # file once; a copy per field would hold it twice.
+    # Feature arrays are views of the bytes read for them, so reading holds
+    # the file once; a copy per field would hold it twice.
     props = [synth.Proposal(i, p.label, p.scale, p.features, p.score,
                             visibility=p.visibility, true_mask=p.true_mask)
              for i, p in enumerate(_sample_proposals() * 44)]
@@ -611,6 +611,83 @@ def test_read_holds_the_file_once(tmp_path):
     assert len(back) == len(props)
     assert not back[0].features.flags.writeable
     assert peak <= 1.5 * size
+
+
+def test_iteration_yields_what_the_list_holds_and_rereads(tmp_path):
+    props = _sample_proposals()
+    path = tmp_path / "data.bin"
+    synth.write_dataset(props, path)
+    dataset = synth.DatasetFile(path)
+    for _ in range(2):
+        back = list(dataset)
+        assert [p.id for p in back] == [p.id for p in props]
+        assert all(np.array_equal(p.features, q.features)
+                   for p, q in zip(props, back))
+
+
+def test_write_takes_a_generator_and_writes_its_bytes(tmp_path):
+    props = _sample_proposals()
+    synth.write_dataset(props, tmp_path / "list.bin")
+    synth.write_dataset((p for p in props), tmp_path / "gen.bin")
+    assert (tmp_path / "gen.bin").read_bytes() == (tmp_path / "list.bin").read_bytes()
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file object the synth module opens, in order."""
+    handles = []
+
+    def recording(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(synth, "open", recording, raising=False)
+    return handles
+
+
+def test_a_consumer_that_stops_early_leaves_no_file_open(tmp_path, opened):
+    path = tmp_path / "data.bin"
+    synth.write_dataset(_sample_proposals(), path)
+    for proposal in synth.DatasetFile(path):
+        break
+    assert proposal.id == 1
+    assert next(synth.iter_dataset(path)).id == 1
+    assert len(opened) == 3 and all(fh.closed for fh in opened)
+
+
+def test_model_and_bank_readers_close_their_file_on_a_format_error(tmp_path,
+                                                                  opened):
+    from occfill.completion import read_model
+    from occfill.prototypes import read_bank
+    for read in (read_model, read_bank):
+        for data in (b"FC", b"JUNKJUNK", b"FCGD\x03\x00\x00\x00",
+                     b"FCPB\x01\x00\x00\x00"):
+            path = tmp_path / "broken.bin"
+            path.write_bytes(data)
+            with pytest.raises(FormatError):
+                read(path)
+    assert len(opened) == 8 and all(fh.closed for fh in opened)
+
+
+def _failing(proposals, exc):
+    yield from proposals
+    raise exc
+
+
+@pytest.mark.parametrize("tail", ["raises", "invalid", "misshapen"])
+def test_a_failed_write_leaves_no_file(tmp_path, tail):
+    props = _sample_proposals()
+    bad = {"raises": _failing(props, RuntimeError("draw failed")),
+           "invalid": props + [synth.Proposal(9, synth.PEDESTRIAN, 100.0,
+                                              props[0].features, 1.5)],
+           "misshapen": props + [synth.gen_pedestrian(
+               synth.gen_world(synth.WorldConfig(channels=8), 1), 105.0,
+               Rng(2).gen)]}[tail]
+    path = tmp_path / "data.bin"
+    path.write_bytes(b"an earlier file")
+    with pytest.raises((RuntimeError, PreconditionError)):
+        synth.write_dataset(bad, path, dims=(16, 7, 7))
+    assert not path.exists()
 
 
 def test_roundtrip_empty(tmp_path):
@@ -630,7 +707,8 @@ def test_write_empty_needs_positive_dims(tmp_path):
                                          ((16, 7, 0), 20)])
 def test_zero_dim_header_rejected(tmp_path, dims, offset):
     header = synth.DATASET_MAGIC + struct.pack("<IIIII", 1, 0, *dims)
-    _expect_format_error(tmp_path, header, offset)
+    name = "CXY"[(offset - 12) // 4]
+    _expect_format_error(tmp_path, header, offset, f"feature dim {name} is zero")
 
 
 def test_write_rejects_mixed_shapes(tmp_path):
@@ -657,37 +735,44 @@ def _valid_bytes(tmp_path):
     return bytearray(path.read_bytes()), path
 
 
-def _expect_format_error(tmp_path, data, offset):
+def _expect_format_error(tmp_path, data, offset, message):
+    """The reader refuses `data` at `offset` with `message`, and so does a
+    consumer that walks it with `iter_dataset` and stops at the error."""
     path = tmp_path / "broken.bin"
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError) as err:
         synth.read_dataset(path)
     assert err.value.offset == offset
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    with pytest.raises(FormatError) as again:
+        for _ in synth.iter_dataset(path):
+            pass
+    assert str(again.value) == str(err.value)
     return err.value
 
 
 def test_bad_magic_offset_zero(tmp_path):
     data, _ = _valid_bytes(tmp_path)
     data[0] = ord("X")
-    _expect_format_error(tmp_path, data, 0)
+    _expect_format_error(tmp_path, data, 0, "bad magic b'XCDS'")
 
 
 def test_bad_version_offset_four(tmp_path):
     data, _ = _valid_bytes(tmp_path)
     data[4] = 99
-    _expect_format_error(tmp_path, data, 4)
+    _expect_format_error(tmp_path, data, 4, "unsupported version 99")
 
 
 def test_truncated_header(tmp_path):
     data, _ = _valid_bytes(tmp_path)
-    _expect_format_error(tmp_path, data[:10], 4)
+    _expect_format_error(tmp_path, data[:10], 4, "truncated header")
 
 
 def test_bad_label_byte(tmp_path):
     data, _ = _valid_bytes(tmp_path)
     # first proposal starts right after the 24-byte header; label follows id
     data[24 + 8] = 7
-    _expect_format_error(tmp_path, data, 32)
+    _expect_format_error(tmp_path, data, 32, "bad label byte 7")
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0])
@@ -695,13 +780,14 @@ def test_bad_scale(tmp_path, scale):
     data, _ = _valid_bytes(tmp_path)
     # the scale follows the id and the label byte
     data[24 + 9:24 + 17] = struct.pack("<d", scale)
-    _expect_format_error(tmp_path, data, 24 + 9)
+    _expect_format_error(tmp_path, data, 24 + 9,
+                         f"scale {scale} is not positive and finite")
 
 
 def test_bad_mask_flag(tmp_path):
     data, _ = _valid_bytes(tmp_path)
     data[24 + 33] = 9
-    _expect_format_error(tmp_path, data, 57)
+    _expect_format_error(tmp_path, data, 57, "bad mask flag 9")
 
 
 def test_bad_mask_byte(tmp_path):
@@ -709,26 +795,27 @@ def test_bad_mask_byte(tmp_path):
     # second proposal carries the mask; it starts after the first record
     first = 24 + 34 + 16 * 49 * 8
     data[first + 34 + 5] = 3
-    _expect_format_error(tmp_path, data, first + 34 + 5)
+    _expect_format_error(tmp_path, data, first + 34 + 5, "bad mask byte 3")
 
 
 def test_non_finite_feature_rejected(tmp_path):
     data, _ = _valid_bytes(tmp_path)
     feat_at = 24 + 34
     data[feat_at:feat_at + 8] = np.array([np.nan]).tobytes()
-    err = _expect_format_error(tmp_path, data, feat_at)
-    assert "non-finite" in str(err)
+    _expect_format_error(tmp_path, data, feat_at,
+                         "non-finite value in proposal 0 features")
 
 
 def test_trailing_bytes_rejected(tmp_path):
     data, _ = _valid_bytes(tmp_path)
     n = len(data)
     data.extend(b"xx")
-    _expect_format_error(tmp_path, data, n)
+    _expect_format_error(tmp_path, data, n, "2 trailing bytes")
 
 
 def test_truncated_features(tmp_path):
     data, _ = _valid_bytes(tmp_path)
     # the last record's feature block heads the error, not the cut point
     last_features_at = len(data) - 16 * 49 * 8
-    _expect_format_error(tmp_path, data[:-3], last_features_at)
+    _expect_format_error(tmp_path, data[:-3], last_features_at,
+                         "truncated proposal 2 features")
