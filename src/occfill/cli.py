@@ -21,18 +21,20 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .completion import (TrainConfig, copy_paste, progressive_train, read_model,
-                         rescore, train_scoring_head, write_model)
+from .completion import (TrainConfig, _paste_pool, copy_paste, mask_library,
+                         progressive_train, read_model, rescore,
+                         train_scoring_head, write_model)
 from .errors import OccfillError, PreconditionError
 from .eval import (SUBSETS, EvalConfig, PROBE_MIN_SAMPLES, compactness_ratio,
                    in_subset, log_avg_miss_rate, mask_iou, probe_accuracy)
 from .ndnum import RekeyedGenerator, Rng
-from .occlusion import Analysis, OcclusionConfig, analyze, channel_correlation
+from .occlusion import (Analysis, OcclusionConfig, analyze, channel_correlation,
+                        is_occluded)
 # Only analyze calls correlation_map. The name stays bound here because
 # bench/test_tracer.py counts its calls by patching it in this module.
 from .occlusion import correlation_map  # noqa: F401
-from .prototypes import (FULLY_VISIBLE, FeaturePool, ProtoConfig, build_pool,
-                         kmeans, read_bank, write_bank)
+from .prototypes import (ProtoConfig, build_pool, is_fully_visible, kmeans,
+                         read_bank, write_bank)
 from .synth import (MASK_PATTERNS, PEDESTRIAN, DatasetFile, WorldConfig,
                     gen_background, gen_occluded, gen_pedestrian, gen_world,
                     iter_dataset, sample_mask, sample_scale, write_dataset)
@@ -283,7 +285,7 @@ BACKGROUND_KIND, VISIBLE_KIND, OCCLUDED_KIND = 0, 1, 2
 def _kind(proposal):
     if proposal.label != PEDESTRIAN:
         return BACKGROUND_KIND
-    return VISIBLE_KIND if proposal.visibility >= FULLY_VISIBLE else OCCLUDED_KIND
+    return VISIBLE_KIND if is_fully_visible(proposal) else OCCLUDED_KIND
 
 
 def _second_pass(proposals, kinds):
@@ -308,74 +310,84 @@ def _second_pass(proposals, kinds):
             f"{count} of {len(kinds)}")
 
 
-def training_pools(proposals):
-    """The first pass of `train_model`: (visible pool, occluded pool, kinds).
+def training_pools(proposals, bank):
+    """The first two passes of `train_model`: (visible pool, mask library,
+    kinds).
 
-    The visible pool stacks the fully visible pedestrians' maps; the
-    occluded pool holds the occluded pedestrians' own maps, uncopied;
-    `kinds` holds every record's kind for the second pass to check.
+    The first pass records every record's kind, for the later passes to
+    check, and the masks observed on the occluded pedestrians
+    (`mask_library`). The second writes the fully visible pedestrians'
+    maps into the pool, which the first pass sized (`build_pool`).
     """
-    visible, occluded, scales = [], [], []
     kinds = bytearray()
-    for p in proposals:
-        kind = _kind(p)
-        kinds.append(kind)
-        if kind == VISIBLE_KIND:
-            visible.append(p)
-        elif kind == OCCLUDED_KIND:
-            occluded.append(p.features)
-            scales.append(p.scale)
-    pool = build_pool(visible)
-    if not occluded:
+
+    def occluded():
+        for p in proposals:
+            kinds.append(_kind(p))
+            if kinds[-1] == OCCLUDED_KIND:
+                yield p.features, p.scale
+
+    library = mask_library(occluded(), bank)
+    visible = build_pool((p for _, p in _second_pass(proposals, kinds)),
+                         kinds.count(VISIBLE_KIND))
+    if OCCLUDED_KIND not in kinds:
         raise PreconditionError("training dataset holds no occluded pedestrians")
-    return pool, FeaturePool(occluded, np.array(scales, dtype=np.float64)), kinds
+    return visible, library, kinds
 
 
 def train_model(proposals, bank, config):
     """Adversarial training plus the rescoring head: (gen, head, history).
 
     `proposals` is any dataset that can be iterated twice, such as a list
-    or a `DatasetFile`. The first pass collects the training pools
-    (`training_pools`). The head is fit on completed features, the
-    distribution it scores at eval time: completed occluded pedestrians
-    against completed backgrounds. The second pass writes each completed
-    map straight into one array, positives from its first row and
-    negatives from the row after the last possible positive, each in
-    proposal order; the negatives are then moved up behind the positives,
-    and the fit normalizes that array in place. So the head holds one
-    array of maps, and no split is held whole.
+    or a `DatasetFile`; it is read four times. The first two passes give
+    the visible pool and the mask library (`training_pools`), and stage
+    one trains on them. Only then is the head's one array allocated, one
+    row per occluded pedestrian and background: the third pass pastes the
+    occluded pedestrians into its first rows, the pool stage two trains
+    on. The head is fit on completed features, the distribution it scores
+    at eval time: completed occluded pedestrians against completed
+    backgrounds. The fourth pass overwrites the array with each flagged
+    completion, positives from its first row and negatives right behind
+    them, each in proposal order, and the fit normalizes it in place. So
+    training holds one array of candidates' maps, and no split whole.
     """
-    visible, occ_pool, kinds = training_pools(proposals)
-    dims = visible.features.shape[1:]
+    visible, library, kinds = training_pools(proposals, bank)
+    shape = (len(kinds) - kinds.count(VISIBLE_KIND),) + visible.features.shape[1:]
+    # An occluded verdict needs a non-empty mask, so the head pass flags
+    # exactly the occluded pedestrians whose observed mask passes alpha.
+    positives = sum(is_occluded(mask, config.occ) for mask in library)
+    maps = None
+
+    def stage_two_pool():
+        nonlocal maps
+        maps = np.empty(shape)
+        occluded = ((p.features, p.scale) for i, p in _second_pass(proposals, kinds)
+                    if kinds[i] == OCCLUDED_KIND)
+        return _paste_pool(occluded, bank, maps)
+
     world = gen_world(config.world, config.seed)
     rng = Rng(config.seed)
-    gen, _, history = progressive_train(visible, occ_pool, bank,
-                                        (config.train1, config.train2),
-                                        rng.split("train"), world)
-    del visible, occ_pool
+    gen, disc, history = progressive_train(visible, library, stage_two_pool, bank,
+                                           (config.train1, config.train2),
+                                           rng.split("train"), world)
+    del visible, disc
     LOG.info("adversarial training done (%d iterations)", len(history))
 
     start = time.perf_counter()
-    first_negative = kinds.count(OCCLUDED_KIND)
-    maps = np.empty((first_negative + kinds.count(BACKGROUND_KIND),) + dims)
-    positives, row = 0, first_negative
+    rows = [0, positives]  # the next row of the positives and the negatives
     for i, p in _second_pass(proposals, kinds):
         if kinds[i] == VISIBLE_KIND:
             continue
         report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
-        if not report.occluded:
-            continue
-        if kinds[i] == OCCLUDED_KIND:
-            maps[positives] = report.completed
-            positives += 1
-        else:
-            maps[row] = report.completed
-            row += 1
-    # One row at a time: a slice assignment between overlapping rows
-    # would copy them through a temporary as large as the negatives.
-    for src in range(first_negative, row):
-        maps[positives + src - first_negative] = maps[src]
-    total = positives + row - first_negative
+        if report.occluded:
+            side = kinds[i] == BACKGROUND_KIND
+            maps[rows[side]] = report.completed
+            rows[side] += 1
+    if rows[0] != positives:
+        raise PreconditionError(
+            f"dataset changed between passes: {rows[0]} occluded pedestrians "
+            f"were flagged, not the {positives} the first pass found")
+    total = rows[1]
     if positives == 0 or positives == total:
         raise PreconditionError("no completed samples to fit the scoring head on")
     passed = time.perf_counter()
@@ -575,7 +587,7 @@ def cmd_synth(args):
 def cmd_build_prototypes(args):
     config = _load_config(args)
     out = _prepare_out(args, config)
-    pool = build_pool(iter_dataset(args.data))
+    pool = build_pool(DatasetFile(args.data))
     bank = kmeans(pool, config.proto, seed=config.seed)
     write_bank(bank, out / "bank.fcpb")
     for i, proto in enumerate(bank.prototypes):

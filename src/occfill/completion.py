@@ -37,7 +37,7 @@ from .occlusion import OcclusionConfig, analyze
 # Only analyze calls correlation_map. The name stays bound here because
 # bench/test_tracer.py counts its calls by patching it in this module.
 from .occlusion import correlation_map  # noqa: F401
-from .prototypes import FeaturePool, nearest_prototype
+from .prototypes import nearest_prototype
 from .synth import MASK_PATTERNS, BinaryReader, sample_mask
 
 MODEL_MAGIC = b"FCGD"
@@ -378,56 +378,59 @@ def train_adversarial(pools, gen, disc, config, rng, paired=False, start_iterati
     return gen, disc, history
 
 
-def mask_library(occluded_pool, bank):
+def mask_library(occluded, bank):
     """Masks observed on real occluded samples, via their completion masks.
 
+    ``occluded`` is an iterable of (features, scale) pairs, walked once.
     Empty masks are dropped: a sample whose correlation map flags nothing
     contributes no occlusion pattern worth imitating. The mask does not
     depend on the verdict's ``alpha``, so the default config serves.
     """
     masks = []
-    for feats, scale in zip(occluded_pool.features, occluded_pool.scales):
+    for feats, scale in occluded:
         mask = analyze(feats, scale, bank, OcclusionConfig()).mask
         if mask.count > 0:
             masks.append(mask)
     return masks
 
 
-def _paste_pool(pool, bank):
-    """Completion-masked copy-paste for every sample in a feature pool, as
-    one (n, c, x, y) array."""
-    pasted = np.empty((pool.size,) + bank.prototypes[0].center.shape)
-    for i, (feats, scale) in enumerate(zip(pool.features, pool.scales)):
+def _paste_pool(occluded, bank, out):
+    """Completion-masked copy-paste of every (features, scale) pair of
+    ``occluded``, written into the rows of ``out`` from its first; returns
+    the rows written, a view of ``out``."""
+    n = 0
+    for n, (feats, scale) in enumerate(occluded, 1):
         found = analyze(feats, scale, bank, OcclusionConfig())
-        pasted[i] = copy_paste(feats, found.prototype.center, found.mask)
-    return pasted
+        out[n - 1] = copy_paste(feats, found.prototype.center, found.mask)
+    return out[:n]
 
 
-def progressive_train(visible_pool, real_occluded_pool, bank, stage_configs, rng,
-                      world):
+def progressive_train(visible_pool, library, occluded_pool, bank, stage_configs,
+                      rng, world):
     """Two-stage adversarial training; returns (generator, discriminator, history).
 
     ``stage_configs`` holds the synthetic stage's config, then the real
     stage's. Stage one mimics occlusion on known-good data: every visible
-    sample gets a mask drawn from the library of masks observed on the real
-    occluded pool, prototype values pasted into those cells, and the
-    result is trained against the same sample's original features. Stage
-    two switches to the real occluded pool, copy-pasted the same way and
-    trained against randomly paired visible samples. Generator and
-    discriminator parameters carry over between stages.
+    sample gets a mask drawn from ``library``, the masks observed on the
+    real occluded samples (`mask_library`), prototype values pasted into
+    those cells, and the result is trained against the same sample's
+    original features. Stage two trains the real occluded samples,
+    copy-pasted the same way, against randomly paired visible samples.
+    Generator and discriminator parameters carry over between stages.
 
-    When fewer than MIN_MASK_LIBRARY observed masks exist, the library is
-    topped up with synthetic mask patterns drawn from ``world``.
+    When ``library`` holds fewer than MIN_MASK_LIBRARY masks, stage one
+    tops a copy of it up with synthetic mask patterns drawn from ``world``.
 
-    ``visible_pool.features`` must be one (N, C, X, Y) array. Only
-    ``real_occluded_pool.features`` may be a sequence of (C, X, Y) maps, as
-    `train_model` passes the records' own maps, since it is only iterated.
+    ``visible_pool.features`` is one (N, C, X, Y) array. ``occluded_pool``
+    is called with no arguments once stage one is done and its pool
+    freed; it returns stage two's pasted pool as one (n, C, X, Y) array,
+    so that pool is not held during stage one.
     """
     configs = [c.validate() for c in stage_configs]
     if len(configs) != 2:
         raise PreconditionError("stage_configs must be (synthetic, real)")
 
-    lib = mask_library(real_occluded_pool, bank)
+    lib = list(library)
     top_rng = rng.split("mask-top-up")
     for i in range(MIN_MASK_LIBRARY - len(lib)):
         pattern = MASK_PATTERNS[i % len(MASK_PATTERNS)]
@@ -448,14 +451,13 @@ def progressive_train(visible_pool, real_occluded_pool, bank, stage_configs, rng
     stage1 = FeaturePools(occluded=synthetic, visible=visible_pool.features)
     gen, disc, history = train_adversarial(
         stage1, gen, disc, configs[0], rng.split("stage1"), paired=True)
-    # Stage two holds its own pasted pool; the synthetic one goes first.
+    # Stage two makes its own pool; the synthetic one goes first.
     del synthetic, stage1
     LOG.info("stage 1: %d iterations in %.2f s", configs[0].iterations,
              time.perf_counter() - start)
 
     start = time.perf_counter()
-    stage2 = FeaturePools(occluded=_paste_pool(real_occluded_pool, bank),
-                          visible=visible_pool.features)
+    stage2 = FeaturePools(occluded=occluded_pool(), visible=visible_pool.features)
     gen, disc, tail = train_adversarial(
         stage2, gen, disc, configs[1], rng.split("stage2"),
         start_iteration=configs[0].iterations)

@@ -74,9 +74,7 @@ class PrototypeBank:
 
 @dataclass(frozen=True)
 class FeaturePool:
-    # (N, C, X, Y), or a sequence of N (C, X, Y) maps where a reader only
-    # iterates it (see `progressive_train`).
-    features: np.ndarray
+    features: np.ndarray        # (N, C, X, Y)
     scales: np.ndarray          # (N,)
 
     @property
@@ -84,21 +82,43 @@ class FeaturePool:
         return len(self.features)
 
 
-def build_pool(proposals):
+def is_fully_visible(proposal):
+    return proposal.label == PEDESTRIAN and proposal.visibility >= FULLY_VISIBLE
+
+
+def build_pool(proposals, count=None):
     """Collect the fully visible pedestrians of a dataset into a pool.
 
-    `proposals` is any iterable, walked once, such as a dataset file's
-    `synth.iter_dataset`: only the pool's proposals are kept."""
-    keep = [p for p in proposals
-            if p.label == PEDESTRIAN and p.visibility >= FULLY_VISIBLE]
-    if not keep:
+    `proposals` is any dataset that can be iterated twice, such as a list
+    or a `synth.DatasetFile`. The first pass counts the pool's members,
+    unless `count` gives their number; the next writes their maps and
+    scales straight into the pool's arrays, in order, so no list of maps
+    is stacked. A member count other than the first pass's raises
+    PreconditionError before a row is written past the pool."""
+    if count is None:
+        count = sum(map(is_fully_visible, proposals))
+    if not count:
         raise PreconditionError("no fully visible samples")
-    shape = keep[0].features.shape
-    for p in keep:
-        if p.features.shape != shape:
-            raise ShapeMismatchError("pool features", p.features, shape)
-    features = np.stack([p.features for p in keep])
-    scales = np.array([p.scale for p in keep], dtype=np.float64)
+    features = None
+    scales = np.empty(count)
+    n = 0
+    for p in filter(is_fully_visible, proposals):
+        if n == count:
+            raise PreconditionError(
+                f"dataset changed between passes: it holds more than the "
+                f"{count} fully visible pedestrians first counted")
+        if features is None:
+            features = np.empty((count,) + p.features.shape)
+        elif p.features.shape != features.shape[1:]:
+            raise ShapeMismatchError("pool features", p.features,
+                                     features.shape[1:])
+        features[n] = p.features
+        scales[n] = p.scale
+        n += 1
+    if n != count:
+        raise PreconditionError(
+            f"dataset changed between passes: it holds {n} of the {count} "
+            "fully visible pedestrians first counted")
     features.setflags(write=False)
     scales.setflags(write=False)
     return FeaturePool(features, scales)

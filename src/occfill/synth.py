@@ -58,6 +58,20 @@ BG_SWAPS = 10_000
 
 PART_NAMES = ("head", "torso", "left_arm", "right_arm", "left_leg", "right_leg")
 
+# Caps on a feature map's size, which sets a run's memory: `train` holds
+# about one map per training proposal, and the discriminator 64 weights
+# per map value. At both caps a map holds 64 x 16 x 16 values, 128 KiB,
+# twenty times the default's, so the default split's 1,400 train maps take
+# 175 MiB and the discriminator 8 MiB. Without a cap a size such as 2**40
+# failed with a traceback in numpy, or exhausted memory first.
+# - Channels: four times the default 16. They hold the six part templates
+#   and 58 occluder templates, each a row of a channels x channels basis,
+#   and the generator mixes them with two channels x channels layers.
+# - Grid sides: 16 cells, more than twice the default 7 x 7 grid of pooled
+#   detector features; masks, parts and correlation maps live on it.
+MAX_CHANNELS = 64
+MAX_GRID_SIDE = 16
+
 MASK_PATTERNS = ("left-half", "right-half", "bottom", "rect", "person-shape")
 # Every drawn mask covers between these fractions of the grid.
 MASK_MIN_FRACTION = 0.2
@@ -103,6 +117,13 @@ class WorldConfig:
             raise PreconditionError(
                 f"world.channels: need at least {len(PART_NAMES) + 1} channels, "
                 f"got {self.channels}")
+        if self.channels > MAX_CHANNELS:
+            raise PreconditionError(
+                f"world.channels must be at most {MAX_CHANNELS}, got {self.channels}")
+        for name in ("grid_x", "grid_y"):
+            if getattr(self, name) > MAX_GRID_SIDE:
+                raise PreconditionError(f"world.{name} must be at most "
+                                        f"{MAX_GRID_SIDE}, got {getattr(self, name)}")
         if self.grid_x < 2 or self.grid_y < 2:
             raise PreconditionError("world.grid_x and world.grid_y must be >= 2")
         # Background clutter keeps 3 or 4 cells on their own part and moves

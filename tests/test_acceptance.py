@@ -13,6 +13,7 @@ from test_cli import synthesized
 
 from occfill import completion
 from occfill.cli import (
+    OCCLUDED_KIND,
     DataConfig,
     RunConfig,
     complete_proposal,
@@ -21,7 +22,7 @@ from occfill.cli import (
     train_model,
     training_pools,
 )
-from occfill.completion import TrainConfig, progressive_train
+from occfill.completion import TrainConfig, _paste_pool, progressive_train
 from occfill.eval import (
     EvalConfig,
     compactness_ratio,
@@ -74,11 +75,22 @@ def eval_compactness(eval_set, bank, gen, occ_config):
     return compactness_ratio(np.stack(raw), np.stack(comp), np.stack(vis))
 
 
+def training_inputs(train, bank):
+    """The visible pool, mask library and stage-two pool that `train_model`
+    hands `progressive_train`."""
+    visible, library, kinds = training_pools(train, bank)
+    occluded = [(p.features, p.scale) for p, kind in zip(train, kinds)
+                if kind == OCCLUDED_KIND]
+    shape = (len(occluded),) + visible.features.shape[1:]
+    return visible, library, lambda: _paste_pool(occluded, bank, np.empty(shape))
+
+
 def identity_generator(train, bank, config):
-    visible, occ_pool, _ = training_pools(train)
+    visible, library, stage_two = training_inputs(train, bank)
     world = gen_world(config.world, config.seed)
     zero = (TrainConfig(0), TrainConfig(0))
-    gen, _, _ = progressive_train(visible, occ_pool, bank, zero, Rng(0), world)
+    gen, _, _ = progressive_train(visible, library, stage_two, bank, zero, Rng(0),
+                                  world)
     return gen
 
 
@@ -282,12 +294,12 @@ def test_criterion_08_progressive_training_is_better_and_steadier(tmp_path):
                                        eval_background=0)).validate()
     train, eval_set = synthesized(config, tmp_path)
     bank = kmeans(build_pool(train), ProtoConfig(k=5, restarts=5), seed=42)
-    visible, occ_pool, _ = training_pools(train)
+    visible, library, stage_two = training_inputs(train, bank)
     world = gen_world(config.world, config.seed)
     occ_cfg = config.occ
 
     def final_ratio(stages, s):
-        gen, _, _ = progressive_train(visible, occ_pool, bank, stages,
+        gen, _, _ = progressive_train(visible, library, stage_two, bank, stages,
                                       Rng(s).split("t"), world)
         return eval_compactness(eval_set, bank, gen, occ_cfg)
 

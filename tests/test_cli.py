@@ -4,7 +4,10 @@ import dataclasses
 import io
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from operator import attrgetter
 from pathlib import Path
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occfill import cli
+from occfill import BLAS_THREAD_VARS, cli
 from occfill.cli import (
     CONFIG_KEYS,
     DataConfig,
@@ -28,7 +31,8 @@ from occfill.cli import (
     synthesize,
     train_model,
 )
-from occfill.completion import TrainConfig, copy_paste, read_model, rescore
+from occfill.completion import (TrainConfig, copy_paste, read_model, rescore,
+                                train_scoring_head)
 from occfill.errors import PreconditionError
 from occfill.eval import EvalConfig, compactness_ratio, mask_iou
 from occfill.ndnum import Rng
@@ -825,6 +829,51 @@ def test_train_refuses_a_dataset_that_changes_between_passes(small_run, how):
         train_model(TwoPasses(train, second), read_bank(small_run["bank"]), config)
 
 
+def test_train_refuses_occluded_maps_that_change_between_passes(small_run):
+    # Every record keeps its kind, but from the second pass on the occluded
+    # pedestrians carry a visible pedestrian's map: the head pass flags
+    # fewer of them than the first pass's masks said it would.
+    config = dataclasses.replace(
+        config_from_mapping(parse_config_text(SMALL)),
+        train1=TrainConfig(0, 2e-3), train2=TrainConfig(0, 2e-4)).validate()
+    train = read_dataset(small_run["train"])
+    visible = next(p for p in train if cli._kind(p) == cli.VISIBLE_KIND)
+    second = [dataclasses.replace(p, features=visible.features)
+              if cli._kind(p) == cli.OCCLUDED_KIND else p for p in train]
+    with pytest.raises(PreconditionError,
+                       match="changed between passes: .* occluded pedestrians"):
+        train_model(TwoPasses(train, second), read_bank(small_run["bank"]), config)
+
+
+def test_head_is_fit_on_flagged_completions_positives_first_in_file_order(tmp_path):
+    # The records' kinds interleave, so neither side's rows follow from the
+    # records' places in the file.
+    data = DataConfig(train_visible=60, train_occluded=40, train_background=40,
+                      eval_pedestrians=0, eval_background=0)
+    config = RunConfig(seed=8, data=data, train1=TrainConfig(5, 2e-3),
+                       train2=TrainConfig(5, 2e-4),
+                       head=TrainConfig(20, 0.5)).validate()
+    train, _ = synthesized(config, tmp_path)
+    shuffled = [train[i] for i in np.random.default_rng(3).permutation(len(train))]
+    kinds = [cli._kind(p) for p in shuffled]
+    first_background = kinds.index(cli.BACKGROUND_KIND)
+    assert cli.OCCLUDED_KIND in kinds[first_background:]
+    bank = kmeans(build_pool(train), ProtoConfig(k=3, restarts=1), seed=8)
+    gen, head, _ = train_model(shuffled, bank, config)
+
+    flagged = {cli.OCCLUDED_KIND: [], cli.BACKGROUND_KIND: []}
+    for p, kind in zip(shuffled, kinds):
+        report = complete_proposal(p.features, p.scale, bank, gen, config.occ)
+        if kind != cli.VISIBLE_KIND and report.occluded:
+            flagged[kind].append(report.completed)
+    positives, negatives = flagged[cli.OCCLUDED_KIND], flagged[cli.BACKGROUND_KIND]
+    assert positives and negatives
+    want = train_scoring_head(np.stack(positives + negatives), len(positives),
+                              Rng(config.seed).split("head"), config.head)
+    for got, expected in zip(head.params(), want.params()):
+        assert np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("how", HOW)
 def test_eval_refuses_a_dataset_that_changes_between_passes(small_run, how):
     config = config_from_mapping(parse_config_text(SMALL)).validate()
@@ -834,6 +883,41 @@ def test_eval_refuses_a_dataset_that_changes_between_passes(small_run, how):
     with pytest.raises(PreconditionError, match=f"changed between passes.* {record}"):
         evaluate(TwoPasses(eval_set, second), read_bank(small_run["bank"]), gen,
                  head, config)
+
+
+@pytest.mark.slow
+def test_train_writes_the_same_model_whatever_the_blas_thread_variables(tmp_path):
+    """`train` in a fresh process writes the same model and history with the
+    BLAS thread variables unset as with each set to 1: importing occfill
+    pins one thread unless the environment says otherwise. Without that
+    pin, on a host with two or more cores, the unset run's threaded
+    products round otherwise and the models differ; on a one-core host the
+    test passes without the pin too."""
+    data = DataConfig(train_visible=100, train_occluded=40, train_background=40,
+                      eval_pedestrians=0, eval_background=0)
+    config = RunConfig(seed=4, data=data, proto=ProtoConfig(k=3),
+                       train1=TrainConfig(50, 2e-3), train2=TrainConfig(50, 2e-4),
+                       head=TrainConfig(50, 0.5)).validate()
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_to_text(config))
+    common = ["--config", str(cfg)]
+    run_ok(["synth-data", *common, "--out", str(tmp_path / "s")])
+    run_ok(["build-prototypes", *common, "--data", str(tmp_path / "s/train.fcds"),
+            "--out", str(tmp_path / "b")])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    unset["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for name, env in (("unset", unset),
+                      ("one", dict(unset, **dict.fromkeys(BLAS_THREAD_VARS, "1")))):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "occfill.cli", "train", *common,
+                        "--data", str(tmp_path / "s/train.fcds"),
+                        "--bank", str(tmp_path / "b/bank.fcpb"), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs[name] = [(out / f).read_bytes() for f in ("model.fcgd", "history.csv")]
+    assert outputs["unset"] == outputs["one"]
 
 
 def test_failed_synthesis_leaves_no_stale_split_or_manifest(tmp_path,
@@ -918,16 +1002,17 @@ class TestMemory:
     # they must hold less than half the split file they read.
 
     def test_build_prototypes_holds_the_pool_and_one_temporary(self, streamed):
-        # The pool of 100 visible maps, and its list of maps while it is
-        # stacked or the k-means objective's one temporary. With the whole
-        # train file held it peaked at 655 maps, against 219 now.
+        # The pool of 100 visible maps, which is counted first and then
+        # filled, and the k-means objective's one temporary. With the whole
+        # train file held it peaked at 655 maps, against 218 now.
         held = 2 * streamed["data"].train_visible * MAP_BYTES
         assert streamed["peaks"]["build-prototypes"] <= held + streamed["train"] / 2
 
     def test_train_holds_the_head_array_and_no_split(self, streamed):
-        # The head's one array of all 400 candidates; the pools of the
-        # adversarial stages hold less. With the whole train file held it
-        # peaked at 1,092 maps, against 548 now.
+        # The head's one array of all 400 candidates, which stage 2 holds
+        # beside the visible pool of 100 maps and the discriminator. With
+        # the whole train file held it peaked at 1,092 maps, against 599
+        # now.
         data = streamed["data"]
         held = (data.train_occluded + data.train_background) * MAP_BYTES
         assert streamed["peaks"]["train"] <= held + streamed["train"] / 2
@@ -1021,6 +1106,20 @@ class TestExitCodes:
         code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert "error: eval.fppi_count" in capsys.readouterr().err
+        assert not (tmp_path / "train.fcds").exists()
+
+    @pytest.mark.parametrize("key", ["channels", "grid_x", "grid_y"])
+    def test_oversized_world_fails_fast(self, tmp_path, capsys, key):
+        # Unbounded, 2**40 ended with exit 1 and numpy's traceback, or
+        # exhausted memory first. The validator refuses it before a stage
+        # allocates anything of that size.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"world.{key} = {2 ** 40}\n")
+        code = main(["synth-data", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: world.{key} must be at most ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "train.fcds").exists()
 
     def test_nan_identity_noise_fails_fast(self, tmp_path, capsys):

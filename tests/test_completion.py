@@ -18,6 +18,7 @@ from occfill.completion import (
     MODEL_MAGIC,
     ScoringHead,
     TrainConfig,
+    _paste_pool,
     adversarial_losses,
     copy_paste,
     mask_library,
@@ -878,6 +879,22 @@ def build_training_world(sigma, seed, scale=105.0, n_vis=60, n_occ=40):
     return world, pool_vis, pool_occ, bank
 
 
+def pairs(pool):
+    """A pool's (features, scale) pairs, as `mask_library` and `_paste_pool`
+    read them."""
+    return zip(pool.features, pool.scales)
+
+
+def progressive(pool_vis, pool_occ, bank, configs, rng, world):
+    """`progressive_train` on the mask library of ``pool_occ`` and, in stage
+    two, on ``pool_occ`` pasted."""
+    def stage_two():
+        return _paste_pool(pairs(pool_occ), bank, np.empty(pool_occ.features.shape))
+
+    return progressive_train(pool_vis, mask_library(pairs(pool_occ), bank),
+                             stage_two, bank, configs, rng, world)
+
+
 @pytest.fixture(scope="module")
 def noisy_setup():
     return build_training_world(sigma=0.05, seed=31)
@@ -895,7 +912,7 @@ class TestProgressiveTrain:
 
     def test_zero_iterations_yield_identity_generator(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
-        gen, _, history = progressive_train(
+        gen, _, history = progressive(
             pool_vis, pool_occ, bank, self.small_configs(0, 0), Rng(1), world)
         assert history == []
         x = Rng(2).gen.normal(size=(16, 7, 7))[None]
@@ -903,7 +920,7 @@ class TestProgressiveTrain:
 
     def test_stage_two_skipped_when_zero(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
-        gen, _, history = progressive_train(
+        gen, _, history = progressive(
             pool_vis, pool_occ, bank, self.small_configs(25, 0), Rng(3), world)
         assert [row[0] for row in history] == list(range(1, 26))
         fresh = Generator.init(16, Rng(3).split("generator"))
@@ -913,7 +930,7 @@ class TestProgressiveTrain:
 
     def test_history_spans_both_stages(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
-        _, _, history = progressive_train(
+        _, _, history = progressive(
             pool_vis, pool_occ, bank, self.small_configs(12, 7), Rng(4), world)
         assert [row[0] for row in history] == list(range(1, 20))
 
@@ -921,7 +938,7 @@ class TestProgressiveTrain:
         world, pool_vis, pool_occ, bank = clean_setup
         configs = (TrainConfig(iterations=300, learn_rate=2e-3),
                    TrainConfig(iterations=200, learn_rate=2e-4))
-        gen, _, _ = progressive_train(
+        gen, _, _ = progressive(
             pool_vis, pool_occ, bank, configs, Rng(9), world)
         fresh = Generator.init(16, Rng(9).split("generator"))
         drift = max(np.max(np.abs(a - b))
@@ -932,18 +949,36 @@ class TestProgressiveTrain:
         world, pool_vis, pool_occ, bank = noisy_setup
         runs = []
         for _ in range(2):
-            gen, disc, history = progressive_train(
+            gen, disc, history = progressive(
                 pool_vis, pool_occ, bank, self.small_configs(), Rng(5), world)
             runs.append((gen.params() + disc.params(), history))
         for a, b in zip(runs[0][0], runs[1][0]):
             assert np.array_equal(a, b)
         assert runs[0][1] == runs[1][1]
 
+    def test_stage_two_pool_is_made_after_stage_one(self, noisy_setup, monkeypatch):
+        world, pool_vis, pool_occ, bank = noisy_setup
+        events = []
+        train = completion.train_adversarial
+
+        def spy(*args, **kwargs):
+            events.append("train")
+            return train(*args, **kwargs)
+
+        def stage_two():
+            events.append("pool")
+            return _paste_pool(pairs(pool_occ), bank, np.empty(pool_occ.features.shape))
+
+        monkeypatch.setattr(completion, "train_adversarial", spy)
+        progressive_train(pool_vis, mask_library(pairs(pool_occ), bank), stage_two,
+                          bank, self.small_configs(2, 2), Rng(6), world)
+        assert events == ["train", "pool", "train"]
+
     def test_rejects_single_stage(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
         with pytest.raises(PreconditionError):
-            progressive_train(pool_vis, pool_occ, bank, (TrainConfig(iterations=1),),
-                              Rng(7), world)
+            progressive(pool_vis, pool_occ, bank, (TrainConfig(iterations=1),),
+                        Rng(7), world)
 
     def synthetic_masks_drawn(self, monkeypatch, pool_vis, pool_occ, bank, world):
         """Masks `progressive_train` draws from ``world`` to top up its library."""
@@ -955,7 +990,7 @@ class TestProgressiveTrain:
             return real(world, pattern, rng)
 
         monkeypatch.setattr(completion, "sample_mask", spy)
-        _, _, history = progressive_train(
+        _, _, history = progressive(
             pool_vis, pool_occ, bank, self.small_configs(2, 2), Rng(8), world)
         assert len(history) == 4
         return drawn
@@ -963,21 +998,21 @@ class TestProgressiveTrain:
     def test_unoccluded_pool_gives_empty_library(self, clean_setup, monkeypatch):
         # nothing observed: the library is the synthetic top-up alone
         world, pool_vis, pool_occ, bank = clean_setup
-        assert mask_library(pool_vis, bank) == []
+        assert mask_library(pairs(pool_vis), bank) == []
         drawn = self.synthetic_masks_drawn(monkeypatch, pool_vis, pool_vis, bank, world)
         assert drawn == [MASK_PATTERNS[i % len(MASK_PATTERNS)]
                          for i in range(MIN_MASK_LIBRARY)]
 
     def test_mask_world_tops_up_library(self, noisy_setup, monkeypatch):
         world, pool_vis, pool_occ, bank = noisy_setup
-        observed = len(mask_library(pool_occ, bank))
+        observed = len(mask_library(pairs(pool_occ), bank))
         assert 0 < observed < MIN_MASK_LIBRARY
         drawn = self.synthetic_masks_drawn(monkeypatch, pool_vis, pool_occ, bank, world)
         assert len(drawn) == MIN_MASK_LIBRARY - observed
 
     def test_observed_masks_found_on_occluded_pool(self, noisy_setup):
         world, pool_vis, pool_occ, bank = noisy_setup
-        lib = mask_library(pool_occ, bank)
+        lib = mask_library(pairs(pool_occ), bank)
         assert len(lib) > 0
         assert all(m.count > 0 for m in lib)
         assert all(m.grid.shape == (7, 7) for m in lib)
@@ -1000,7 +1035,7 @@ def test_stage_two_starts_without_the_stage_one_pool(monkeypatch):
     configs = (TrainConfig(2, 2e-3), TrainConfig(2, 2e-4))
     tracemalloc.start()
     try:
-        progressive_train(pool_vis, pool_occ, bank, configs, Rng(1), world)
+        progressive(pool_vis, pool_occ, bank, configs, Rng(1), world)
     finally:
         tracemalloc.stop()
     assert len(held) == 2

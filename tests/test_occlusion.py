@@ -340,8 +340,10 @@ class TestAnalyze:
             if mask.count > 0:
                 masks.append(mask.grid)
             pasted.append(copy_paste(feats, proto.center, mask))
-        library = mask_library(pool, bank)
+        library = mask_library(zip(pool.features, pool.scales), bank)
         assert len(library) == len(masks)
         assert all(np.array_equal(got.grid, want)
                    for got, want in zip(library, masks))
-        assert np.array_equal(_paste_pool(pool, bank), np.stack(pasted))
+        out = np.empty(pool.features.shape)
+        assert np.array_equal(_paste_pool(zip(pool.features, pool.scales), bank, out),
+                              np.stack(pasted))

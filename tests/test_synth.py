@@ -131,6 +131,17 @@ def test_config_validation():
         synth.WorldConfig(grid_x=1).validate()
 
 
+@pytest.mark.parametrize("key", ["channels", "grid_x", "grid_y"])
+def test_world_size_is_capped(key):
+    # Only the validator runs: no world of the refused size is drawn.
+    cap = synth.MAX_CHANNELS if key == "channels" else synth.MAX_GRID_SIDE
+    synth.WorldConfig(**{key: cap}).validate()
+    for value in (cap + 1, 2 ** 40):
+        with pytest.raises(PreconditionError,
+                           match=f"world.{key} must be at most {cap}, got {value}$"):
+            synth.WorldConfig(**{key: value}).validate()
+
+
 # ---------------------------------------------------------------------------
 # pedestrians
 
